@@ -201,23 +201,23 @@ def _stats(values: np.ndarray) -> dict:
     }
 
 
+def _trace_rows(trace: Trace):
+    """The trace as rows of Python scalars, in TRACE_HEADER order."""
+    return zip(trace.k.tolist(), trace.rse.tolist(), trace.residual_norm.tolist(),
+               trace.alpha.tolist(), trace.beta.tolist(), trace.wall_nanos.tolist(),
+               trace.moved.astype(np.int64).tolist())
+
+
 def write_trace(path, trace: Trace, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w", encoding="ascii") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for rec in trace.records():
-                fh.write(
-                    f"{rec.k},{rec.rse!r},{rec.residual_norm!r},{rec.alpha!r},"
-                    f"{rec.beta!r},{rec.wall_nanos},{int(rec.moved)}\n"
-                )
+            fh.write("".join([f"{k},{e!r},{rn!r},{a!r},{bt!r},{w},{mv}\n"
+                              for k, e, rn, a, bt, w, mv in _trace_rows(trace)]))
     elif fmt == "json":
         payload = {
             "header": TRACE_HEADER.split(","),
-            "records": [
-                [rec.k, rec.rse, rec.residual_norm, rec.alpha, rec.beta,
-                 rec.wall_nanos, int(rec.moved)]
-                for rec in trace.records()
-            ],
+            "records": [list(row) for row in _trace_rows(trace)],
             "converged": trace.converged,
             "reason": trace.reason,
             "fallback_steps": trace.fallback_steps,

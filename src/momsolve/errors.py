@@ -45,6 +45,10 @@ class BreakdownError(MomsolveError):
     """CG-type recursion broke down with a large residual."""
 
 
+class DivergedError(BreakdownError):
+    """The iterate blew up: the relative solution error is no longer finite."""
+
+
 class AlreadySolvedError(MomsolveError):
     """x0 already equals the min-norm solution; RSE is undefined."""
 

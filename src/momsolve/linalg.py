@@ -40,6 +40,8 @@ class Matrix:
             dense = np.ascontiguousarray(np.asarray(dense, dtype=np.float64))
             if dense.ndim != 2:
                 raise ValueError("dense matrix must be 2-D")
+            if not np.isfinite(dense).all():
+                raise ValueError("matrix has non-finite entries")
             dense.setflags(write=False)
             self._dense = dense
             self._csr = None
@@ -49,6 +51,8 @@ class Matrix:
             csr = csr.tocsr().astype(np.float64)
             csr.sum_duplicates()
             csr.sort_indices()
+            if not np.isfinite(csr.data).all():
+                raise ValueError("matrix has non-finite entries")
             self._dense = None
             self._csr = csr
             self.rows, self.cols = csr.shape
@@ -198,7 +202,8 @@ def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(b)))
     residual = float(np.linalg.norm(A.matvec(x) - b))
-    if residual > tol:
+    # written so that a NaN residual (non-finite b) fails the check too
+    if not residual <= tol:
         raise InconsistentSystemError(
             f"residual {residual:.3e} exceeds consistency tolerance {tol:.3e}"
         )

@@ -26,6 +26,10 @@ class LinearSystem:
     min_norm: np.ndarray | None = None
     consistency_residual: float = float("nan")
 
+    def __post_init__(self):
+        if not np.isfinite(self.b).all():
+            raise ValueError("right-hand side has non-finite entries")
+
 
 def generate_gaussian_problem(m: int, n: int, r: int, kappa: float, seed: int) -> LinearSystem:
     """Dense A = U D V^T with orthonormal U (m x r), V (n x r) from QR of

@@ -32,7 +32,13 @@ __all__ = [
     "expected_gram",
     "lambda_max_sup",
     "LambdaMaxResult",
+    "UNIFORM_SUPPORT_CAP",
 ]
+
+# Rejection-cap basis of ``uniform:<p>``. Its C(m, p) subsets are too many
+# to count against, so both samplers report this fixed support size and a
+# rejection loop gives up after 100 times as many zero sketches.
+UNIFORM_SUPPORT_CAP = 100
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ class _UniformSampler:
         self._m = A.rows
         self._p = scheme.p
         self._scale = math.sqrt(A.rows / scheme.p) / math.sqrt(A.fro_norm_sq)
-        self.support_size = min(math.comb(A.rows, scheme.p), 10 ** 6)
+        self.support_size = UNIFORM_SUPPORT_CAP
 
     def draw(self, rng) -> SampleOp:
         idx = np.sort(rng.choice(self._m, size=self._p, replace=False))

@@ -11,6 +11,7 @@ RSE of x^k aligns with the k-th power of theoretical contraction factors.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -22,12 +23,14 @@ import scipy.sparse as sp
 from .errors import (
     BreakdownError,
     DegenerateDirectionError,
+    DivergedError,
     StalledSamplingError,
     ZeroSketchResidualError,
 )
 from .linalg import Matrix
 from .problems import LinearSystem
 from .sampling import (
+    UNIFORM_SUPPORT_CAP,
     FixedIdentity,
     PartitionBlock,
     SampleOp,
@@ -290,7 +293,7 @@ class BlockSampler:
         elif isinstance(scheme, UniformBlock):
             aug *= np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
             self.blocks = None
-            self.support_size = 100  # cap multiplier basis for rejection loops
+            self.support_size = UNIFORM_SUPPORT_CAP
             self.draw = _uniform_draws(rng, aug, A.rows, scheme.p).__next__
             return
         else:
@@ -391,6 +394,7 @@ class _Run:
         self.clock = time.perf_counter_ns if self.timing else _no_clock
         self.rse_col, self.alpha_col, self.beta_col = array("d"), array("d"), array("d")
         self.resnorm_col, self.wall_col = array("d"), array("q")
+        self.res_factor = self.res_buf = None
         self.unmoved = []
         self.iterates = [] if keep_iterates else None
         self.diag = {} if diagnostics else None
@@ -431,23 +435,45 @@ class _Run:
     # -- bookkeeping -----------------------------------------------------
 
     def residual_norm(self, xa) -> float:
+        """||Ax − b|| from the full product with A."""
         r = self.A.matvec(xa[:self.n]) - self.b
         return float(np.linalg.norm(r))
 
+    def tracked_residual_norm(self, xa) -> float:
+        """||Ax − b|| for the trace. A sparse A keeps its O(nnz) product.
+        For a dense A it is ||[A | −b]·xa|| = ||R·xa|| for the QR
+        factorisation [A | −b] = Q·R, exact for any rank. R has n + 1
+        columns and at most n + 1 rows, so a record costs (n+1)² instead of
+        m·n for a tall A. R is factored on the first call, so runs that
+        record their own residual (cgne) never pay for it."""
+        if self.A.is_sparse:
+            return self.residual_norm(xa)
+        R = self.res_factor
+        if R is None:
+            R = self.res_factor = np.linalg.qr(
+                np.hstack([self.A._dense, -self.b.reshape(-1, 1)]), mode="r")
+            self.res_buf = np.empty(len(R))
+        r = R.dot(xa, out=self.res_buf)
+        return math.sqrt(r.dot(r))
+
     def record(self, state: _State, alpha, beta, t0, moved=True, resnorm=None) -> float:
         """Append one iteration to the trace; returns its RSE. The step's
-        wall time, counted from ``t0``, excludes this bookkeeping."""
+        wall time, counted from ``t0``, excludes this bookkeeping.
+
+        Raises DivergedError when the RSE is no longer finite."""
         if self.timing:
             self.wall_col.append(self.clock() - t0)
         err = state.err
         rse = float(err.dot(err)) / self.err0_sq
+        if not rse < math.inf:
+            raise DivergedError(f"RSE {rse} at step {len(self.rse_col) + 1}")
         self.rse_col.append(rse)
         self.alpha_col.append(alpha)
         self.beta_col.append(beta)
         if resnorm is not None:
             self.resnorm_col.append(resnorm)
         elif self.config.track_residual:
-            self.resnorm_col.append(self.residual_norm(state.xa))
+            self.resnorm_col.append(self.tracked_residual_norm(state.xa))
         if not moved:
             self.unmoved.append(len(self.rse_col) - 1)
         if self.iterates is not None:

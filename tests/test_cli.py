@@ -9,8 +9,14 @@ from momsolve import cli
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import BreakdownError
 from momsolve.linalg import Matrix, spectral_quantities
-from momsolve.problems import load_matrix_market
-from momsolve.sampling import PartitionBlock
+from momsolve.problems import (
+    LinearSystem,
+    attach_min_norm,
+    generate_gaussian_problem,
+    load_matrix_market,
+)
+from momsolve.sampling import PartitionBlock, SingleRowWeighted
+from momsolve.solvers import SolverConfig, solve_ashbm, solve_basic
 from momsolve.analysis import theoretical_bound
 
 
@@ -120,6 +126,52 @@ class TestSolve:
         assert summary["failed"] == 0
 
 
+def _records_csv(trace):
+    """Reference CSV trace, formatted one TraceRecord at a time."""
+    lines = [cli.TRACE_HEADER + "\n"]
+    for rec in trace.records():
+        lines.append(f"{rec.k},{rec.rse!r},{rec.residual_norm!r},{rec.alpha!r},"
+                     f"{rec.beta!r},{rec.wall_nanos},{int(rec.moved)}\n")
+    return "".join(lines).encode("ascii")
+
+
+def _records_json(trace):
+    """Reference JSON trace, formatted one TraceRecord at a time."""
+    payload = {
+        "header": cli.TRACE_HEADER.split(","),
+        "records": [[rec.k, rec.rse, rec.residual_norm, rec.alpha, rec.beta,
+                     rec.wall_nanos, int(rec.moved)] for rec in trace.records()],
+        "converged": trace.converged,
+        "reason": trace.reason,
+        "fallback_steps": trace.fallback_steps,
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("ascii")
+
+
+class TestWriteTrace:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_record_format(self, tmp_path, fmt):
+        # b = e_1: drawing row 2 gives a zero sketch, so some steps do not move
+        unit = attach_min_norm(LinearSystem(A=Matrix.from_dense(np.eye(2)),
+                                            b=np.array([1.0, 0.0])))
+        system = generate_gaussian_problem(40, 20, 20, 3.0, seed=2)
+        scheme = PartitionBlock.from_permutation(40, 5, seed=2)
+        traces = [
+            # timed and tracked
+            solve_basic(unit, SingleRowWeighted(), SolverConfig(seed=0, max_iters=50))[1],
+            solve_ashbm(system, scheme, SolverConfig(seed=1))[1],
+            # no residual column (NaN) and zero wall times
+            solve_ashbm(system, scheme, SolverConfig(seed=1, track_residual=False,
+                                                     record_timing=False))[1],
+        ]
+        assert not traces[0].moved.all()
+        reference = _records_csv if fmt == "csv" else _records_json
+        for i, trace in enumerate(traces):
+            path = tmp_path / f"trace_{i}.{fmt}"
+            cli.write_trace(path, trace, fmt)
+            assert path.read_bytes() == reference(trace)
+
+
 class TestConfigRoundtrip:
     def test_json_roundtrip(self):
         cfg = ExperimentConfig(
@@ -226,6 +278,30 @@ class TestExitCodes:
         rc = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs),
                    "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_INCONSISTENT
+
+    def test_non_finite_rhs(self, tmp_path):
+        mtx = tmp_path / "A.mtx"
+        cli.write_matrix_market(mtx, Matrix.from_dense(np.eye(2)))
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.0\nnan\n")
+        rc = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs),
+                   "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+
+    def test_non_finite_matrix_entry(self, tmp_path):
+        mtx = tmp_path / "A.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 2\n1 1 1.0\n2 2 inf\n")
+        rc = main(["solve", "--matrix", str(mtx), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+
+    def test_diverged_run(self, tmp_path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["solve", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
+                       "--solver", "mrabk", "--sampling", "partition:10",
+                       "--beta", "0.999", "--max-iters", "20000",
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_SOLVER_BREAKDOWN
 
     def test_solver_breakdown(self, tmp_path, monkeypatch):
         def boom(system, scheme, config, **kw):

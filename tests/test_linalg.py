@@ -81,6 +81,14 @@ class TestMatrix:
         with pytest.raises(ValueError):
             A.rmatvec([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        dense = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError):
+            Matrix.from_dense(dense)
+        with pytest.raises(ValueError):
+            Matrix.from_scipy(sp.csr_matrix(dense))
+
     def test_storage_is_read_only(self):
         A = Matrix.from_dense([[1.0, 2.0]])
         out = A.toarray()
@@ -148,6 +156,11 @@ class TestMinNormSolution:
         A = Matrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(InconsistentSystemError):
             min_norm_solution(A, [0.0, 1.0])
+
+    def test_non_finite_rhs_rejected(self):
+        # a NaN residual must fail the consistency check, not pass it
+        with pytest.raises(InconsistentSystemError):
+            min_norm_solution(Matrix.from_dense(np.eye(2)), [1.0, np.nan])
 
     def test_solution_lies_in_row_space(self, rng):
         dense = rng.standard_normal((6, 10))

@@ -85,6 +85,13 @@ class TestAttachMinNorm:
         rel /= np.linalg.norm(gen.min_norm)
         assert rel <= 1e-10
 
+    def test_non_finite_rhs_rejected(self):
+        gen = generate_gaussian_problem(20, 10, 10, 2.0, seed=1)
+        bad = np.array(gen.b)
+        bad[3] = np.inf
+        with pytest.raises(ValueError):
+            LinearSystem(A=gen.A, b=bad)
+
     def test_inconsistent_rhs_rejected(self):
         gen = generate_gaussian_problem(50, 100, 30, 5.0, seed=6)
         # push b out of Range(A) by a 1e-3 off-range component

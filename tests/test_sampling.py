@@ -10,6 +10,7 @@ from momsolve.errors import InvalidBlockSizeError, UnsupportedError
 from momsolve.linalg import Matrix
 from momsolve.problems import generate_gaussian_problem
 from momsolve.sampling import (
+    UNIFORM_SUPPORT_CAP,
     FixedIdentity,
     PartitionBlock,
     SampleOp,
@@ -26,7 +27,7 @@ from momsolve.sampling import (
     parse_scheme,
     pullback,
 )
-from momsolve.solvers import SolverConfig, solve_ashbm
+from momsolve.solvers import BlockSampler, SolverConfig, solve_ashbm
 
 
 class TestBuildPartition:
@@ -95,6 +96,13 @@ class TestDraw:
         A = Matrix.from_dense(np.diag([1.0, 2.0, 3.0]))
         probs = make_sampler(SingleRowWeighted(), A).probabilities()
         np.testing.assert_allclose(probs, np.array([1.0, 4.0, 9.0]) / 14.0)
+
+    @pytest.mark.parametrize("m,p", [(4, 2), (40, 3)])
+    def test_uniform_cap_shared_by_both_stacks(self, rng, m, p):
+        system = generate_gaussian_problem(m, 2, 2, 2.0, seed=0)
+        ours = make_sampler(UniformBlock(p=p), system.A).support_size
+        bound = BlockSampler(UniformBlock(p=p), system.A, system.b, rng).support_size
+        assert ours == bound == UNIFORM_SUPPORT_CAP
 
     def test_partition_must_cover_rows(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 3)))

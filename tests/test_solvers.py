@@ -1,11 +1,15 @@
 """Solver step primitives and full solver runs."""
 
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import dense_sketch
 from momsolve.errors import (
     DegenerateDirectionError,
+    DivergedError,
     StalledSamplingError,
     ZeroSketchResidualError,
 )
@@ -389,6 +393,74 @@ class TestMrabk:
         _, trace = solve_mrabk(sys_, scheme, _cfg(rse_tolerance=1e-10,
                                                   max_iters=200000))
         assert trace.converged
+
+    def test_divergence_stops_the_run(self):
+        # beta = 0.999 overshoots: the RSE overflows after a few thousand
+        # steps, and the run must stop there instead of spinning to max_iters
+        sys_ = generate_gaussian_problem(200, 50, 50, 5.0, seed=0)
+        scheme = PartitionBlock.from_permutation(200, 10, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError):
+                solve_mrabk(sys_, scheme, _cfg(momentum_beta=0.999, max_iters=20000))
+
+
+def _sparse_system(m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = Matrix.from_scipy(sp.random(m, n, density=0.2, random_state=rng) + sp.eye(m, n))
+    return attach_min_norm(LinearSystem(A=A, b=A.matvec(rng.standard_normal(n))))
+
+
+class TestResidualChannel:
+    """The tracked ``residual_norm`` of each step against ||A x_k − b||."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_gaussian_problem(120, 40, 40, 5.0, seed=1),  # dense tall
+        lambda: generate_gaussian_problem(80, 40, 20, 5.0, seed=2),  # rank-deficient
+        lambda: generate_gaussian_problem(30, 60, 30, 5.0, seed=3),  # dense wide
+        lambda: _sparse_system(90, 30, seed=4),
+    ], ids=["tall", "rank_deficient", "wide", "sparse"])
+    @pytest.mark.parametrize("solve", [solve_ashbm, solve_scg, solve_basic])
+    def test_matches_direct_product(self, make, solve):
+        sys_ = make()
+        scheme = PartitionBlock.from_permutation(sys_.A.rows, 10, seed=5)
+        _, trace = solve(sys_, scheme, _cfg(max_iters=400), keep_iterates=True)
+        direct = [np.linalg.norm(sys_.A.matvec(x) - sys_.b) for x in trace.iterates]
+        b_norm = float(np.linalg.norm(sys_.b))
+        assert len(direct) == len(trace) > 0
+        np.testing.assert_allclose(trace.residual_norm, direct, rtol=0,
+                                   atol=1e-10 * (1.0 + b_norm))
+
+    def test_factor_only_when_tracking(self, monkeypatch):
+        sys_ = generate_gaussian_problem(60, 20, 20, 3.0, seed=6)
+        scheme = PartitionBlock.from_permutation(60, 6, seed=6)
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(kwargs.get("mode"))
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        for solve in (solve_basic, solve_modified_basic, solve_ashbm, solve_scg, solve_mrabk):
+            solve(sys_, scheme, _cfg(max_iters=50, track_residual=False))
+        solve_cgne(sys_, _cfg(max_iters=50))  # records its own recurrence residual
+        assert calls == []
+        solve_ashbm(sys_, scheme, _cfg(max_iters=50))
+        assert calls == ["r"]
+
+    def test_run_is_freed_without_the_cycle_collector(self):
+        # a finished run holds its sampler's blocks and the factor; a
+        # reference cycle would keep them alive until the next collection
+        sys_ = generate_gaussian_problem(60, 20, 20, 3.0, seed=6)
+        scheme = PartitionBlock.from_permutation(60, 6, seed=6)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_ashbm(sys_, scheme, _cfg(max_iters=50))
+            alive = [o for o in gc.get_objects() if type(o).__name__ == "_Run"]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 def test_solver_registry():
