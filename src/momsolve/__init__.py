@@ -12,8 +12,6 @@ from .analysis import (
 from .linalg import (
     Matrix,
     SpectralSummary,
-    matvec,
-    matvec_transpose,
     min_norm_solution,
     spectral_quantities,
 )
@@ -26,27 +24,20 @@ from .problems import (
 from .sampling import (
     FixedIdentity,
     PartitionBlock,
-    SampleOp,
     SingleRowWeighted,
     UniformBlock,
-    apply_sample_transpose,
     build_partition,
-    draw_sample,
     expected_gram,
     lambda_max_sup,
     parse_scheme,
-    pullback,
 )
 from .solvers import (
     SolverConfig,
     SolverState,
-    StepOutcome,
     Trace,
     TraceRecord,
     ashbm_parameters,
-    basic_step,
     compute_tau,
-    polyak_stepsize,
     solve_ashbm,
     solve_basic,
     solve_cgne,

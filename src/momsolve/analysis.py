@@ -37,9 +37,6 @@ class BoundReport:
     lambda_max: float
     per_iter_factor: float
     is_estimate: bool
-    # unbounded sample spaces would normalize by ||S||^2; no shipped
-    # scheme exercises that branch
-    normalized_by_sketch_norm: bool = False
 
 
 def rse(x, min_norm, x0) -> float:

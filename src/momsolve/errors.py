@@ -29,10 +29,6 @@ class InvalidBlockSizeError(MomsolveError):
     """Block size outside [1, m]."""
 
 
-class ZeroSketchResidualError(MomsolveError):
-    """S^T r is numerically zero; the sampled step is undefined."""
-
-
 class StalledSamplingError(MomsolveError):
     """Rejection sampling hit its cap while the residual is still large."""
 

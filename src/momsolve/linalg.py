@@ -19,8 +19,6 @@ __all__ = [
     "SpectralSummary",
     "spectral_quantities",
     "min_norm_solution",
-    "matvec",
-    "matvec_transpose",
 ]
 
 
@@ -123,18 +121,6 @@ class Matrix:
             return self._dense.T @ y
         return self._csr.T @ y
 
-    def rows_matvec(self, idx, x) -> np.ndarray:
-        """A[idx, :] @ x without materializing the full product."""
-        if self._dense is not None:
-            return self._dense[idx] @ x
-        return self._csr[idx] @ x
-
-    def rows_rmatvec(self, idx, w) -> np.ndarray:
-        """A[idx, :]^T @ w using only the selected rows."""
-        if self._dense is not None:
-            return self._dense[idx].T @ w
-        return self._csr[idx].T @ w
-
     def row_block(self, idx) -> np.ndarray:
         """Selected rows as a dense array (small blocks only)."""
         if self._dense is not None:
@@ -152,9 +138,6 @@ class SpectralSummary:
     sigma_min_nonzero: float
     rank: int
     fro_norm: float
-    # smallest singular value over the full spectrum, kept for condition
-    # numbers that real-world collections report over tiny values
-    sigma_min_all: float
 
 
 def _singular_values(A: Matrix) -> np.ndarray:
@@ -180,7 +163,6 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
         sigma_min_nonzero=float(nonzero[-1]),
         rank=rank,
         fro_norm=float(np.sqrt(A.fro_norm_sq)),
-        sigma_min_all=float(svals[min(A.rows, A.cols) - 1]),
     )
 
 
@@ -208,11 +190,3 @@ def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
             f"residual {residual:.3e} exceeds consistency tolerance {tol:.3e}"
         )
     return x
-
-
-def matvec(A: Matrix, x) -> np.ndarray:
-    return A.matvec(x)
-
-
-def matvec_transpose(A: Matrix, y) -> np.ndarray:
-    return A.rmatvec(y)

@@ -1,17 +1,19 @@
-"""Sketch distributions over row index sets and their bound quantities.
+"""Sketch distributions over row index sets, the sampler that draws from
+them, and their bound quantities.
 
 Every shipped scheme draws a sketching matrix of the form
 S = scale * I[:, J] for an index set J, so S^T v and A^T S w reduce to
-gathers and row-submatrix products; S is never materialized.
+products with the scaled row block; S is never materialized.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidBlockSizeError, UnsupportedError
 from .linalg import Matrix
@@ -21,14 +23,10 @@ __all__ = [
     "UniformBlock",
     "PartitionBlock",
     "FixedIdentity",
-    "SampleOp",
+    "BlockSampler",
     "SchemeSpec",
     "parse_scheme",
     "build_partition",
-    "make_sampler",
-    "draw_sample",
-    "apply_sample_transpose",
-    "pullback",
     "expected_gram",
     "lambda_max_sup",
     "LambdaMaxResult",
@@ -36,7 +34,7 @@ __all__ = [
 ]
 
 # Rejection-cap basis of ``uniform:<p>``. Its C(m, p) subsets are too many
-# to count against, so both samplers report this fixed support size and a
+# to count against, so the sampler reports this fixed support size and a
 # rejection loop gives up after 100 times as many zero sketches.
 UNIFORM_SUPPORT_CAP = 100
 
@@ -96,27 +94,15 @@ class FixedIdentity:
         return "identity"
 
 
-@dataclass(frozen=True)
-class SampleOp:
-    """One realized sketch: row indices plus scaling (indices=None means I).
-
-    ``scale`` is a scalar for all shipped schemes, but per-index diagonal
-    weights are accepted for custom sketches.
-    """
-
-    indices: np.ndarray | None
-    scale: float | np.ndarray = 1.0
-
-    @property
-    def is_identity(self) -> bool:
-        return self.indices is None
+def _check_block_size(p: int, m: int) -> None:
+    if p < 1 or p > m:
+        raise InvalidBlockSizeError(f"block size p={p} must satisfy 1 <= p <= m={m}")
 
 
 def build_partition(m: int, p: int, seed: int) -> tuple:
     """Partition [0, m) into ceil(m/p) blocks from a seeded uniform
     permutation; all blocks have size p except possibly the last."""
-    if p < 1 or p > m:
-        raise InvalidBlockSizeError(f"block size p={p} must satisfy 1 <= p <= m={m}")
+    _check_block_size(p, m)
     perm = np.random.default_rng(seed).permutation(m)
     t = math.ceil(m / p)
     blocks = []
@@ -128,108 +114,100 @@ def build_partition(m: int, p: int, seed: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Samplers (scheme bound to a matrix, ready to draw)
+# The sampler: a scheme bound to one system, ready to draw
 # ---------------------------------------------------------------------------
 
-class _RowSampler:
-    def __init__(self, scheme: SingleRowWeighted, A: Matrix):
-        if A.fro_norm_sq <= 0.0:
-            raise ValueError("cannot sample rows of a zero matrix")
-        self.scheme = scheme
-        self._row_norms = np.sqrt(A.row_norms_sq)
-        self._cum = np.cumsum(A.row_norms_sq / A.fro_norm_sq)
-        self.support_size = A.rows
-
-    def draw(self, rng) -> SampleOp:
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        i = min(i, len(self._cum) - 1)
-        idx = np.array([i])
-        return SampleOp(indices=idx, scale=1.0 / self._row_norms[i])
-
-    def probabilities(self) -> np.ndarray:
-        return np.diff(self._cum, prepend=0.0)
+# uniforms drawn per call to the generator; Generator.random(n) yields the
+# same stream as n scalar calls, so the chunk size never changes a draw
+_DRAW_CHUNK = 256
 
 
-class _UniformSampler:
-    def __init__(self, scheme: UniformBlock, A: Matrix):
-        if not 1 <= scheme.p <= A.rows:
-            raise InvalidBlockSizeError(f"p={scheme.p} out of range for m={A.rows}")
-        self.scheme = scheme
-        self._m = A.rows
-        self._p = scheme.p
-        self._scale = math.sqrt(A.rows / scheme.p) / math.sqrt(A.fro_norm_sq)
-        self.support_size = UNIFORM_SUPPORT_CAP
+class _CsrDot:
+    """A scipy sparse matrix behind ndarray's ``dot(v, out=None)``."""
 
-    def draw(self, rng) -> SampleOp:
-        idx = np.sort(rng.choice(self._m, size=self._p, replace=False))
-        return SampleOp(indices=idx, scale=self._scale)
+    __slots__ = ("mat",)
 
+    def __init__(self, mat):
+        self.mat = mat
 
-class _PartitionSampler:
-    def __init__(self, scheme: PartitionBlock, A: Matrix):
-        scheme.check_covers(A.rows)
-        self.scheme = scheme
-        fro_sq = np.array([A.row_norms_sq[blk].sum() for blk in scheme.blocks])
-        self._scales = 1.0 / np.sqrt(fro_sq)
-        self._cum = np.cumsum(fro_sq / A.fro_norm_sq)
-        self.support_size = len(scheme.blocks)
-
-    def draw(self, rng) -> SampleOp:
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        i = min(i, len(self._cum) - 1)
-        return SampleOp(indices=self.scheme.blocks[i], scale=self._scales[i])
-
-    def probabilities(self) -> np.ndarray:
-        return np.diff(self._cum, prepend=0.0)
+    def dot(self, v, out=None):
+        if out is None:
+            return self.mat @ v
+        out[:] = self.mat @ v
+        return out
 
 
-class _IdentitySampler:
-    def __init__(self, scheme: FixedIdentity, A: Matrix):
-        self.scheme = scheme
-        self.support_size = 1
-
-    def draw(self, rng) -> SampleOp:
-        return SampleOp(indices=None, scale=1.0)
+def _block_pair(aug):
+    """(aug, aug^T) with the ``dot`` the solver loops call on both."""
+    if isinstance(aug, np.ndarray):
+        return aug, aug.T
+    return _CsrDot(aug), _CsrDot(aug.T)
 
 
-_SAMPLERS = {
-    SingleRowWeighted: _RowSampler,
-    UniformBlock: _UniformSampler,
-    PartitionBlock: _PartitionSampler,
-    FixedIdentity: _IdentitySampler,
-}
+class BlockSampler:
+    """A sampling scheme bound to one system.
+
+    Each support element J is cached once as the scaled augmented block
+    ``[s·A_J | −s·b_J]``. With the augmented iterate ``xa = [x; 1]`` the
+    sketched residual is one product, ``S^T(Ax − b) = block·xa``, and
+    ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
+    the last entry, ``−s b_J·t``).
+
+    ``draw()`` returns the pair ``(block, block^T)`` of the next sample.
+    Weighted schemes (partition, row) draw their uniforms in chunks with
+    one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows on
+    every draw; the identity scheme always returns its single block.
+    """
+
+    def __init__(self, scheme, A: Matrix, b: np.ndarray, rng):
+        if isinstance(scheme, UniformBlock):
+            _check_block_size(scheme.p, A.rows)
+        if A.is_sparse:
+            aug = sp.hstack([A._csr, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
+        else:
+            aug = np.hstack([A._dense, -b.reshape(-1, 1)])
+        self.deterministic = isinstance(scheme, FixedIdentity)
+        if isinstance(scheme, FixedIdentity):
+            self.blocks = [_block_pair(aug)]
+            self.support_size = 1
+            self.draw = itertools.repeat(self.blocks[0]).__next__
+            return
+        if isinstance(scheme, PartitionBlock):
+            scheme.check_covers(A.rows)
+            rows = scheme.blocks
+            weights = np.array([A.row_norms_sq[blk].sum() for blk in rows])
+        elif isinstance(scheme, SingleRowWeighted):
+            rows = [np.array([i]) for i in range(A.rows)]
+            weights = A.row_norms_sq
+        elif isinstance(scheme, UniformBlock):
+            aug *= np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
+            self.blocks = None
+            self.support_size = UNIFORM_SUPPORT_CAP
+            self.draw = _uniform_draws(rng, aug, A.rows, scheme.p).__next__
+            return
+        else:
+            raise TypeError(f"unsupported scheme {scheme!r}")
+        self.blocks = [
+            _block_pair(aug[blk] * (1.0 / np.sqrt(w) if w > 0 else 0.0))
+            for blk, w in zip(rows, weights)
+        ]
+        self.support_size = len(self.blocks)
+        cum = np.cumsum(weights / A.fro_norm_sq)
+        self.draw = _weighted_draws(rng, cum, self.blocks).__next__
 
 
-def make_sampler(scheme, A: Matrix):
-    """Bind a scheme to a matrix; the result draws SampleOps from an rng."""
-    try:
-        cls = _SAMPLERS[type(scheme)]
-    except KeyError:
-        raise UnsupportedError(f"unknown sampling scheme {scheme!r}") from None
-    return cls(scheme, A)
+def _weighted_draws(rng, cum, blocks):
+    last = len(blocks) - 1
+    while True:
+        idx = np.searchsorted(cum, rng.random(_DRAW_CHUNK), side="right")
+        # cum[-1] may round to just below 1
+        for i in np.minimum(idx, last).tolist():
+            yield blocks[i]
 
 
-def draw_sample(scheme, A: Matrix, rng) -> SampleOp:
-    return make_sampler(scheme, A).draw(rng)
-
-
-# ---------------------------------------------------------------------------
-# Structured products
-# ---------------------------------------------------------------------------
-
-def apply_sample_transpose(op: SampleOp, v: np.ndarray) -> np.ndarray:
-    """S^T v by gathering and scaling the indexed entries."""
-    if op.is_identity:
-        return np.asarray(v, dtype=np.float64)
-    return op.scale * np.asarray(v, dtype=np.float64)[op.indices]
-
-
-def pullback(op: SampleOp, A: Matrix, w: np.ndarray) -> np.ndarray:
-    """A^T (S w) using only the rows selected by the sample."""
-    w = np.asarray(w, dtype=np.float64)
-    if op.is_identity:
-        return A.rmatvec(w)
-    return A.rows_rmatvec(op.indices, op.scale * w)
+def _uniform_draws(rng, aug, m, p):
+    while True:
+        yield _block_pair(aug[np.sort(rng.choice(m, size=p, replace=False))])
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +280,12 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
         return LambdaMaxResult(float(worst))
     if isinstance(scheme, UniformBlock):
         m, p = A.rows, scheme.p
+        _check_block_size(p, m)
         factor = (m / p) / A.fro_norm_sq
         if math.comb(m, p) <= _ENUMERATION_LIMIT:
             worst = max(
                 block_spectral_norm_sq(A, np.array(J))
-                for J in combinations(range(m), p)
+                for J in itertools.combinations(range(m), p)
             )
             return LambdaMaxResult(factor * worst, is_estimate=False)
         rng = np.random.default_rng(0)

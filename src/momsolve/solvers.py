@@ -2,6 +2,12 @@
 heavy-ball momentum, stochastic CG, CGNE, and the fixed-parameter momentum
 baseline.
 
+``basic``, ``mbasic``, ``ashbm`` and ``mrabk`` are one stochastic heavy-ball
+update, x+ = x − alpha_k·grad f_S(x) + beta_k·(x − x_prev), run by one loop;
+each method supplies only its (alpha, beta) rule and how it treats a zero
+sketch. ``scg`` and ``cgne`` keep their own recursions: they are the
+references the momentum form is checked against.
+
 All solvers start from x0 = 0 (which lies in Range(A^T)) and converge to
 the min-norm solution; the relative solution error is tracked against
 ``system.min_norm``. Iteration records carry k starting at 1 so that the
@@ -10,7 +16,6 @@ RSE of x^k aligns with the k-th power of theoretical contraction factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from array import array
@@ -18,37 +23,22 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BreakdownError,
     DegenerateDirectionError,
     DivergedError,
     StalledSamplingError,
-    ZeroSketchResidualError,
 )
 from .linalg import Matrix
 from .problems import LinearSystem
-from .sampling import (
-    UNIFORM_SUPPORT_CAP,
-    FixedIdentity,
-    PartitionBlock,
-    SampleOp,
-    SingleRowWeighted,
-    UniformBlock,
-    apply_sample_transpose,
-    block_spectral_norm_sq,
-    pullback,
-)
+from .sampling import BlockSampler, PartitionBlock, lambda_max_sup
 
 __all__ = [
     "SolverConfig",
     "SolverState",
-    "StepOutcome",
     "Trace",
     "TraceRecord",
-    "polyak_stepsize",
-    "basic_step",
     "ashbm_parameters",
     "solve_basic",
     "solve_modified_basic",
@@ -57,13 +47,15 @@ __all__ = [
     "solve_cgne",
     "solve_mrabk",
     "compute_tau",
-    "BlockSampler",
     "SOLVER_IDS",
 ]
 
 # numerically-zero test for the 2x2 system determinant in the momentum
 # parameter formulas, relative to ||g||^2 ||d||^2
 DEGENERACY_THRESHOLD = 1e-14
+
+# CGNE steps between exact recomputations of its recurrence residual
+DRIFT_CHECK_INTERVAL = 1000
 
 
 @dataclass
@@ -78,7 +70,6 @@ class SolverConfig:
     seed: int = 0
     track_residual: bool = True
     record_timing: bool = True
-    drift_check_interval: int = 1000
 
     def zeta_at(self, k: int) -> float:
         z = self.zeta_schedule(k) if self.zeta_schedule is not None else self.zeta
@@ -103,17 +94,8 @@ class SolverConfig:
 class SolverState:
     x: np.ndarray
     x_prev: np.ndarray
-    p: np.ndarray | None
     r: np.ndarray
     k: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    alpha: float
-    beta: float
-    sample: SampleOp
-    moved: bool
 
 
 class TraceRecord(NamedTuple):
@@ -163,162 +145,24 @@ class Trace:
         ]
 
 
-# ---------------------------------------------------------------------------
-# Single-step operations (spec-level API; full solvers use the fast path)
-# ---------------------------------------------------------------------------
-
-def polyak_stepsize(op: SampleOp, A: Matrix, r: np.ndarray,
-                    zero_threshold: float = 0.0) -> float:
-    """Adaptive step ||S^T r||^2 / ||A^T S S^T r||^2."""
-    t = apply_sample_transpose(op, r)
-    tn2 = float(t @ t)
-    if tn2 <= zero_threshold * zero_threshold or tn2 == 0.0:
-        raise ZeroSketchResidualError("S^T r is numerically zero")
-    g = pullback(op, A, t)
-    return tn2 / float(g @ g)
-
-
-def basic_step(A: Matrix, b: np.ndarray, state: SolverState, op: SampleOp,
-               zeta_k: float, zero_threshold: float = 0.0) -> StepOutcome:
-    """One step of the basic method; x and r updated in place.
-
-    When ||S^T r|| is below the zero threshold the iterate is left
-    unchanged and ``moved`` is False.
-    """
-    t = apply_sample_transpose(op, state.r)
-    tn2 = float(t @ t)
-    if tn2 <= zero_threshold * zero_threshold or tn2 == 0.0:
-        state.k += 1
-        return StepOutcome(alpha=0.0, beta=0.0, sample=op, moved=False)
-    g = pullback(op, A, t)
-    alpha = (2.0 - zeta_k) * tn2 / float(g @ g)
-    state.x_prev = state.x.copy()
-    state.x -= alpha * g
-    state.r -= alpha * A.matvec(g)
-    state.k += 1
-    return StepOutcome(alpha=alpha, beta=0.0, sample=op, moved=True)
-
-
-def ashbm_parameters(g: np.ndarray, d: np.ndarray, s: float) -> tuple[float, float]:
+def ashbm_parameters(dn2: float, gd: float, gn2: float, s: float) -> tuple[float, float]:
     """Closed-form momentum parameters minimizing the error over the plane
     spanned by the sampled gradient g and the previous step d.
 
-    s is ||S^T r||^2. Raises DegenerateDirectionError when g and d are
-    numerically dependent.
+    Takes the entries ||d||^2, d.g and ||g||^2 of the Gram matrix of
+    [d; g], and s = ||S^T r||^2. Raises DegenerateDirectionError when g
+    and d are numerically dependent.
     """
-    gn2 = float(g @ g)
-    dn2 = float(d @ d)
-    gd = float(g @ d)
     det = gn2 * dn2 - gd * gd
     if det <= DEGENERACY_THRESHOLD * gn2 * dn2:
         raise DegenerateDirectionError("gradient and momentum direction are parallel")
     return dn2 * s / det, gd * s / det
 
 
-def compute_tau(partition: PartitionBlock | tuple, A: Matrix) -> float:
+def compute_tau(partition: PartitionBlock, A: Matrix) -> float:
     """Step-size constant for the fixed-parameter momentum baseline:
     tau = max_i ||A_Ii||_2^2 / ||A_Ii||_F^2 / ||A||_F^2."""
-    blocks = partition.blocks if isinstance(partition, PartitionBlock) else partition
-    worst = max(
-        block_spectral_norm_sq(A, blk) / float(A.row_norms_sq[blk].sum())
-        for blk in blocks
-    )
-    return worst / A.fro_norm_sq
-
-
-# ---------------------------------------------------------------------------
-# Block sampling bound to a system (the solvers' draw path)
-# ---------------------------------------------------------------------------
-
-# uniforms drawn per call to the generator; Generator.random(n) yields the
-# same stream as n scalar calls, so the chunk size never changes a draw
-_DRAW_CHUNK = 256
-
-
-class _CsrDot:
-    """A scipy sparse matrix behind ndarray's ``dot(v, out=None)``."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        self.mat = mat
-
-    def dot(self, v, out=None):
-        if out is None:
-            return self.mat @ v
-        out[:] = self.mat @ v
-        return out
-
-
-def _block_pair(aug):
-    """(aug, aug^T) with the ``dot`` the solver loops call on both."""
-    if isinstance(aug, np.ndarray):
-        return aug, aug.T
-    return _CsrDot(aug), _CsrDot(aug.T)
-
-
-class BlockSampler:
-    """A sampling scheme bound to one system for the solver loops.
-
-    Each support element J is cached once as the scaled augmented block
-    ``[s·A_J | −s·b_J]``. With the augmented iterate ``xa = [x; 1]`` the
-    sketched residual is one product, ``S^T(Ax − b) = block·xa``, and
-    ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
-    the last entry, ``−s b_J·t``).
-
-    ``draw()`` returns the pair ``(block, block^T)`` of the next sample.
-    Weighted schemes (partition, row) draw their uniforms in chunks with
-    one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows on
-    every draw; the identity scheme always returns its single block.
-    """
-
-    def __init__(self, scheme, A: Matrix, b: np.ndarray, rng):
-        if A.is_sparse:
-            aug = sp.hstack([A._csr, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
-        else:
-            aug = np.hstack([A._dense, -b.reshape(-1, 1)])
-        self.deterministic = isinstance(scheme, FixedIdentity)
-        if isinstance(scheme, FixedIdentity):
-            self.blocks = [_block_pair(aug)]
-            self.support_size = 1
-            self.draw = itertools.repeat(self.blocks[0]).__next__
-            return
-        if isinstance(scheme, PartitionBlock):
-            scheme.check_covers(A.rows)
-            rows = scheme.blocks
-            weights = np.array([A.row_norms_sq[blk].sum() for blk in rows])
-        elif isinstance(scheme, SingleRowWeighted):
-            rows = [np.array([i]) for i in range(A.rows)]
-            weights = A.row_norms_sq
-        elif isinstance(scheme, UniformBlock):
-            aug *= np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
-            self.blocks = None
-            self.support_size = UNIFORM_SUPPORT_CAP
-            self.draw = _uniform_draws(rng, aug, A.rows, scheme.p).__next__
-            return
-        else:
-            raise TypeError(f"unsupported scheme {scheme!r}")
-        self.blocks = [
-            _block_pair(aug[blk] * (1.0 / np.sqrt(w) if w > 0 else 0.0))
-            for blk, w in zip(rows, weights)
-        ]
-        self.support_size = len(self.blocks)
-        cum = np.cumsum(weights / A.fro_norm_sq)
-        self.draw = _weighted_draws(rng, cum, self.blocks).__next__
-
-
-def _weighted_draws(rng, cum, blocks):
-    last = len(blocks) - 1
-    while True:
-        idx = np.searchsorted(cum, rng.random(_DRAW_CHUNK), side="right")
-        # cum[-1] may round to just below 1
-        for i in np.minimum(idx, last).tolist():
-            yield blocks[i]
-
-
-def _uniform_draws(rng, aug, m, p):
-    while True:
-        yield _block_pair(aug[np.sort(rng.choice(m, size=p, replace=False))])
+    return lambda_max_sup(partition, A).value / A.fro_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +245,14 @@ class _Run:
         self.draws = 0
         self.fallbacks = 0
 
-    # -- steps -----------------------------------------------------------
+    # -- draws -----------------------------------------------------------
 
-    def relaxation(self) -> Callable[[int], float]:
-        """k -> 2 − zeta_k; a constant when there is no schedule."""
-        config = self.config
-        if config.zeta_schedule is None:
-            w = 2.0 - config.zeta
-            return lambda k: w
-        return lambda k: 2.0 - config.zeta_at(k)
+    def draw_once(self, xa):
+        """One draw; returns (block, block^T, t, ||t||^2) with t = S^T (Ax − b)."""
+        fwd, bwd = self.sampler.draw()
+        self.draws += 1
+        t = fwd.dot(xa)
+        return fwd, bwd, t, float(t.dot(t))
 
     def draw_nonzero(self, xa):
         """Rejection-sample until ||S^T (Ax − b)|| is above the zero test.
@@ -484,11 +327,10 @@ class _Run:
         if self.diag is not None:
             self.diag.setdefault(key, []).append(value)
 
-    def finish(self, xa, xa_prev, p, converged, reason) -> tuple[SolverState, Trace]:
+    def finish(self, xa, xa_prev, converged, reason) -> tuple[SolverState, Trace]:
         n, k = self.n, len(self.rse_col)
         x = xa[:n].copy()
         state = SolverState(x=x, x_prev=xa_prev[:n].copy(),
-                            p=None if p is None else p[:n].copy(),
                             r=self.A.matvec(x) - self.b, k=k)
         moved = np.ones(k, dtype=bool)
         moved[self.unmoved] = False
@@ -515,71 +357,119 @@ class _Run:
     def already_solved(self):
         """The trivial run when x0 = 0 is already the min-norm solution."""
         xa = self.states[0].xa
-        return self.finish(xa, xa, None, True, "already_solved")
+        return self.finish(xa, xa, True, "already_solved")
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterates: bool,
+                diagnostics: bool, draw_mode: str, rule_for, observer_for=None):
+    """The heavy-ball loop shared by basic, mbasic, ashbm and mrabk.
+
+    ``draw_mode`` says what a zero sketch does: ``"resample"`` draws again
+    (mbasic, ashbm), ``"skip"`` records it as an unmoved step (basic) and
+    ``"plain"`` steps on it (mrabk). ``rule_for(run)`` returns the step
+    rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
+    sampled gradient and its d the previous step. ``observer_for(run)``, if
+    given, returns a diagnostics hook called after every step.
+    """
+    run = _Run(system, scheme, config, keep_iterates, diagnostics)
+    if run.err0_sq == 0.0:
+        return run.already_solved()
+    draw = run.draw_nonzero if draw_mode == "resample" else run.draw_once
+    # a sketch at or below this counts as zero and leaves x unmoved
+    skip_below = run.threshold_sq if draw_mode == "skip" else -1.0
+    rule = rule_for(run)
+    observe = observer_for(run) if observer_for is not None and run.diag is not None else None
+    tol, n, clock, C = config.rse_tolerance, run.n, run.clock, run.C
+    beta_col, minus_alpha = C[:, 2], C[:, 3]
+    cur, nxt = run.states
+    for k in range(1, config.max_iters + 1):
+        t0 = clock()
+        drawn = draw(cur.xa)
+        if drawn is None:
+            return run.finish(cur.xa, nxt.xa, True, "residual")
+        fwd, bwd, t, tn2 = drawn
+        if tn2 <= skip_below:
+            if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
+                return run.finish(cur.xa, nxt.xa, True, "rse")
+            continue
+        g = bwd.dot(t, out=cur.g)
+        g[n] = 0.0
+        alpha, beta = rule(k, tn2, cur)
+        minus_alpha.fill(-alpha)
+        beta_col.fill(beta)
+        C.dot(cur.W, out=nxt.head)
+        cur, nxt = nxt, cur
+        if observe is not None:
+            observe(k, cur, nxt, fwd, t, tn2)
+        if run.record(cur, alpha, beta, t0) <= tol:
+            return run.finish(cur.xa, nxt.xa, True, "rse")
+    return run.finish(cur.xa, nxt.xa, False, "max_iters")
+
+
+def _polyak_rule(run):
+    """alpha = (2 − zeta_k)·||t||^2 / ||g||^2 and beta = 0."""
+    config = run.config
+    if config.zeta_schedule is None:
+        w = 2.0 - config.zeta
+        return lambda k, tn2, cur: (w * tn2 / float(cur.g.dot(cur.g)), 0.0)
+    return lambda k, tn2, cur: (
+        (2.0 - config.zeta_at(k - 1)) * tn2 / float(cur.g.dot(cur.g)), 0.0)
+
+
+def _ashbm_rule(run):
+    """A Polyak step first, then the closed-form (alpha, beta)."""
+    def rule(k, tn2, cur):
+        if k == 1:
+            # the first step is one modified-basic step with zeta = 1
+            return tn2 / float(cur.g.dot(cur.g)), 0.0
+        # one product gives ||d||^2, d.g and ||g||^2
+        (dn2, gd), (_, gn2) = cur.dg.dot(cur.dg_t).tolist()
+        try:
+            return ashbm_parameters(dn2, gd, gn2, tn2)
+        except DegenerateDirectionError:
+            # fall back to the alpha-only minimizer (one zeta=1 basic step)
+            run.fallbacks += 1
+            return tn2 / gn2, 0.0
+    return rule
+
+
+def _ashbm_observer(run):
+    """Records the Pythagorean and orthogonality identities of each step
+    after the first. ``prev`` still holds the step's err, d and g."""
+    add = run.add_diag
+
+    def observe(k, cur, prev, fwd, t, tn2):
+        if k == 1:
+            return
+        gn2 = prev.dg.dot(prev.dg_t)[1, 1]
+        add("pythagorean_rhs", float(np.linalg.norm(prev.err - (tn2 / gn2) * prev.g)))
+        add("pythagorean_lhs", float(np.linalg.norm(cur.err)))
+        denom = float(np.linalg.norm(cur.d) * np.linalg.norm(prev.d))
+        add("step_orth", float(cur.d.dot(prev.d)) / denom if denom else 0.0)
+        t_next = fwd.dot(cur.xa)
+        dn = float(np.linalg.norm(t_next) * np.sqrt(tn2))
+        add("sketch_resid_orth", float(t_next.dot(t)) / dn if dn else 0.0)
+    return observe
+
+
 def solve_basic(system: LinearSystem, scheme, config: SolverConfig,
                 *, keep_iterates: bool = False, diagnostics: bool = False):
     """Algorithm with plain sampling: a zero sketch leaves the iterate
     unchanged (moved=False) instead of resampling."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
-    if run.err0_sq == 0.0:
-        return run.already_solved()
-    thr2, tol, n = run.threshold_sq, config.rse_tolerance, run.n
-    draw, clock, relax, C = run.sampler.draw, run.clock, run.relaxation(), run.C
-    minus_alpha = C[:, 3]
-    cur, nxt = run.states
-    for k in range(1, config.max_iters + 1):
-        t0 = clock()
-        fwd, bwd = draw()
-        run.draws += 1
-        t = fwd.dot(cur.xa)
-        tn2 = float(t.dot(t))
-        if tn2 <= thr2:
-            if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
-                return run.finish(cur.xa, nxt.xa, None, True, "rse")
-            continue
-        g = bwd.dot(t, out=cur.g)
-        g[n] = 0.0
-        alpha = relax(k - 1) * tn2 / float(g.dot(g))
-        minus_alpha.fill(-alpha)
-        C.dot(cur.W, out=nxt.head)
-        cur, nxt = nxt, cur
-        if run.record(cur, alpha, 0.0, t0) <= tol:
-            return run.finish(cur.xa, nxt.xa, None, True, "rse")
-    return run.finish(cur.xa, nxt.xa, None, False, "max_iters")
+    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
+                       "skip", _polyak_rule)
 
 
 def solve_modified_basic(system: LinearSystem, scheme, config: SolverConfig,
                          *, keep_iterates: bool = False, diagnostics: bool = False):
     """Rejection-samples until the sketched residual is nonzero, then takes
     a relaxed Polyak step; the error decreases strictly on every step."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
-    if run.err0_sq == 0.0:
-        return run.already_solved()
-    tol, n = config.rse_tolerance, run.n
-    draw_nonzero, clock, relax, C = run.draw_nonzero, run.clock, run.relaxation(), run.C
-    minus_alpha = C[:, 3]
-    cur, nxt = run.states
-    for k in range(1, config.max_iters + 1):
-        t0 = clock()
-        drawn = draw_nonzero(cur.xa)
-        if drawn is None:
-            return run.finish(cur.xa, nxt.xa, None, True, "residual")
-        _, bwd, t, tn2 = drawn
-        g = bwd.dot(t, out=cur.g)
-        g[n] = 0.0
-        alpha = relax(k - 1) * tn2 / float(g.dot(g))
-        minus_alpha.fill(-alpha)
-        C.dot(cur.W, out=nxt.head)
-        cur, nxt = nxt, cur
-        if run.record(cur, alpha, 0.0, t0) <= tol:
-            return run.finish(cur.xa, nxt.xa, None, True, "rse")
-    return run.finish(cur.xa, nxt.xa, None, False, "max_iters")
+    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
+                       "resample", _polyak_rule)
 
 
 def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
@@ -587,54 +477,8 @@ def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
     """Adaptive heavy-ball momentum: the first step is a Polyak step, after
     which (alpha, beta) minimize the error over the gradient/previous-step
     plane in closed form."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
-    if run.err0_sq == 0.0:
-        return run.already_solved()
-    tol, n, diag = config.rse_tolerance, run.n, run.diag
-    draw_nonzero, clock, C = run.draw_nonzero, run.clock, run.C
-    beta_col, minus_alpha = C[:, 2], C[:, 3]
-    cur, nxt = run.states
-    alpha, beta = 0.0, 0.0
-
-    for k in range(1, config.max_iters + 1):
-        t0 = clock()
-        drawn = draw_nonzero(cur.xa)
-        if drawn is None:
-            return run.finish(cur.xa, nxt.xa, None, True, "residual")
-        fwd, bwd, t, tn2 = drawn
-        g = bwd.dot(t, out=cur.g)
-        g[n] = 0.0
-        if k == 1:
-            # the first step is one modified-basic step with zeta = 1
-            alpha = tn2 / float(g.dot(g))
-        else:
-            # one product gives ||d||^2, d.g and ||g||^2
-            (dn2, gd), (_, gn2) = cur.dg.dot(cur.dg_t).tolist()
-            det = gn2 * dn2 - gd * gd
-            if det <= DEGENERACY_THRESHOLD * gn2 * dn2:
-                # fall back to the alpha-only minimizer (one zeta=1 basic step)
-                alpha, beta = tn2 / gn2, 0.0
-                run.fallbacks += 1
-            else:
-                alpha = dn2 * tn2 / det
-                beta = gd * tn2 / det
-            if diag is not None:
-                run.add_diag("pythagorean_rhs",
-                             float(np.linalg.norm(cur.err - (tn2 / gn2) * g)))
-        minus_alpha.fill(-alpha)
-        beta_col.fill(beta)
-        C.dot(cur.W, out=nxt.head)
-        cur, nxt = nxt, cur
-        if diag is not None and k > 1:
-            run.add_diag("pythagorean_lhs", float(np.linalg.norm(cur.err)))
-            denom = float(np.linalg.norm(cur.d) * np.linalg.norm(nxt.d))
-            run.add_diag("step_orth", float(cur.d.dot(nxt.d)) / denom if denom else 0.0)
-            t_next = fwd.dot(cur.xa)
-            dn = float(np.linalg.norm(t_next) * np.sqrt(tn2))
-            run.add_diag("sketch_resid_orth", float(t_next.dot(t)) / dn if dn else 0.0)
-        if run.record(cur, alpha, beta, t0) <= tol:
-            return run.finish(cur.xa, nxt.xa, None, True, "rse")
-    return run.finish(cur.xa, nxt.xa, None, False, "max_iters")
+    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
+                       "resample", _ashbm_rule, _ashbm_observer)
 
 
 def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
@@ -649,7 +493,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
 
     drawn = run.draw_nonzero(cur.xa)
     if drawn is None:
-        return run.finish(cur.xa, nxt.xa, None, True, "residual")
+        return run.finish(cur.xa, nxt.xa, True, "residual")
     fwd, bwd, t, s_cur = drawn
     g = bwd.dot(t)
     g[n] = 0.0
@@ -660,7 +504,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
             if run.residual_norm(cur.xa) <= tol * (1.0 + run.b_inf):
-                return run.finish(cur.xa, nxt.xa, p, True, "residual")
+                return run.finish(cur.xa, nxt.xa, True, "residual")
             raise DegenerateDirectionError("search direction vanished with large residual")
         delta = s_cur / pn2
         step = delta * p
@@ -673,10 +517,10 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             dn = float(np.linalg.norm(t_next_same) * np.sqrt(s_cur))
             run.add_diag("sketch_resid_orth", float(t_next_same.dot(t)) / dn if dn else 0.0)
         if rse <= tol:
-            return run.finish(cur.xa, nxt.xa, p, True, "rse")
+            return run.finish(cur.xa, nxt.xa, True, "rse")
         drawn = run.draw_nonzero(cur.xa)
         if drawn is None:
-            return run.finish(cur.xa, nxt.xa, p, True, "residual")
+            return run.finish(cur.xa, nxt.xa, True, "residual")
         fwd_next, bwd_next, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
@@ -688,7 +532,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             run.add_diag("direction_orth", float(p.dot(p_new)) / dn if dn else 0.0)
         p = p_new
         fwd, t, s_cur = fwd_next, t_new, s_new
-    return run.finish(cur.xa, nxt.xa, p, False, "max_iters")
+    return run.finish(cur.xa, nxt.xa, False, "max_iters")
 
 
 def solve_cgne(system: LinearSystem, config: SolverConfig,
@@ -712,19 +556,19 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
         pn2 = float(p @ p)
         if pn2 <= run.threshold_sq:
             if np.sqrt(rn2) <= res_tol or float(np.max(np.abs(r))) <= res_tol:
-                return run.finish(x, x_prev, p, True, "residual")
+                return run.finish(x, x_prev, True, "residual")
             raise BreakdownError("CG direction vanished with large residual")
         mu = rn2 / pn2
         x_prev = x.copy()
         x += mu * p
         err += mu * p
         r = r + mu * A.matvec(p)
-        if k % cfg.drift_check_interval == 0:
+        if k % DRIFT_CHECK_INTERVAL == 0:
             r = A.matvec(x) - b  # bound incremental drift
         rn2_new = float(r @ r)
         rse = run.record(state, mu, 0.0, t0, resnorm=float(np.sqrt(rn2_new)))
         if rse <= cfg.rse_tolerance or float(np.max(np.abs(r))) <= res_tol:
-            return run.finish(x, x_prev, p, True, "rse" if rse <= cfg.rse_tolerance else "residual")
+            return run.finish(x, x_prev, True, "rse" if rse <= cfg.rse_tolerance else "residual")
         tau = rn2_new / rn2
         if run.diag is not None:
             p_new = -A.rmatvec(r) + tau * p
@@ -734,7 +578,7 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
         else:
             p = -A.rmatvec(r) + tau * p
         rn2 = rn2_new
-    return run.finish(x, x_prev, p, False, "max_iters")
+    return run.finish(x, x_prev, False, "max_iters")
 
 
 def solve_mrabk(system: LinearSystem, scheme: PartitionBlock, config: SolverConfig,
@@ -743,25 +587,13 @@ def solve_mrabk(system: LinearSystem, scheme: PartitionBlock, config: SolverConf
     step 1 / (tau ||A||_F^2) plus constant momentum beta."""
     if not isinstance(scheme, PartitionBlock):
         raise TypeError("the fixed-parameter baseline requires partition sampling")
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
-    if run.err0_sq == 0.0:
-        return run.already_solved()
-    tol, n, draw, clock, C = config.rse_tolerance, run.n, run.sampler.draw, run.clock, run.C
-    alpha = 1.0 / (compute_tau(scheme, run.A) * run.A.fro_norm_sq)
-    beta = config.momentum_beta
-    C[:, 2], C[:, 3] = beta, -alpha  # d = x - x_prev, zero before the first step
-    cur, nxt = run.states
-    for k in range(1, config.max_iters + 1):
-        t0 = clock()
-        fwd, bwd = draw()
-        run.draws += 1
-        g = bwd.dot(fwd.dot(cur.xa), out=cur.g)
-        g[n] = 0.0
-        C.dot(cur.W, out=nxt.head)
-        cur, nxt = nxt, cur
-        if run.record(cur, alpha, beta, t0) <= tol:
-            return run.finish(cur.xa, nxt.xa, None, True, "rse")
-    return run.finish(cur.xa, nxt.xa, None, False, "max_iters")
+
+    def fixed_rule(run):
+        step = (1.0 / (compute_tau(scheme, run.A) * run.A.fro_norm_sq), config.momentum_beta)
+        return lambda k, tn2, cur: step
+
+    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
+                       "plain", fixed_rule)
 
 
 SOLVER_IDS = {

@@ -1,22 +1,36 @@
-"""Shared helpers: dense sketch-matrix oracle used to cross-check the
-structured (gather-based) sampling products."""
+"""Shared helpers: a dense sketch-matrix oracle used to cross-check the
+sampler's scaled row blocks, and a right-hand side that lets a test read
+back which rows a drawn block holds."""
 
 import numpy as np
 import pytest
 
-from momsolve.sampling import SampleOp
 
-
-def dense_sketch(op: SampleOp, m: int) -> np.ndarray:
-    """Materialize the m x q sketching matrix S = scale * I[:, J]."""
-    if op.indices is None:
-        return np.eye(m) * op.scale
-    q = len(op.indices)
+def dense_sketch(indices, scale, m: int) -> np.ndarray:
+    """Materialize the m x q sketching matrix S = scale * I[:, J]
+    (indices=None means J = all rows)."""
+    if indices is None:
+        return np.eye(m) * scale
+    q = len(indices)
     S = np.zeros((m, q))
-    scale = np.broadcast_to(np.asarray(op.scale, dtype=float), (q,))
-    for col, (i, s) in enumerate(zip(op.indices, scale)):
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (q,))
+    for col, (i, s) in enumerate(zip(indices, scale)):
         S[i, col] = s
     return S
+
+
+def row_coded_rhs(A) -> np.ndarray:
+    """b_i = (i + 1)·||A_i||, so that a block [s·A_J | −s·b_J] drawn by
+    ``BlockSampler`` gives its rows J back (A must have no zero row)."""
+    return (np.arange(A.rows) + 1.0) * np.sqrt(A.row_norms_sq)
+
+
+def decode_block(block, A):
+    """(rows J, scales s) of a dense block drawn with ``row_coded_rhs``.
+    Also takes a stack of blocks, or of block rows, along leading axes."""
+    row_norms = np.linalg.norm(block[..., :-1], axis=-1)
+    rows = np.rint(-block[..., -1] / row_norms).astype(int) - 1
+    return rows, row_norms / np.sqrt(A.row_norms_sq[rows])
 
 
 @pytest.fixture

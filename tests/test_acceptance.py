@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import decode_block, row_coded_rhs
 from momsolve import cli
 from momsolve.analysis import (
     contraction_check,
@@ -21,13 +22,12 @@ from momsolve.analysis import (
 from momsolve.linalg import Matrix, min_norm_solution
 from momsolve.problems import generate_gaussian_problem
 from momsolve.sampling import (
+    BlockSampler,
     FixedIdentity,
     PartitionBlock,
     UniformBlock,
-    make_sampler,
 )
 from momsolve.solvers import (
-    BlockSampler,
     SolverConfig,
     solve_ashbm,
     solve_cgne,
@@ -259,46 +259,42 @@ def test_criterion_10_sampling_statistics():
     rng = np.random.default_rng(99)
     draws = 10 ** 5
 
-    # partition frequencies vs. squared-Frobenius-norm probabilities
+    # partition frequencies vs. squared-Frobenius-norm probabilities, drawn
+    # through the solvers' sampler; a row-coded b gives each block's rows.
+    # Blocks are decoded 1000 draws at a time.
+    batches = [1000] * (draws // 1000)
     A = Matrix.from_dense(rng.standard_normal((100, 20)))
     scheme = PartitionBlock.from_permutation(100, 7, seed=99)
-    sampler = make_sampler(scheme, A)
-    probs = sampler.probabilities()
-    first_to_block = {int(blk[0]): i for i, blk in enumerate(scheme.blocks)}
+    probs = np.array([A.row_norms_sq[blk].sum() for blk in scheme.blocks]) / A.fro_norm_sq
+    sampler = BlockSampler(scheme, A, row_coded_rhs(A), rng)
+    block_of_row = np.empty(A.rows, dtype=int)
+    for i, blk in enumerate(scheme.blocks):
+        block_of_row[blk] = i
     counts = np.zeros(len(scheme.blocks))
-    for _ in range(draws):
-        op = sampler.draw(rng)
-        counts[first_to_block[int(op.indices[0])]] += 1
+    for size in batches:
+        first_rows, _ = decode_block(np.stack([sampler.draw()[0][0] for _ in range(size)]), A)
+        counts += np.bincount(block_of_row[first_rows], minlength=len(scheme.blocks))
     sd = np.sqrt(draws * probs * (1.0 - probs))
     freq_dev = np.abs(counts - draws * probs) / sd
     freq_ok = bool(np.all(freq_dev <= 4.0))
 
     # uniform-block Monte-Carlo second moment vs. the closed form
     B = Matrix.from_dense(rng.standard_normal((30, 10)))
-    usampler = make_sampler(UniformBlock(p=6), B)
+    usampler = BlockSampler(UniformBlock(p=6), B, row_coded_rhs(B), rng)
     diag = np.zeros(30)
-    for _ in range(draws):
-        op = usampler.draw(rng)
-        diag[op.indices] += float(op.scale) ** 2
+    for size in batches:
+        rows, scale = decode_block(np.stack([usampler.draw()[0] for _ in range(size)]), B)
+        diag += np.bincount(rows.ravel(), weights=scale.ravel() ** 2, minlength=30)
     estimate = np.diag(diag / draws)
     target = np.eye(30) / B.fro_norm_sq
     gram_dev = float(np.max(np.abs(estimate - target)))
     gram_ok = gram_dev <= 3e-3
 
-    # the same partition frequencies through the solvers' chunked draw path
-    solver_sampler = BlockSampler(scheme, A, np.zeros(A.rows), rng)
-    position = {id(pair): i for i, pair in enumerate(solver_sampler.blocks)}
-    solver_counts = np.zeros(len(scheme.blocks))
-    for _ in range(draws):
-        solver_counts[position[id(solver_sampler.draw())]] += 1
-    solver_dev = np.abs(solver_counts - draws * probs) / sd
-    freq_ok = freq_ok and bool(np.all(solver_dev <= 4.0))
-
     elapsed = time.perf_counter() - t0
     _report(10, f"partition frequencies within 4 binomial SDs (max "
-                f"{float(freq_dev.max()):.2f}, solver sampler "
-                f"{float(solver_dev.max()):.2f}) and uniform-block second "
-                f"moment within 3e-3 entrywise (max dev {gram_dev:.1e})",
+                f"{float(freq_dev.max()):.2f}) and uniform-block second "
+                f"moment within 3e-3 entrywise (max dev {gram_dev:.1e}), "
+                f"both drawn through the solvers' sampler",
             freq_ok and gram_ok, elapsed, 10.0)
 
 

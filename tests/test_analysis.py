@@ -21,7 +21,6 @@ from momsolve.problems import generate_gaussian_problem
 from momsolve.sampling import (
     FixedIdentity,
     PartitionBlock,
-    SampleOp,
     SingleRowWeighted,
     UniformBlock,
 )
@@ -99,7 +98,7 @@ class TestTheoreticalBound:
         scale = np.sqrt(5 / 2) / np.sqrt(A.fro_norm_sq)
         lam = 0.0
         for J in combinations(range(5), 2):
-            S = dense_sketch(SampleOp(np.array(J), scale), 5)
+            S = dense_sketch(np.array(J), scale, 5)
             M = dense.T @ S @ S.T @ dense
             lam = max(lam, float(np.linalg.eigvalsh(M)[-1]))
         expected = 1.0 - (svals[-1] ** 2 / A.fro_norm_sq) / lam

@@ -260,6 +260,14 @@ class TestExitCodes:
                    "--sampling", "bogus", "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_uniform_block_larger_than_m(self, tmp_path, capsys, command):
+        rc = main([command, "--m", "20", "--n", "10", "--r", "10", "--kappa", "2",
+                   "--solver", "ashbm", "--sampling", "uniform:30",
+                   "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert "block size p=30 must satisfy 1 <= p <= m=20" in capsys.readouterr().err
+
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),
                    "--out", str(tmp_path / "x")])

@@ -7,13 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from momsolve.errors import InconsistentSystemError, ZeroMatrixError
-from momsolve.linalg import (
-    Matrix,
-    matvec,
-    matvec_transpose,
-    min_norm_solution,
-    spectral_quantities,
-)
+from momsolve.linalg import Matrix, min_norm_solution, spectral_quantities
 
 DATA_DIRS = [Path(__file__).parent / "data", Path(__file__).parent.parent / "data"]
 
@@ -50,11 +44,11 @@ class TestMatrix:
 
     def test_matvec_example(self):
         A = Matrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(matvec(A, [1.0, 0.0]), [1.0, 3.0])
+        np.testing.assert_allclose(A.matvec([1.0, 0.0]), [1.0, 3.0])
 
     def test_rmatvec_gives_first_row(self):
         A = Matrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(matvec_transpose(A, [1.0, 0.0]), [1.0, 2.0])
+        np.testing.assert_allclose(A.rmatvec([1.0, 0.0]), [1.0, 2.0])
 
     def test_sparse_matches_dense_products(self, rng):
         dense = rng.standard_normal((20, 15))
@@ -66,12 +60,6 @@ class TestMatrix:
         idx = np.array([2, 5, 11])
         np.testing.assert_allclose(As.matvec(x), Ad.matvec(x), atol=1e-13)
         np.testing.assert_allclose(As.rmatvec(y), Ad.rmatvec(y), atol=1e-13)
-        np.testing.assert_allclose(
-            As.rows_matvec(idx, x), Ad.rows_matvec(idx, x), atol=1e-13
-        )
-        np.testing.assert_allclose(
-            As.rows_rmatvec(idx, y[idx]), Ad.rows_rmatvec(idx, y[idx]), atol=1e-13
-        )
         np.testing.assert_allclose(As.row_block(idx), Ad.row_block(idx), atol=1e-13)
 
     def test_shape_validation(self):

@@ -1,33 +1,41 @@
-"""Sampling schemes: partitions, structured products, and bound quantities."""
+"""Sampling schemes: partitions, the sampler's scaled blocks, and bound
+quantities."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import dense_sketch
+from conftest import decode_block, dense_sketch, row_coded_rhs
 from momsolve.errors import InvalidBlockSizeError, UnsupportedError
 from momsolve.linalg import Matrix
 from momsolve.problems import generate_gaussian_problem
 from momsolve.sampling import (
     UNIFORM_SUPPORT_CAP,
+    BlockSampler,
     FixedIdentity,
     PartitionBlock,
-    SampleOp,
     SchemeSpec,
     SingleRowWeighted,
     UniformBlock,
-    apply_sample_transpose,
     block_spectral_norm_sq,
     build_partition,
-    draw_sample,
     expected_gram,
     lambda_max_sup,
-    make_sampler,
     parse_scheme,
-    pullback,
 )
-from momsolve.solvers import BlockSampler, SolverConfig, solve_ashbm
+from momsolve.solvers import (
+    SolverConfig,
+    solve_ashbm,
+    solve_basic,
+    solve_modified_basic,
+    solve_scg,
+)
+
+
+def _sampler(scheme, A, rng):
+    """``scheme`` bound to A with a row-coded right-hand side."""
+    return BlockSampler(scheme, A, row_coded_rhs(A), rng)
 
 
 class TestBuildPartition:
@@ -65,81 +73,107 @@ class TestBuildPartition:
 class TestDraw:
     def test_fixed_identity(self, rng):
         A = Matrix.from_dense(np.eye(3))
+        sampler = _sampler(FixedIdentity(), A, rng)
+        first = sampler.draw()
         for _ in range(3):
-            op = draw_sample(FixedIdentity(), A, rng)
-            assert op.is_identity
-            assert op.scale == 1.0
+            assert sampler.draw() is first
+        rows, scale = decode_block(first[0], A)
+        np.testing.assert_array_equal(rows, np.arange(3))
+        np.testing.assert_allclose(scale, 1.0)
 
     def test_uniform_block_shape_and_scale(self, rng):
         A = Matrix.from_dense(rng.standard_normal((12, 4)))
-        op = draw_sample(UniformBlock(p=3), A, rng)
-        assert len(op.indices) == 3
-        assert len(set(op.indices.tolist())) == 3
+        rows, scale = decode_block(_sampler(UniformBlock(p=3), A, rng).draw()[0], A)
+        assert len(rows) == 3
+        assert len(set(rows.tolist())) == 3
         expected = np.sqrt(12 / 3) / np.sqrt(A.fro_norm_sq)
-        assert op.scale == pytest.approx(expected)
+        np.testing.assert_allclose(scale, expected)
 
     def test_single_row_scale(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 4)))
-        op = draw_sample(SingleRowWeighted(), A, rng)
-        i = int(op.indices[0])
-        assert op.scale == pytest.approx(1.0 / np.sqrt(A.row_norms_sq[i]))
+        rows, scale = decode_block(_sampler(SingleRowWeighted(), A, rng).draw()[0], A)
+        i = int(rows[0])
+        assert len(rows) == 1
+        assert scale[0] == pytest.approx(1.0 / np.sqrt(A.row_norms_sq[i]))
 
     def test_partition_op_is_a_block(self, rng):
         A = Matrix.from_dense(rng.standard_normal((10, 5)))
         scheme = PartitionBlock.from_permutation(10, 4, seed=1)
-        op = draw_sample(scheme, A, rng)
-        assert any(np.array_equal(op.indices, blk) for blk in scheme.blocks)
-        fro = np.sqrt(A.row_norms_sq[op.indices].sum())
-        assert op.scale == pytest.approx(1.0 / fro)
+        rows, scale = decode_block(_sampler(scheme, A, rng).draw()[0], A)
+        assert any(np.array_equal(rows, blk) for blk in scheme.blocks)
+        fro = np.sqrt(A.row_norms_sq[rows].sum())
+        np.testing.assert_allclose(scale, 1.0 / fro)
 
     def test_row_probabilities_proportional_to_norms(self, rng):
         A = Matrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        probs = make_sampler(SingleRowWeighted(), A).probabilities()
-        np.testing.assert_allclose(probs, np.array([1.0, 4.0, 9.0]) / 14.0)
+        sampler = _sampler(SingleRowWeighted(), A, rng)
+        draws = 30000
+        counts = np.bincount([int(decode_block(sampler.draw()[0], A)[0][0])
+                              for _ in range(draws)], minlength=3)
+        probs = np.array([1.0, 4.0, 9.0]) / 14.0
+        sd = np.sqrt(draws * probs * (1.0 - probs))
+        assert np.all(np.abs(counts - draws * probs) <= 4.0 * sd)
 
     @pytest.mark.parametrize("m,p", [(4, 2), (40, 3)])
-    def test_uniform_cap_shared_by_both_stacks(self, rng, m, p):
+    def test_uniform_support_size(self, rng, m, p):
         system = generate_gaussian_problem(m, 2, 2, 2.0, seed=0)
-        ours = make_sampler(UniformBlock(p=p), system.A).support_size
-        bound = BlockSampler(UniformBlock(p=p), system.A, system.b, rng).support_size
-        assert ours == bound == UNIFORM_SUPPORT_CAP
+        sampler = BlockSampler(UniformBlock(p=p), system.A, system.b, rng)
+        assert sampler.support_size == UNIFORM_SUPPORT_CAP
 
     def test_partition_must_cover_rows(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
         bad = PartitionBlock(blocks=(np.array([0, 1]), np.array([2, 3])))
         with pytest.raises(ValueError):
-            make_sampler(bad, A)
-        # the solvers bind their own sampler and must reject it as well
+            BlockSampler(bad, A, np.zeros(6), rng)
+        # the solvers bind the sampler and must reject it as well
         system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         half = PartitionBlock(blocks=(np.arange(0, 5), np.arange(5, 10)))
         with pytest.raises(ValueError):
             solve_ashbm(system, half, SolverConfig(seed=0, record_timing=False))
 
+    @pytest.mark.parametrize("p", [0, 21])
+    def test_uniform_block_size_checked(self, rng, p):
+        system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
+        with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
+            BlockSampler(UniformBlock(p=p), system.A, system.b, rng)
+        for solve in (solve_basic, solve_modified_basic, solve_ashbm, solve_scg):
+            with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
+                solve(system, UniformBlock(p=p), SolverConfig(seed=0, record_timing=False))
+        with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
+            lambda_max_sup(UniformBlock(p=p), system.A)
+
 
 class TestStructuredProducts:
-    def test_transpose_single_row(self):
-        op = SampleOp(indices=np.array([1]), scale=1.0)
-        np.testing.assert_allclose(apply_sample_transpose(op, [3.0, 5.0]), [5.0])
+    """A drawn block times [x; 1] is S^T (Ax − b); its transpose times w
+    is A^T S w in the first n entries."""
 
-    def test_transpose_identity(self):
-        op = SampleOp(indices=None)
-        np.testing.assert_allclose(apply_sample_transpose(op, [3.0, 5.0]), [3.0, 5.0])
+    def test_transpose_single_row(self, rng):
+        A = Matrix.from_dense(np.eye(2))
+        sampler = BlockSampler(SingleRowWeighted(), A, np.zeros(2), rng)
+        fwd, _ = sampler.blocks[1]
+        np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [5.0])
+
+    def test_transpose_identity(self, rng):
+        A = Matrix.from_dense(np.eye(2))
+        fwd, _ = BlockSampler(FixedIdentity(), A, np.zeros(2), rng).draw()
+        np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [3.0, 5.0])
 
     def test_matches_dense_sketch(self, rng):
         A = Matrix.from_dense(rng.standard_normal((15, 8)))
-        v = rng.standard_normal(15)
+        b = row_coded_rhs(A)
+        x = rng.standard_normal(8)
         w = rng.standard_normal(3)
-        op = draw_sample(UniformBlock(p=3), A, rng)
-        S = dense_sketch(op, 15)
-        np.testing.assert_allclose(apply_sample_transpose(op, v), S.T @ v, atol=1e-13)
-        np.testing.assert_allclose(pullback(op, A, w), A.toarray().T @ (S @ w),
-                                   atol=1e-13)
+        fwd, bwd = BlockSampler(UniformBlock(p=3), A, b, rng).draw()
+        S = dense_sketch(*decode_block(fwd, A), 15)
+        np.testing.assert_allclose(fwd.dot(np.append(x, 1.0)), S.T @ (A.matvec(x) - b),
+                                   atol=1e-12)
+        np.testing.assert_allclose(bwd.dot(w)[:8], A.toarray().T @ (S @ w), atol=1e-13)
 
     def test_identity_pullback(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 4)))
         w = rng.standard_normal(5)
-        op = SampleOp(indices=None)
-        np.testing.assert_allclose(pullback(op, A, w), A.toarray().T @ w, atol=1e-13)
+        _, bwd = BlockSampler(FixedIdentity(), A, np.zeros(5), rng).draw()
+        np.testing.assert_allclose(bwd.dot(w)[:4], A.toarray().T @ w, atol=1e-13)
 
 
 class TestExpectedGram:
@@ -155,23 +189,23 @@ class TestExpectedGram:
     def test_partition_monte_carlo(self, rng):
         A = Matrix.from_dense(rng.standard_normal((30, 10)))
         scheme = PartitionBlock.from_permutation(30, 7, seed=2)
-        sampler = make_sampler(scheme, A)
+        sampler = _sampler(scheme, A, rng)
         acc = np.zeros((30, 30))
         n_draws = 20000
         for _ in range(n_draws):
-            op = sampler.draw(rng)
-            S = dense_sketch(op, 30)
+            S = dense_sketch(*decode_block(sampler.draw()[0], A), 30)
             acc += S @ S.T
         np.testing.assert_allclose(acc / n_draws, expected_gram(scheme, A), atol=5e-3)
 
     def test_single_row_closed_form_is_exact_average(self, rng):
         # sum over the support, weighted by probabilities, equals I/||A||_F^2
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
-        sampler = make_sampler(SingleRowWeighted(), A)
-        probs = sampler.probabilities()
+        sampler = _sampler(SingleRowWeighted(), A, rng)
+        probs = A.row_norms_sq / A.fro_norm_sq
         acc = np.zeros((6, 6))
-        for i, q in enumerate(probs):
-            acc[i, i] = q / A.row_norms_sq[i]
+        for i, (fwd, _) in enumerate(sampler.blocks):
+            rows, scale = decode_block(fwd, A)
+            acc[rows[0], rows[0]] = probs[i] * scale[0] ** 2
         np.testing.assert_allclose(acc, expected_gram(SingleRowWeighted(), A),
                                    atol=1e-13)
 
@@ -194,7 +228,7 @@ class TestLambdaMaxSup:
         scale = np.sqrt(5 / 2) / np.sqrt(A.fro_norm_sq)
         worst = 0.0
         for J in combinations(range(5), 2):
-            S = dense_sketch(SampleOp(np.array(J), scale), 5)
+            S = dense_sketch(np.array(J), scale, 5)
             M = dense.T @ S @ S.T @ dense
             worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
         assert res.value == pytest.approx(worst, rel=1e-10)
@@ -208,7 +242,7 @@ class TestLambdaMaxSup:
         worst = 0.0
         for blk in scheme.blocks:
             scale = 1.0 / np.sqrt(A.row_norms_sq[blk].sum())
-            S = dense_sketch(SampleOp(blk, scale), 12)
+            S = dense_sketch(blk, scale, 12)
             M = dense.T @ S @ S.T @ dense
             worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
         assert res.value == pytest.approx(worst, rel=1e-10)

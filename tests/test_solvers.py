@@ -1,4 +1,4 @@
-"""Solver step primitives and full solver runs."""
+"""Solver steps (checked through one-step runs) and full solver runs."""
 
 import gc
 
@@ -11,26 +11,20 @@ from momsolve.errors import (
     DegenerateDirectionError,
     DivergedError,
     StalledSamplingError,
-    ZeroSketchResidualError,
 )
 from momsolve.linalg import Matrix, min_norm_solution
 from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_problem
 from momsolve.sampling import (
+    BlockSampler,
     FixedIdentity,
     PartitionBlock,
-    SampleOp,
     SingleRowWeighted,
-    draw_sample,
-    pullback,
 )
 from momsolve.solvers import (
     SOLVER_IDS,
     SolverConfig,
-    SolverState,
     ashbm_parameters,
-    basic_step,
     compute_tau,
-    polyak_stepsize,
     solve_ashbm,
     solve_basic,
     solve_cgne,
@@ -40,125 +34,140 @@ from momsolve.solvers import (
 )
 
 
-def _state(A, b, x):
-    x = np.asarray(x, dtype=float)
-    return SolverState(x=x.copy(), x_prev=x.copy(), p=None,
-                       r=A.matvec(x) - np.asarray(b, dtype=float), k=0)
+def _system(dense, b):
+    return attach_min_norm(LinearSystem(A=Matrix.from_dense(dense), b=np.asarray(b, float)))
+
+
+def _first_steps(solve, system, scheme, seeds=range(8), **kw):
+    """One-step runs of ``solve`` under several seeds, so that every row
+    of a small system gets drawn first in some run."""
+    return [solve(system, scheme, _cfg(max_iters=1, seed=seed, **kw)) for seed in seeds]
 
 
 class TestPolyakStepsize:
     def test_identity_single_coordinate(self):
-        A = Matrix.from_dense(np.eye(2))
-        op = SampleOp(indices=np.array([0]), scale=1.0)
-        assert polyak_stepsize(op, A, np.array([-1.0, 1.0])) == pytest.approx(1.0)
+        sys_ = _system(np.eye(2), [1.0, -1.0])  # r0 = -b = [-1, 1]
+        for _, trace in _first_steps(solve_modified_basic, sys_, SingleRowWeighted()):
+            assert trace.alpha[0] == pytest.approx(1.0)
 
     def test_row_normalized_recovers_row_projection(self, rng):
         # with S = e_i/||A_i||, one relaxed step with zeta=1 equals the
         # classical projection onto the i-th hyperplane
         dense = rng.standard_normal((6, 4))
-        A = Matrix.from_dense(dense)
-        x = rng.standard_normal(4)
-        b = rng.standard_normal(6)
-        r = A.matvec(x) - b
-        i = 2
-        op = SampleOp(indices=np.array([i]), scale=1.0 / np.linalg.norm(dense[i]))
-        L = polyak_stepsize(op, A, r)
-        step = L * pullback(op, A, (op.scale * r[i:i + 1]))
-        classical = (r[i] / (dense[i] @ dense[i])) * dense[i]
-        np.testing.assert_allclose(step, classical, atol=1e-12)
+        sys_ = _system(dense, dense @ rng.standard_normal(4))
+        classical = [(sys_.b[i] / (dense[i] @ dense[i])) * dense[i] for i in range(6)]
+        for state, _ in _first_steps(solve_modified_basic, sys_, SingleRowWeighted()):
+            assert min(np.max(np.abs(state.x - c)) for c in classical) <= 1e-12
 
     def test_block_matches_dense_formula(self):
         dense = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        A = Matrix.from_dense(dense)
-        r = np.array([1.0, -1.0, 2.0])
-        op = SampleOp(indices=np.array([0, 1]), scale=0.5)
-        S = dense_sketch(op, 3)
-        t = S.T @ r
-        g = dense.T @ S @ t
-        expected = (t @ t) / (g @ g)
-        assert polyak_stepsize(op, A, r) == pytest.approx(expected, rel=1e-13)
+        sys_ = _system(dense, dense @ np.array([1.0, -1.5]))
+        scheme = PartitionBlock(blocks=(np.array([0, 1]), np.array([2])))
+        r = -sys_.b  # residual at x0 = 0
+        expected = []
+        for blk in scheme.blocks:
+            S = dense_sketch(blk, 1.0 / np.sqrt((dense[blk] ** 2).sum()), 3)
+            t = S.T @ r
+            g = dense.T @ S @ t
+            expected.append(((t @ t) / (g @ g), -((t @ t) / (g @ g)) * g))
+        for state, trace in _first_steps(solve_modified_basic, sys_, scheme):
+            assert any(trace.alpha[0] == pytest.approx(alpha, rel=1e-13)
+                       and np.allclose(state.x, x, rtol=0, atol=1e-13)
+                       for alpha, x in expected)
 
-    def test_zero_sketch_raises(self):
-        A = Matrix.from_dense(np.eye(2))
-        op = SampleOp(indices=np.array([0]), scale=1.0)
-        with pytest.raises(ZeroSketchResidualError):
-            polyak_stepsize(op, A, np.array([0.0, 5.0]))
+    def test_zero_sketch_is_resampled(self):
+        # r0 = [0, -5]: row 0 gives a zero sketch, which is never stepped on
+        sys_ = _system(np.eye(2), [0.0, 5.0])
+        runs = _first_steps(solve_modified_basic, sys_, SingleRowWeighted())
+        for state, trace in runs:
+            assert trace.alpha[0] == pytest.approx(1.0)
+            np.testing.assert_allclose(state.x, [0.0, 5.0], atol=1e-14)
+        assert max(trace.sample_draws for _, trace in runs) > 1
 
 
 class TestBasicStep:
     def test_exact_row_projection(self):
-        A = Matrix.from_dense(np.eye(2))
-        b = np.array([1.0, 2.0])
-        state = _state(A, b, [0.0, 0.0])
-        out = basic_step(A, b, state, SampleOp(np.array([1]), 1.0), zeta_k=1.0)
-        assert out.moved
-        np.testing.assert_allclose(state.x, [0.0, 2.0], atol=1e-14)
-        np.testing.assert_allclose(state.r, A.matvec(state.x) - b, atol=1e-14)
+        sys_ = _system(np.eye(2), [1.0, 2.0])
+        for state, trace in _first_steps(solve_basic, sys_, SingleRowWeighted()):
+            assert trace.moved[0]
+            assert any(np.allclose(state.x, x, rtol=0, atol=1e-14)
+                       for x in ([1.0, 0.0], [0.0, 2.0]))
+            np.testing.assert_allclose(state.r, sys_.A.matvec(state.x) - sys_.b, atol=1e-14)
 
     def test_zero_sketch_keeps_iterate(self):
-        A = Matrix.from_dense(np.eye(2))
-        b = np.array([1.0, 0.0])
-        state = _state(A, b, [0.0, 0.0])
-        out = basic_step(A, b, state, SampleOp(np.array([1]), 1.0), zeta_k=1.0)
-        assert not out.moved
-        assert out.alpha == 0.0
-        np.testing.assert_allclose(state.x, [0.0, 0.0])
-        assert state.k == 1
+        sys_ = _system(np.eye(2), [1.0, 0.0])
+        unmoved = [(state, trace) for state, trace in
+                   _first_steps(solve_basic, sys_, SingleRowWeighted())
+                   if not trace.moved[0]]
+        assert unmoved
+        for state, trace in unmoved:
+            assert trace.alpha[0] == 0.0
+            np.testing.assert_allclose(state.x, [0.0, 0.0])
+            assert state.k == 1
 
     def test_relaxed_step(self):
-        A = Matrix.from_dense([[2.0, 0.0], [0.0, 1.0]])
-        b = np.array([2.0, 1.0])
-        state = _state(A, b, [0.0, 0.0])
-        out = basic_step(A, b, state, SampleOp(np.array([0]), 1.0), zeta_k=0.5)
-        # alpha = (2 - 0.5) * r_0^2 / ||A^T e_0 r_0||^2 = 1.5 * 4 / 16
-        assert out.alpha == pytest.approx(0.375)
-        np.testing.assert_allclose(state.x, [1.5, 0.0], atol=1e-14)
+        sys_ = _system([[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0])
+        for state, trace in _first_steps(solve_basic, sys_, SingleRowWeighted(), zeta=0.5):
+            # row i is scaled by 1/||A_i||, so alpha = (2 - 0.5) * 1 / 1
+            assert trace.alpha[0] == pytest.approx(1.5)
+            assert any(np.allclose(state.x, x, rtol=0, atol=1e-14)
+                       for x in ([1.5, 0.0], [0.0, 1.5]))
+
+
+def _gram(g, d):
+    """The entries ||d||^2, d.g, ||g||^2 of the Gram matrix of [d; g]."""
+    return float(d @ d), float(g @ d), float(g @ g)
 
 
 class TestAshbmParameters:
     def test_orthogonal_directions_reduce_to_polyak(self):
-        alpha, beta = ashbm_parameters(np.array([2.0, 0.0]), np.array([0.0, 3.0]), 5.0)
+        alpha, beta = ashbm_parameters(*_gram(np.array([2.0, 0.0]), np.array([0.0, 3.0])), 5.0)
         assert alpha == pytest.approx(5.0 / 4.0)
         assert beta == 0.0
 
     def test_worked_example(self):
-        alpha, beta = ashbm_parameters(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 2.0)
+        alpha, beta = ashbm_parameters(*_gram(np.array([1.0, 0.0]), np.array([1.0, 1.0])), 2.0)
         assert alpha == pytest.approx(4.0)
         assert beta == pytest.approx(2.0)
 
     def test_parallel_directions_degenerate(self):
         g = np.array([1.0, 2.0])
         with pytest.raises(DegenerateDirectionError):
-            ashbm_parameters(g, 3.0 * g, 1.0)
+            ashbm_parameters(*_gram(g, 3.0 * g), 1.0)
 
-    def test_matches_least_squares_oracle(self, rng):
-        # build a genuine solver state: one Polyak step from x0=0, then
-        # compare the closed form against the direct 2-variable least
-        # squares minimizer of ||err - alpha g + beta d|| using the oracle
-        # A^+ b. Valid because <d, err> = 0 after an exact Polyak step and
+    def test_matches_least_squares_oracle(self):
+        # replay the draws of a two-step ashbm run and compare its second
+        # (alpha, beta) against the direct 2-variable least squares
+        # minimizer of ||err - alpha g + beta d|| using the oracle A^+ b.
+        # Valid because <d, err> = 0 after an exact Polyak step and
         # <g, err> = ||S^T r||^2 for consistent systems.
         sys_ = generate_gaussian_problem(30, 20, 20, 3.0, seed=8)
         A, b = sys_.A, sys_.b
         target = min_norm_solution(A, b)
-        op1 = draw_sample(SingleRowWeighted(), A, rng)
+        state, trace = solve_ashbm(sys_, SingleRowWeighted(), _cfg(max_iters=2, seed=4))
+        assert trace.sample_draws == 2
+        sampler = BlockSampler(SingleRowWeighted(), A, b, np.random.default_rng(4))
+
+        def gradient(x):
+            fwd, bwd = sampler.draw()
+            t = fwd.dot(np.append(x, 1.0))
+            return bwd.dot(t)[:20], float(t @ t)
+
         x0 = np.zeros(20)
-        r0 = A.matvec(x0) - b
-        t0 = (op1.scale * r0[op1.indices])
-        g0 = pullback(A=A, op=op1, w=t0)
-        x1 = x0 - ((t0 @ t0) / (g0 @ g0)) * g0
+        g0, s0 = gradient(x0)
+        x1 = x0 - (s0 / (g0 @ g0)) * g0
         d = x1 - x0
-        op2 = draw_sample(SingleRowWeighted(), A, rng)
-        r1 = A.matvec(x1) - b
-        t1 = op2.scale * r1[op2.indices]
-        g = pullback(A=A, op=op2, w=t1)
-        s = float(t1 @ t1)
-        alpha, beta = ashbm_parameters(g, d, s)
+        g, s = gradient(x1)
+        alpha, beta = ashbm_parameters(*_gram(g, d), s)
         err = x1 - target
         M = np.array([[g @ g, -(g @ d)], [-(g @ d), d @ d]])
         rhs = np.array([g @ err, -(d @ err)])
         ref_alpha, ref_beta = np.linalg.solve(M, rhs)
         assert alpha == pytest.approx(ref_alpha, rel=1e-10)
         assert beta == pytest.approx(ref_beta, rel=1e-10, abs=1e-12)
+        assert trace.alpha[1] == pytest.approx(ref_alpha, rel=1e-10)
+        assert trace.beta[1] == pytest.approx(ref_beta, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(state.x, x1 - alpha * g + beta * d, atol=1e-12)
 
 
 class TestComputeTau:
@@ -378,11 +387,19 @@ class TestMrabk:
         scheme = PartitionBlock.from_permutation(30, 5, seed=2)
         cfg = _cfg(max_iters=1, momentum_beta=0.0, seed=42)
         state, trace = solve_mrabk(sys_, scheme, cfg)
-        # replicate the single draw and the constant-step update directly
-        op = draw_sample(scheme, sys_.A, np.random.default_rng(42))
-        alpha = 1.0 / (compute_tau(scheme, sys_.A) * sys_.A.fro_norm_sq)
-        t = op.scale * (sys_.A.matvec(np.zeros(15)) - sys_.b)[op.indices]
-        expected = -alpha * pullback(op, sys_.A, t)
+        # replicate the single draw and the constant-step update in numpy:
+        # block i has probability ||A_Ii||_F^2 / ||A||_F^2
+        dense, b = sys_.A.toarray(), sys_.b
+        fro_sq = np.array([(dense[blk] ** 2).sum() for blk in scheme.blocks])
+        u = np.random.default_rng(42).random()
+        blk = scheme.blocks[int(np.searchsorted(np.cumsum(fro_sq) / fro_sq.sum(), u,
+                                                side="right"))]
+        tau = max(np.linalg.norm(dense[J], 2) ** 2 / f
+                  for J, f in zip(scheme.blocks, fro_sq)) / fro_sq.sum()
+        alpha = 1.0 / (tau * fro_sq.sum())
+        s = 1.0 / np.sqrt((dense[blk] ** 2).sum())
+        t = s * (dense[blk] @ np.zeros(15) - b[blk])
+        expected = -alpha * (dense[blk].T @ (s * t))
         np.testing.assert_allclose(state.x, expected, atol=1e-13)
         assert trace.alpha[0] == pytest.approx(alpha)
         assert trace.beta[0] == 0.0
