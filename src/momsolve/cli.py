@@ -95,14 +95,20 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def build_system(cfg: ExperimentConfig) -> LinearSystem:
+    """The experiment's system with its min-norm solution attached."""
+    return attach_min_norm(_load_system(cfg))
+
+
+def _load_system(cfg: ExperimentConfig) -> LinearSystem:
+    """The experiment's system; a Matrix Market problem comes without its
+    min-norm solution, which only the error metrics read."""
     prob = cfg.problem
     kind = prob.get("kind")
     if kind == "generate":
-        sys_ = generate_gaussian_problem(
+        return generate_gaussian_problem(
             int(prob["m"]), int(prob["n"]), int(prob["r"]),
             float(prob["kappa"]), int(cfg.seed),
         )
-        return sys_
     if kind == "mtx":
         A = load_matrix_market(prob["matrix"])
         rhs = prob.get("rhs")
@@ -115,7 +121,7 @@ def build_system(cfg: ExperimentConfig) -> LinearSystem:
             # synthesize a consistent right-hand side from the base seed
             x_star = np.random.default_rng(cfg.seed).standard_normal(A.cols)
             system = LinearSystem(A=A, b=A.matvec(x_star), planted_solution=x_star)
-        return attach_min_norm(system)
+        return system
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
@@ -178,9 +184,13 @@ def run_trials(system, scheme, cfg: ExperimentConfig):
     return results
 
 
-def summarize(results) -> dict:
+def summarize(results, seed: int) -> dict:
+    """Summary of one ``run_trials`` result list; ``seed`` is the base seed,
+    so each failure record names the seed its trial ran with."""
     traces = [t for t in results if isinstance(t, Trace)]
-    errors = [str(e) for e in results if not isinstance(e, Trace)]
+    errors = [{"trial": i, "seed": trial_seed(seed, i), "type": type(e).__name__,
+               "message": str(e)}
+              for i, e in enumerate(results) if not isinstance(e, Trace)]
     out = {"trials": len(results), "failed": len(errors), "errors": errors}
     if traces:
         iters = np.array([t.iterations for t in traces], dtype=float)
@@ -295,7 +305,7 @@ def cmd_solve(args) -> int:
     for i, res in enumerate(results):
         if isinstance(res, Trace):
             write_trace(out / f"trace_{i:03d}.{cfg.fmt}", res, cfg.fmt)
-    summary = summarize(results)
+    summary = summarize(results, cfg.seed)
     summary["config"] = cfg.to_dict()
     with open(out / "summary.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, sort_keys=True)
@@ -353,8 +363,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    # the report depends only on A and the scheme, so the oracle is skipped
     cfg = _config_from_args(args)
-    system = build_system(cfg)
+    system = _load_system(cfg)
     scheme = _materialize(cfg, system)
     report = analysis.theoretical_bound(scheme, system.A, cfg.zeta)
     factor = report.per_iter_factor

@@ -1,8 +1,9 @@
 """Matrix/vector primitives, spectral quantities, and the SVD oracle.
 
-The SVD-based ``min_norm_solution`` is the independent ground truth used by
-the tests and the error metrics; it shares no code with the iterative
-solvers.
+``min_norm_solution`` is the independent ground truth used by the tests and
+the error metrics: LAPACK's SVD least squares (``gelsd`` through
+``np.linalg.lstsq``), which never forms the left singular vectors. It shares
+no code with the iterative solvers.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
 
 
 def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
-    """Min-norm solution A^+ b of a consistent system, via SVD.
+    """Min-norm solution A^+ b of a consistent system, via SVD least squares.
 
     Raises InconsistentSystemError when the residual of the pseudoinverse
     solution exceeds ``tol`` (default 1e-8 * (1 + ||b||)).
@@ -177,10 +178,8 @@ def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
         raise ValueError(f"b must have length {A.rows}")
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("min_norm_solution: zero matrix")
-    U, svals, Vt = np.linalg.svd(A.toarray(), full_matrices=False)
-    cut = rank_tolerance(A, float(svals[0]))
-    keep = svals > cut
-    x = Vt[keep].T @ ((U[:, keep].T @ b) / svals[keep])
+    # gelsd zeroes sigma <= rcond * sigma_max: the cut of rank_tolerance
+    x = np.linalg.lstsq(A.toarray(), b, rcond=rank_tolerance(A, 1.0))[0]
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(b)))
     residual = float(np.linalg.norm(A.matvec(x) - b))

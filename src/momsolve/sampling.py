@@ -314,6 +314,7 @@ class SchemeSpec:
         if self.variant == "identity":
             return FixedIdentity()
         if self.variant == "uniform":
+            _check_block_size(self.p, A.rows)
             return UniformBlock(p=self.p)
         if self.variant == "partition":
             return PartitionBlock.from_permutation(A.rows, self.p, seed)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from momsolve import cli
+from momsolve import cli, problems
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import BreakdownError
 from momsolve.linalg import Matrix, spectral_quantities
@@ -16,6 +16,7 @@ from momsolve.problems import (
     load_matrix_market,
 )
 from momsolve.sampling import PartitionBlock, SingleRowWeighted
+from momsolve.seeds import trial_seed
 from momsolve.solvers import SolverConfig, solve_ashbm, solve_basic
 from momsolve.analysis import theoretical_bound
 
@@ -243,6 +244,30 @@ class TestBound:
         assert payload["per_iter_factor"] == pytest.approx(rep.per_iter_factor,
                                                            rel=1e-12)
 
+    def test_matrix_file_skips_oracle(self, tmp_path, monkeypatch):
+        def no_oracle(A, b, **kw):
+            raise AssertionError("bound must not compute the min-norm solution")
+
+        monkeypatch.setattr(problems, "min_norm_solution", no_oracle)
+        mtx = tmp_path / "A.mtx"
+        cli.write_matrix_market(mtx, Matrix.from_dense(np.eye(10)))
+        rc = main(["bound", "--matrix", str(mtx), "--sampling", "partition:3",
+                   "--out", str(tmp_path / "b")])
+        assert rc == 0
+
+    def test_inconsistent_rhs_reads_only_matrix(self, tmp_path):
+        # the report depends only on A and the scheme, so a right-hand side
+        # that solve would reject with exit 4 changes nothing here
+        mtx = tmp_path / "A.mtx"
+        cli.write_matrix_market(mtx, Matrix.from_dense([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+        rhs = tmp_path / "b.txt"
+        cli.write_vector(rhs, np.array([0.0, 1.0, 0.0]))
+        common = ["bound", "--matrix", str(mtx), "--sampling", "row"]
+        assert main(common + ["--rhs", str(rhs), "--out", str(tmp_path / "with")]) == 0
+        assert main(common + ["--out", str(tmp_path / "without")]) == 0
+        assert ((tmp_path / "with" / "bound.json").read_bytes()
+                == (tmp_path / "without" / "bound.json").read_bytes())
+
     def test_identity_scheme_rejected(self, tmp_path):
         rc = main(["bound", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
                    "--sampling", "identity", "--out", str(tmp_path / "b")])
@@ -262,11 +287,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "bound"])
     def test_uniform_block_larger_than_m(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
         rc = main([command, "--m", "20", "--n", "10", "--r", "10", "--kappa", "2",
-                   "--solver", "ashbm", "--sampling", "uniform:30",
-                   "--out", str(tmp_path / "x")])
+                   "--solver", "ashbm", "--sampling", "uniform:30", "--trials", "3",
+                   "--out", str(out)])
         assert rc == cli.EXIT_CONFIG_ERROR
         assert "block size p=30 must satisfy 1 <= p <= m=20" in capsys.readouterr().err
+        # rejected before any trial runs
+        assert not (out / "summary.json").exists()
 
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),
@@ -304,21 +332,36 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG_ERROR
 
     def test_diverged_run(self, tmp_path):
+        out = tmp_path / "x"
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["solve", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
                        "--solver", "mrabk", "--sampling", "partition:10",
                        "--beta", "0.999", "--max-iters", "20000",
-                       "--out", str(tmp_path / "x")])
+                       "--out", str(out)])
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        (record,) = _read_json(out / "summary.json")["errors"]
+        assert sorted(record) == ["message", "seed", "trial", "type"]
+        assert (record["trial"], record["seed"]) == (0, trial_seed(0, 0))
+        assert record["type"] == "DivergedError"
+        assert record["message"].startswith("RSE ")
 
     def test_solver_breakdown(self, tmp_path, monkeypatch):
         def boom(system, scheme, config, **kw):
-            raise BreakdownError("forced")
+            raise BreakdownError(f"forced at seed {config.seed}")
 
         monkeypatch.setitem(cli.SOLVER_IDS, "mbasic", boom)
+        out = tmp_path / "x"
         rc = main(["solve", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
-                   "--solver", "mbasic", "--out", str(tmp_path / "x")])
+                   "--solver", "mbasic", "--trials", "2", "--seed", "6",
+                   "--out", str(out)])
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        summary = _read_json(out / "summary.json")
+        assert summary["failed"] == 2
+        assert summary["errors"] == [
+            {"trial": i, "seed": trial_seed(6, i), "type": "BreakdownError",
+             "message": f"forced at seed {trial_seed(6, i)}"}
+            for i in range(2)
+        ]
 
 
 class TestWorkerDeterminism:

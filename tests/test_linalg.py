@@ -162,6 +162,29 @@ class TestMinNormSolution:
         P = dense.T @ np.linalg.pinv(dense.T)
         np.testing.assert_allclose(P @ x, x, atol=1e-10)
 
+    @pytest.mark.parametrize("case", ["tall", "wide", "rank_deficient", "csr", "zero_row"])
+    def test_matches_truncated_pseudo_inverse(self, rng, case):
+        if case == "tall":
+            dense = rng.standard_normal((40, 12))
+        elif case == "wide":
+            dense = rng.standard_normal((9, 25))
+        elif case == "rank_deficient":
+            dense = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 15))
+        else:
+            dense = rng.standard_normal((30, 10))
+            if case == "csr":
+                dense[rng.random(dense.shape) < 0.7] = 0.0
+            else:
+                dense[[3, 17]] = 0.0
+        A = Matrix.from_scipy(sp.csr_matrix(dense)) if case == "csr" else Matrix.from_dense(dense)
+        b = dense @ rng.standard_normal(dense.shape[1])
+        # A^+ b from the full SVD, zeroing sigma <= max(m, n)·eps·sigma_1
+        U, svals, Vt = np.linalg.svd(dense, full_matrices=False)
+        keep = svals > max(dense.shape) * np.finfo(np.float64).eps * svals[0]
+        expected = Vt[keep].T @ ((U[:, keep].T @ b) / svals[keep])
+        x = min_norm_solution(A, b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
             min_norm_solution(Matrix.from_dense(np.zeros((2, 2))), [0.0, 0.0])
