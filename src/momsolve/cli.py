@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,6 +64,13 @@ class ExperimentConfig:
     workers: int = 1
     track_residual: bool = True
     record_timing: bool = True
+
+    def __post_init__(self):
+        # checked here so that flags and --config files are held to it alike
+        for name in ("trials", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -201,6 +209,11 @@ def summarize(results, seed: int) -> dict:
     return out
 
 
+def _median(values) -> float:
+    """The median, or NaN for a cell with no finished trial."""
+    return float(np.median(values)) if len(values) else math.nan
+
+
 def _stats(values: np.ndarray) -> dict:
     return {
         "median": float(np.median(values)),
@@ -325,7 +338,7 @@ def cmd_sweep(args) -> int:
     solvers = args.solver.split(",")
     system = build_system(cfg)
     m = system.A.rows
-    rows = []
+    rows, failures = [], []
     for p in p_list:
         base = cfg.scheme.split(":")[0]
         for solver in solvers:
@@ -333,6 +346,7 @@ def cmd_sweep(args) -> int:
             scheme = _materialize(sub, system)
             results = run_trials(system, scheme, sub)
             traces = [t for t in results if isinstance(t, Trace)]
+            failures += [e for e in results if not isinstance(e, Trace)]
             iters = np.array([t.iterations for t in traces], dtype=float)
             finals = np.array([max(t.final_rse, 0.0) for t in traces])
             factors = []
@@ -344,21 +358,25 @@ def cmd_sweep(args) -> int:
             rows.append({
                 "p": p,
                 "solver": solver,
-                "iters_median": float(np.median(iters)),
-                "full_iters_median": float(np.median(iters) * p / m),
-                "final_rse_median": float(np.median(finals)),
-                "conv_factor_median": float(np.median(factors)),
+                "iters_median": _median(iters),
+                "full_iters_median": _median(iters) * p / m,
+                "final_rse_median": _median(finals),
+                "conv_factor_median": _median(factors),
+                "trials": len(results),
+                "failed": len(results) - len(traces),
             })
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     cols = ["p", "solver", "iters_median", "full_iters_median",
-            "final_rse_median", "conv_factor_median"]
+            "final_rse_median", "conv_factor_median", "trials", "failed"]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    print(f"wrote {len(rows)} sweep rows to {path}")
+    print(f"wrote {len(rows)} sweep rows to {path} ({len(failures)} failed trials)")
+    if failures:
+        raise failures[0]
     return 0
 
 

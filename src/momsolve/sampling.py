@@ -153,13 +153,20 @@ class BlockSampler:
     ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
     the last entry, ``−s b_J·t``).
 
-    ``draw()`` returns the pair ``(block, block^T)`` of the next sample.
-    Weighted schemes (partition, row) draw their uniforms in chunks with
-    one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows on
-    every draw; the identity scheme always returns its single block.
+    Given the triangular factor R of ``[A | −b] = Q·R``, each block also
+    carries ``K_J = R[:, :n]·(s·A_J)^T``, so that ``R·[A^T S t; 0] = K_J·t``
+    follows a step without a product with R. K is cached only when every
+    block has fewer rows than R, where ``K_J·t`` is the cheaper product;
+    otherwise, and without R, it is None.
+
+    ``draw()`` returns the triple ``(block, block^T, K)`` of the next
+    sample. Weighted schemes (partition, row) draw their uniforms in chunks
+    with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows
+    (and its K from one scaled m×rows(R) table) on every draw; the identity
+    scheme always returns its single block.
     """
 
-    def __init__(self, scheme, A: Matrix, b: np.ndarray, rng):
+    def __init__(self, scheme, A: Matrix, b: np.ndarray, rng, residual_factor=None):
         if isinstance(scheme, UniformBlock):
             _check_block_size(scheme.p, A.rows)
         if A.is_sparse:
@@ -168,28 +175,41 @@ class BlockSampler:
             aug = np.hstack([A._dense, -b.reshape(-1, 1)])
         self.deterministic = isinstance(scheme, FixedIdentity)
         if isinstance(scheme, FixedIdentity):
-            self.blocks = [_block_pair(aug)]
+            self.blocks = [(*_block_pair(aug), None)]
             self.support_size = 1
+            self.carries_residual = False
             self.draw = itertools.repeat(self.blocks[0]).__next__
             return
         if isinstance(scheme, PartitionBlock):
             scheme.check_covers(A.rows)
             rows = scheme.blocks
             weights = np.array([A.row_norms_sq[blk].sum() for blk in rows])
+            largest = scheme.p
         elif isinstance(scheme, SingleRowWeighted):
             rows = [np.array([i]) for i in range(A.rows)]
             weights = A.row_norms_sq
+            largest = 1
         elif isinstance(scheme, UniformBlock):
-            aug *= np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
-            self.blocks = None
-            self.support_size = UNIFORM_SUPPORT_CAP
-            self.draw = _uniform_draws(rng, aug, A.rows, scheme.p).__next__
-            return
+            rows, largest = None, scheme.p
         else:
             raise TypeError(f"unsupported scheme {scheme!r}")
+        R = residual_factor
+        self.carries_residual = R is not None and largest < len(R)
+        # row i of the table is R[:, :n]·A_i, so K_J = (s·table[J])^T
+        table = A._dense.dot(R[:, :A.cols].T) if self.carries_residual else None
+        if rows is None:
+            scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
+            aug *= scale
+            if table is not None:
+                table *= scale
+            self.blocks = None
+            self.support_size = UNIFORM_SUPPORT_CAP
+            self.draw = _uniform_draws(rng, aug, table, A.rows, scheme.p).__next__
+            return
+        scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
         self.blocks = [
-            _block_pair(aug[blk] * (1.0 / np.sqrt(w) if w > 0 else 0.0))
-            for blk, w in zip(rows, weights)
+            (*_block_pair(aug[blk] * s), None if table is None else (table[blk] * s).T)
+            for blk, s in zip(rows, scales)
         ]
         self.support_size = len(self.blocks)
         cum = np.cumsum(weights / A.fro_norm_sq)
@@ -205,9 +225,10 @@ def _weighted_draws(rng, cum, blocks):
             yield blocks[i]
 
 
-def _uniform_draws(rng, aug, m, p):
+def _uniform_draws(rng, aug, table, m, p):
     while True:
-        yield _block_pair(aug[np.sort(rng.choice(m, size=p, replace=False))])
+        rows = np.sort(rng.choice(m, size=p, replace=False))
+        yield (*_block_pair(aug[rows]), None if table is None else table[rows].T)
 
 
 # ---------------------------------------------------------------------------

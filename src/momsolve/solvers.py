@@ -54,7 +54,8 @@ __all__ = [
 # parameter formulas, relative to ||g||^2 ||d||^2
 DEGENERACY_THRESHOLD = 1e-14
 
-# CGNE steps between exact recomputations of its recurrence residual
+# steps between exact recomputations of an updated residual: CGNE's
+# recurrence residual and the heavy-ball loop's carried R·[x; 1]
 DRIFT_CHECK_INTERVAL = 1000
 
 
@@ -181,9 +182,13 @@ class _State:
     solver step is one small product written into the other buffer:
     ``[x'; err'; d'] = C·[x; err; d; g]`` with ``d' = beta d − alpha g``,
     so the iterate, the error and the step are updated together.
+
+    When the run carries its residual (see ``_Run.carry_residual``), V holds
+    the same rows mapped through the factor R of ``[A | −b]``, V = W·R^T,
+    and the same C advances it; ``||V[0]|| = ||R·xa|| = ||Ax − b||``.
     """
 
-    __slots__ = ("W", "xa", "err", "d", "g", "head", "dg", "dg_t")
+    __slots__ = ("W", "xa", "err", "d", "g", "head", "dg", "dg_t", "V", "rx")
 
     def __init__(self, W):
         self.W = W
@@ -191,6 +196,11 @@ class _State:
         self.head = W[:3]
         self.dg = W[2:]
         self.dg_t = self.dg.T
+        self.V = self.rx = None
+
+    def carry(self, R):
+        self.V = self.W.dot(R.T)
+        self.rx = self.V[0]
 
 
 class _Run:
@@ -201,15 +211,18 @@ class _Run:
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
-                 keep_iterates: bool, diagnostics: bool):
+                 keep_iterates: bool, diagnostics: bool, carry_residual: bool = False):
         config.validate()
         if system.min_norm is None:
             raise ValueError("system.min_norm is required; call attach_min_norm first")
         self.A, self.b = system.A, system.b
         self.config = config
         self.n = n = self.A.cols
+        self.res_factor = self.res_buf = None
+        R = (self.residual_factor()
+             if carry_residual and config.track_residual and not self.A.is_sparse else None)
         self.sampler = (
-            BlockSampler(scheme, self.A, self.b, np.random.default_rng(config.seed))
+            BlockSampler(scheme, self.A, self.b, np.random.default_rng(config.seed), R)
             if scheme is not None else None
         )
         b_norm = float(np.linalg.norm(self.b))
@@ -231,6 +244,11 @@ class _Run:
         W[1, :n] = -system.min_norm
         self.states = (_State(W), _State(W.copy()))
         self.err0_sq = float(W[1].dot(W[1]))
+        # the loop that asked to carry R·xa does so when the blocks allow it
+        self.carry_residual = self.sampler is not None and self.sampler.carries_residual
+        if self.carry_residual:
+            for state in self.states:
+                state.carry(R)
         # step weights C: columns 2 and 3 take beta and -alpha
         self.C = np.zeros((3, 4))
         self.C[0, 0] = self.C[1, 1] = 1.0
@@ -238,7 +256,6 @@ class _Run:
         self.clock = time.perf_counter_ns if self.timing else _no_clock
         self.rse_col, self.alpha_col, self.beta_col = array("d"), array("d"), array("d")
         self.resnorm_col, self.wall_col = array("d"), array("q")
-        self.res_factor = self.res_buf = None
         self.unmoved = []
         self.iterates = [] if keep_iterates else None
         self.diag = {} if diagnostics else None
@@ -248,26 +265,27 @@ class _Run:
     # -- draws -----------------------------------------------------------
 
     def draw_once(self, xa):
-        """One draw; returns (block, block^T, t, ||t||^2) with t = S^T (Ax − b)."""
-        fwd, bwd = self.sampler.draw()
+        """One draw; returns (block, block^T, K, t, ||t||^2) with
+        t = S^T (Ax − b) and K the block's residual map (see BlockSampler)."""
+        fwd, bwd, K = self.sampler.draw()
         self.draws += 1
         t = fwd.dot(xa)
-        return fwd, bwd, t, float(t.dot(t))
+        return fwd, bwd, K, t, float(t.dot(t))
 
     def draw_nonzero(self, xa):
         """Rejection-sample until ||S^T (Ax − b)|| is above the zero test.
 
-        Returns (block, block^T, t, ||t||^2) or None when the cap was
+        Returns (block, block^T, K, t, ||t||^2) or None when the cap was
         reached with a residual already below tolerance (i.e. solved).
         """
         thr2, draw = self.threshold_sq, self.sampler.draw
         for _ in self.attempts:
-            fwd, bwd = draw()
+            fwd, bwd, K = draw()
             self.draws += 1
             t = fwd.dot(xa)
             tn2 = float(t.dot(t))
             if tn2 > thr2:
-                return fwd, bwd, t, tn2
+                return fwd, bwd, K, t, tn2
         r = self.A.matvec(xa[:self.n]) - self.b
         if float(np.max(np.abs(r))) <= self.config.rse_tolerance * (1.0 + self.b_inf):
             return None
@@ -282,22 +300,32 @@ class _Run:
         r = self.A.matvec(xa[:self.n]) - self.b
         return float(np.linalg.norm(r))
 
-    def tracked_residual_norm(self, xa) -> float:
-        """||Ax − b|| for the trace. A sparse A keeps its O(nnz) product.
-        For a dense A it is ||[A | −b]·xa|| = ||R·xa|| for the QR
-        factorisation [A | −b] = Q·R, exact for any rank. R has n + 1
-        columns and at most n + 1 rows, so a record costs (n+1)² instead of
-        m·n for a tall A. R is factored on the first call, so runs that
+    def residual_factor(self) -> np.ndarray:
+        """R of the QR factorisation [A | −b] = Q·R of a dense A, so that
+        ||Ax − b|| = ||R·xa|| for any rank. R has n + 1 columns and
+        min(m, n + 1) rows. It is factored on the first call, so runs that
         record their own residual (cgne) never pay for it."""
+        if self.res_factor is None:
+            self.res_factor = np.linalg.qr(
+                np.hstack([self.A._dense, -self.b.reshape(-1, 1)]), mode="r")
+            self.res_buf = np.empty(len(self.res_factor))
+        return self.res_factor
+
+    def tracked_residual_norm(self, xa) -> float:
+        """||Ax − b|| for the trace when the run does not carry it. A
+        sparse A keeps its O(nnz) product; a dense A costs one product with
+        R, (n+1)² instead of m·n for a tall A."""
         if self.A.is_sparse:
             return self.residual_norm(xa)
-        R = self.res_factor
-        if R is None:
-            R = self.res_factor = np.linalg.qr(
-                np.hstack([self.A._dense, -self.b.reshape(-1, 1)]), mode="r")
-            self.res_buf = np.empty(len(R))
-        r = R.dot(xa, out=self.res_buf)
+        r = self.residual_factor().dot(xa, out=self.res_buf)
         return math.sqrt(r.dot(r))
+
+    def refresh_residual(self, state: _State) -> None:
+        """Replace the carried R·xa and R·d by exact products, which bounds
+        the drift of the updated values."""
+        R = self.res_factor
+        R.dot(state.xa, out=state.V[0])
+        R.dot(state.d, out=state.V[2])
 
     def record(self, state: _State, alpha, beta, t0, moved=True, resnorm=None) -> float:
         """Append one iteration to the trace; returns its RSE. The step's
@@ -316,7 +344,9 @@ class _Run:
         if resnorm is not None:
             self.resnorm_col.append(resnorm)
         elif self.config.track_residual:
-            self.resnorm_col.append(self.tracked_residual_norm(state.xa))
+            rx = state.rx
+            self.resnorm_col.append(math.sqrt(rx.dot(rx)) if rx is not None
+                                    else self.tracked_residual_norm(state.xa))
         if not moved:
             self.unmoved.append(len(self.rse_col) - 1)
         if self.iterates is not None:
@@ -374,8 +404,12 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
     rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
     sampled gradient and its d the previous step. ``observer_for(run)``, if
     given, returns a diagnostics hook called after every step.
+
+    When the run carries its residual, ``R·g = K·t`` and the step's C
+    advance V = W·R^T next to W; W and its arithmetic are the same either
+    way, so tracking never changes the trajectory.
     """
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
+    run = _Run(system, scheme, config, keep_iterates, diagnostics, carry_residual=True)
     if run.err0_sq == 0.0:
         return run.already_solved()
     draw = run.draw_nonzero if draw_mode == "resample" else run.draw_once
@@ -385,13 +419,14 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
     observe = observer_for(run) if observer_for is not None and run.diag is not None else None
     tol, n, clock, C = config.rse_tolerance, run.n, run.clock, run.C
     beta_col, minus_alpha = C[:, 2], C[:, 3]
+    carry = run.carry_residual
     cur, nxt = run.states
     for k in range(1, config.max_iters + 1):
         t0 = clock()
         drawn = draw(cur.xa)
         if drawn is None:
             return run.finish(cur.xa, nxt.xa, True, "residual")
-        fwd, bwd, t, tn2 = drawn
+        fwd, bwd, K, t, tn2 = drawn
         if tn2 <= skip_below:
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
                 return run.finish(cur.xa, nxt.xa, True, "rse")
@@ -402,6 +437,11 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
         minus_alpha.fill(-alpha)
         beta_col.fill(beta)
         C.dot(cur.W, out=nxt.head)
+        if carry:
+            K.dot(t, out=cur.V[3])
+            C.dot(cur.V, out=nxt.V[:3])
+            if k % DRIFT_CHECK_INTERVAL == 0:
+                run.refresh_residual(nxt)
         cur, nxt = nxt, cur
         if observe is not None:
             observe(k, cur, nxt, fwd, t, tn2)
@@ -494,7 +534,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
     drawn = run.draw_nonzero(cur.xa)
     if drawn is None:
         return run.finish(cur.xa, nxt.xa, True, "residual")
-    fwd, bwd, t, s_cur = drawn
+    fwd, bwd, _, t, s_cur = drawn
     g = bwd.dot(t)
     g[n] = 0.0
     p = -g
@@ -521,7 +561,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         drawn = run.draw_nonzero(cur.xa)
         if drawn is None:
             return run.finish(cur.xa, nxt.xa, True, "residual")
-        fwd_next, bwd_next, t_new, s_new = drawn
+        fwd_next, bwd_next, _, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
         g = bwd_next.dot(t_new)

@@ -194,7 +194,7 @@ class TestSweep:
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == ("p,solver,iters_median,full_iters_median,"
-                            "final_rse_median,conv_factor_median")
+                            "final_rse_median,conv_factor_median,trials,failed")
         assert len(lines) == 1 + 2 * 2
 
     def test_degenerate_sweep_matches_solve(self, tmp_path):
@@ -209,6 +209,27 @@ class TestSweep:
         row = (sw / "sweep.csv").read_text().splitlines()[1].split(",")
         summary = _read_json(run / "summary.json")
         assert float(row[2]) == summary["iterations"]["median"]
+
+    def test_failed_trials_are_counted(self, tmp_path, capsys):
+        # beta = 0.99 makes every mrabk trial diverge; its cells are written
+        # with NaN medians and no warning, and the sweep exits like solve
+        out = tmp_path / "sw"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["sweep", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
+                       "--sampling", "partition:8", "--p-list", "8,16",
+                       "--solver", "mrabk,ashbm", "--beta", "0.99", "--trials", "2",
+                       "--max-iters", "20000", "--out", str(out)])
+        assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        assert "RSE inf" in capsys.readouterr().err
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [(r["p"], r["solver"], r["trials"], r["failed"]) for r in rows] == [
+            ("8", "mrabk", "2", "2"), ("8", "ashbm", "2", "0"),
+            ("16", "mrabk", "2", "2"), ("16", "ashbm", "2", "0")]
+        for r in rows:
+            medians = [float(r[c]) for c in ("iters_median", "full_iters_median",
+                                             "final_rse_median", "conv_factor_median")]
+            assert np.isnan(medians).all() == (r["solver"] == "mrabk")
 
     def test_requires_block_scheme(self, tmp_path):
         rc = main(["sweep", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
@@ -295,6 +316,34 @@ class TestExitCodes:
         assert "block size p=30 must satisfy 1 <= p <= m=20" in capsys.readouterr().err
         # rejected before any trial runs
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flags", [["--trials", "-2", "--workers", "0"],
+                                       ["--trials", "0"], ["--workers", "0"]],
+                             ids=["both", "trials", "workers"])
+    def test_trials_and_workers_below_one(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "x"
+        argv = [command, "--m", "20", "--n", "10", "--r", "10", "--kappa", "2",
+                "--sampling", "partition:4", "--out", str(out), *flags]
+        if command == "sweep":
+            argv += ["--p-list", "4"]
+        rc = main(argv)
+        assert rc == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert "must be an integer >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_file_trials_below_one(self, tmp_path, capsys):
+        cfg = ExperimentConfig(
+            problem={"kind": "generate", "m": 30, "n": 15, "r": 15, "kappa": 2.0},
+            out=str(tmp_path / "run")).to_dict()
+        cfg["trials"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg) + "\n")
+        assert main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "run").exists()
 
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),

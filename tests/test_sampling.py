@@ -150,12 +150,12 @@ class TestStructuredProducts:
     def test_transpose_single_row(self, rng):
         A = Matrix.from_dense(np.eye(2))
         sampler = BlockSampler(SingleRowWeighted(), A, np.zeros(2), rng)
-        fwd, _ = sampler.blocks[1]
+        fwd, _, _ = sampler.blocks[1]
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [5.0])
 
     def test_transpose_identity(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        fwd, _ = BlockSampler(FixedIdentity(), A, np.zeros(2), rng).draw()
+        fwd, _, _ = BlockSampler(FixedIdentity(), A, np.zeros(2), rng).draw()
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [3.0, 5.0])
 
     def test_matches_dense_sketch(self, rng):
@@ -163,7 +163,7 @@ class TestStructuredProducts:
         b = row_coded_rhs(A)
         x = rng.standard_normal(8)
         w = rng.standard_normal(3)
-        fwd, bwd = BlockSampler(UniformBlock(p=3), A, b, rng).draw()
+        fwd, bwd, _ = BlockSampler(UniformBlock(p=3), A, b, rng).draw()
         S = dense_sketch(*decode_block(fwd, A), 15)
         np.testing.assert_allclose(fwd.dot(np.append(x, 1.0)), S.T @ (A.matvec(x) - b),
                                    atol=1e-12)
@@ -172,7 +172,7 @@ class TestStructuredProducts:
     def test_identity_pullback(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 4)))
         w = rng.standard_normal(5)
-        _, bwd = BlockSampler(FixedIdentity(), A, np.zeros(5), rng).draw()
+        _, bwd, _ = BlockSampler(FixedIdentity(), A, np.zeros(5), rng).draw()
         np.testing.assert_allclose(bwd.dot(w)[:4], A.toarray().T @ w, atol=1e-13)
 
 
@@ -203,7 +203,7 @@ class TestExpectedGram:
         sampler = _sampler(SingleRowWeighted(), A, rng)
         probs = A.row_norms_sq / A.fro_norm_sq
         acc = np.zeros((6, 6))
-        for i, (fwd, _) in enumerate(sampler.blocks):
+        for i, (fwd, _, _) in enumerate(sampler.blocks):
             rows, scale = decode_block(fwd, A)
             acc[rows[0], rows[0]] = probs[i] * scale[0] ** 2
         np.testing.assert_allclose(acc, expected_gram(SingleRowWeighted(), A),

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import dense_sketch
+from momsolve import solvers
 from momsolve.errors import (
     DegenerateDirectionError,
     DivergedError,
@@ -19,8 +20,10 @@ from momsolve.sampling import (
     FixedIdentity,
     PartitionBlock,
     SingleRowWeighted,
+    parse_scheme,
 )
 from momsolve.solvers import (
+    DRIFT_CHECK_INTERVAL,
     SOLVER_IDS,
     SolverConfig,
     ashbm_parameters,
@@ -149,7 +152,7 @@ class TestAshbmParameters:
         sampler = BlockSampler(SingleRowWeighted(), A, b, np.random.default_rng(4))
 
         def gradient(x):
-            fwd, bwd = sampler.draw()
+            fwd, bwd, _ = sampler.draw()
             t = fwd.dot(np.append(x, 1.0))
             return bwd.dot(t)[:20], float(t @ t)
 
@@ -427,25 +430,62 @@ def _sparse_system(m, n, seed):
     return attach_min_norm(LinearSystem(A=A, b=A.matvec(rng.standard_normal(n))))
 
 
+_CHANNEL_SYSTEMS = [
+    lambda: generate_gaussian_problem(120, 40, 40, 5.0, seed=1),  # dense tall
+    lambda: generate_gaussian_problem(80, 40, 20, 5.0, seed=2),  # rank-deficient
+    lambda: generate_gaussian_problem(30, 60, 30, 5.0, seed=3),  # dense wide
+    lambda: _sparse_system(90, 30, seed=4),
+]
+_CHANNEL_SYSTEM_IDS = ["tall", "rank_deficient", "wide", "sparse"]
+_BLOCK_SOLVERS = (solve_ashbm, solve_scg, solve_basic, solve_modified_basic)
+
+
+def _scheme_runs():
+    """(solver, scheme spec) for every solver that samples, under each
+    scheme it accepts; ``partition:10`` runs are named by the solver alone."""
+    runs = [pytest.param(solve, "partition:10", id=solve.__name__)
+            for solve in _BLOCK_SOLVERS + (solve_mrabk,)]
+    runs += [pytest.param(solve, spec, id=f"{solve.__name__}-{spec.replace(':', '')}")
+             for solve in _BLOCK_SOLVERS for spec in ("row", "uniform:10", "identity")]
+    return runs
+
+
+def _assert_residuals_match(sys_, trace):
+    direct = [np.linalg.norm(sys_.A.matvec(x) - sys_.b) for x in trace.iterates]
+    b_norm = float(np.linalg.norm(sys_.b))
+    assert len(direct) == len(trace) > 0
+    np.testing.assert_allclose(trace.residual_norm, direct, rtol=0,
+                               atol=1e-10 * (1.0 + b_norm))
+
+
 class TestResidualChannel:
     """The tracked ``residual_norm`` of each step against ||A x_k − b||."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: generate_gaussian_problem(120, 40, 40, 5.0, seed=1),  # dense tall
-        lambda: generate_gaussian_problem(80, 40, 20, 5.0, seed=2),  # rank-deficient
-        lambda: generate_gaussian_problem(30, 60, 30, 5.0, seed=3),  # dense wide
-        lambda: _sparse_system(90, 30, seed=4),
-    ], ids=["tall", "rank_deficient", "wide", "sparse"])
-    @pytest.mark.parametrize("solve", [solve_ashbm, solve_scg, solve_basic])
-    def test_matches_direct_product(self, make, solve):
+    @pytest.mark.parametrize("make", _CHANNEL_SYSTEMS, ids=_CHANNEL_SYSTEM_IDS)
+    @pytest.mark.parametrize("solve, spec", _scheme_runs())
+    def test_matches_direct_product(self, make, solve, spec):
         sys_ = make()
-        scheme = PartitionBlock.from_permutation(sys_.A.rows, 10, seed=5)
+        scheme = parse_scheme(spec).materialize(sys_.A, 5)
         _, trace = solve(sys_, scheme, _cfg(max_iters=400), keep_iterates=True)
-        direct = [np.linalg.norm(sys_.A.matvec(x) - sys_.b) for x in trace.iterates]
-        b_norm = float(np.linalg.norm(sys_.b))
-        assert len(direct) == len(trace) > 0
-        np.testing.assert_allclose(trace.residual_norm, direct, rtol=0,
-                                   atol=1e-10 * (1.0 + b_norm))
+        _assert_residuals_match(sys_, trace)
+
+    def test_matches_direct_product_past_a_refresh(self, monkeypatch):
+        # long enough that the carried R·xa and R·d are replaced by exact
+        # products twice
+        refresh = solvers._Run.refresh_residual
+        calls = []
+
+        def counting_refresh(run, state):
+            calls.append(len(run.rse_col))
+            refresh(run, state)
+
+        monkeypatch.setattr(solvers._Run, "refresh_residual", counting_refresh)
+        sys_ = generate_gaussian_problem(200, 50, 50, 10.0, seed=7)
+        scheme = PartitionBlock.from_permutation(200, 4, seed=7)
+        config = _cfg(max_iters=2 * DRIFT_CHECK_INTERVAL + 50)
+        _, trace = solve_modified_basic(sys_, scheme, config, keep_iterates=True)
+        assert calls == [DRIFT_CHECK_INTERVAL - 1, 2 * DRIFT_CHECK_INTERVAL - 1]
+        _assert_residuals_match(sys_, trace)
 
     def test_factor_only_when_tracking(self, monkeypatch):
         sys_ = generate_gaussian_problem(60, 20, 20, 3.0, seed=6)
@@ -478,6 +518,24 @@ class TestResidualChannel:
         finally:
             gc.enable()
         assert alive == []
+
+
+class TestTrackingLeavesTheTrajectory:
+    """Residual tracking only adds the ``residual_norm`` column: every other
+    column and count of a run is the untracked run's, bit for bit."""
+
+    @pytest.mark.parametrize("make", _CHANNEL_SYSTEMS, ids=_CHANNEL_SYSTEM_IDS)
+    @pytest.mark.parametrize("solve, spec", _scheme_runs())
+    def test_tracked_equals_untracked(self, make, solve, spec):
+        sys_ = make()
+        scheme = parse_scheme(spec).materialize(sys_.A, 5)
+        tracked, untracked = (solve(sys_, scheme, _cfg(max_iters=300, track_residual=on))[1]
+                              for on in (True, False))
+        for column in ("k", "rse", "alpha", "beta", "moved"):
+            assert getattr(tracked, column).tobytes() == getattr(untracked, column).tobytes()
+        assert tracked.sample_draws == untracked.sample_draws
+        assert tracked.fallback_steps == untracked.fallback_steps
+        assert np.isnan(untracked.residual_norm).all()
 
 
 def test_solver_registry():
