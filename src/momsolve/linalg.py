@@ -26,8 +26,8 @@ __all__ = [
 class Matrix:
     """Immutable dense (row-major) or CSR real matrix with cached row norms.
 
-    Construct via :meth:`from_dense`, :meth:`from_csr`, or
-    :meth:`from_scipy`.
+    Construct via :meth:`from_dense` or :meth:`from_scipy` (any scipy
+    sparse format, CSR included).
     """
 
     __slots__ = ("rows", "cols", "_dense", "_csr", "row_norms_sq", "fro_norm_sq")
@@ -66,14 +66,6 @@ class Matrix:
         return cls(dense=values)
 
     @classmethod
-    def from_csr(cls, row_offsets, col_indices, values, shape) -> "Matrix":
-        m = sp.csr_matrix(
-            (np.asarray(values, dtype=np.float64), col_indices, row_offsets),
-            shape=shape,
-        )
-        return cls(csr=m)
-
-    @classmethod
     def from_scipy(cls, matrix) -> "Matrix":
         return cls(csr=sp.csr_matrix(matrix))
 
@@ -86,18 +78,6 @@ class Matrix:
     @property
     def shape(self):
         return (self.rows, self.cols)
-
-    @property
-    def row_offsets(self):
-        return self._csr.indptr
-
-    @property
-    def col_indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
 
     def toarray(self) -> np.ndarray:
         if self._dense is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,7 +84,9 @@ def load_matrix_market(path) -> Matrix:
 
     Supports coordinate and array formats; general/symmetric/skew-symmetric
     headers (symmetry expanded to full storage); pattern entries become 1.0;
-    duplicate coordinate entries are summed.
+    duplicate coordinate entries are summed. Array files hold one value per
+    line, column-major; symmetric arrays store the lower triangle and
+    skew-symmetric arrays the strictly lower one.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -108,54 +111,47 @@ def load_matrix_market(path) -> Matrix:
         while line and line.lstrip().startswith("%"):
             line = fh.readline()
         size = line.split()
-        if fmt == "coordinate":
-            if len(size) != 3:
-                raise MatrixMarketParseError(f"bad size line: {line!r}")
-            try:
-                m, n, nnz = (int(s) for s in size)
-            except ValueError as exc:
-                raise MatrixMarketParseError(f"bad size line: {line!r}") from exc
-            return _read_coordinate(fh, m, n, nnz, field, symmetry)
-        if len(size) != 2:
+        if len(size) != (3 if fmt == "coordinate" else 2):
             raise MatrixMarketParseError(f"bad size line: {line!r}")
         try:
-            m, n = (int(s) for s in size)
+            size = [int(s) for s in size]
         except ValueError as exc:
             raise MatrixMarketParseError(f"bad size line: {line!r}") from exc
-        return _read_array(fh, m, n, symmetry)
+        if symmetry != "general" and size[0] != size[1]:
+            raise MatrixMarketParseError("symmetric matrix must be square")
+        if fmt == "coordinate":
+            return _read_coordinate(fh, *size, field, symmetry)
+        return _read_array(fh, *size, symmetry)
+
+
+def _read_entries(fh, dtype) -> np.ndarray:
+    """The rest of ``fh`` as one structured array, one record per non-blank
+    line; each line must hold exactly the dtype's fields."""
+    line = fh.readline()
+    while line.isspace():
+        line = fh.readline()
+    if not line:
+        # an empty body: loadtxt would warn that it found no data
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.loadtxt(itertools.chain([line], fh), dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise MatrixMarketParseError(f"bad entry line: {exc}") from exc
 
 
 def _read_coordinate(fh, m, n, nnz, field, symmetry) -> Matrix:
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    pattern = field == "pattern"
-    count = 0
-    for line in fh:
-        toks = line.split()
-        if not toks:
-            continue
-        if count >= nnz:
-            raise MatrixMarketParseError("more entries than declared")
-        expected = 2 if pattern else 3
-        if len(toks) != expected:
-            raise MatrixMarketParseError(f"bad entry line: {line!r}")
-        try:
-            i = int(toks[0]) - 1
-            j = int(toks[1]) - 1
-            v = 1.0 if pattern else float(toks[2])
-        except ValueError as exc:
-            raise MatrixMarketParseError(f"bad entry line: {line!r}") from exc
-        if not (0 <= i < m and 0 <= j < n):
-            raise MatrixMarketParseError(f"index out of range: {line!r}")
-        rows[count], cols[count], vals[count] = i, j, v
-        count += 1
-    if count != nnz:
-        raise MatrixMarketParseError(f"expected {nnz} entries, found {count}")
+    fields = [("i", np.int64), ("j", np.int64)]
+    if field != "pattern":
+        fields.append(("v", np.float64))
+    entries = _read_entries(fh, np.dtype(fields))
+    if len(entries) != nnz:
+        raise MatrixMarketParseError(f"expected {nnz} entries, found {len(entries)}")
+    rows, cols = entries["i"] - 1, entries["j"] - 1
+    if nnz and not (rows.min() >= 0 and cols.min() >= 0 and rows.max() < m and cols.max() < n):
+        raise MatrixMarketParseError("entry index out of range")
+    vals = np.ones(nnz) if field == "pattern" else entries["v"]
 
     if symmetry in ("symmetric", "skew-symmetric"):
-        if m != n:
-            raise MatrixMarketParseError("symmetric matrix must be square")
         off = rows != cols
         sign = -1.0 if symmetry == "skew-symmetric" else 1.0
         rows, cols, vals = (
@@ -168,34 +164,19 @@ def _read_coordinate(fh, m, n, nnz, field, symmetry) -> Matrix:
 
 
 def _read_array(fh, m, n, symmetry) -> Matrix:
-    if symmetry in ("symmetric", "skew-symmetric") and m != n:
-        raise MatrixMarketParseError("symmetric matrix must be square")
-    values = []
-    for line in fh:
-        toks = line.split()
-        if not toks:
-            continue
-        try:
-            values.extend(float(t) for t in toks)
-        except ValueError as exc:
-            raise MatrixMarketParseError(f"bad value line: {line!r}") from exc
-    dense = np.zeros((m, n), dtype=np.float64)
+    values = _read_entries(fh, np.dtype([("v", np.float64)]))["v"]
     if symmetry == "general":
         if len(values) != m * n:
             raise MatrixMarketParseError(f"expected {m * n} values, found {len(values)}")
-        dense[:] = np.array(values).reshape((n, m)).T  # column-major on disk
+        dense = values.reshape((n, m)).T  # column-major on disk
     else:
-        # packed lower triangle, column-major
-        expected = m * (m + 1) // 2
+        skew = symmetry == "skew-symmetric"
+        expected = n * (n - 1) // 2 if skew else n * (n + 1) // 2
         if len(values) != expected:
             raise MatrixMarketParseError(f"expected {expected} values, found {len(values)}")
-        it = iter(values)
-        for j in range(n):
-            for i in range(j, m):
-                dense[i, j] = next(it)
-        if symmetry == "symmetric":
-            dense = dense + np.tril(dense, -1).T
-        else:
-            dense = dense - np.tril(dense, -1).T
-            np.fill_diagonal(dense, 0.0)
+        # the packed lower triangle, column-major, is the upper triangle of
+        # the transpose in row-major order; skew-symmetric skips the diagonal
+        dense = np.zeros((n, n))
+        dense.T[np.triu_indices(n, 1 if skew else 0)] = values
+        dense += (-1.0 if skew else 1.0) * np.tril(dense, -1).T
     return Matrix.from_scipy(sp.csr_matrix(dense))

@@ -257,31 +257,12 @@ _ESTIMATE_DRAWS = 10 ** 4
 
 
 def block_spectral_norm_sq(A: Matrix, idx) -> float:
-    """lambda_max(A_J^T A_J) = ||A_J||_2^2 for a row block J."""
+    """lambda_max(A_J^T A_J) = ||A_J||_2^2 for a row block J, exactly: the
+    largest eigenvalue of the smaller of the two Grams of A_J."""
     block = A.row_block(idx)
-    q = block.shape[0]
-    gram = block @ block.T
-    if q <= 64:
-        return float(np.linalg.eigvalsh(gram)[-1])
-    return _power_iteration(gram)
-
-
-def _power_iteration(gram: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ gram @ v_new)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
+    q, n = block.shape
+    gram = block @ block.T if q <= n else block.T @ block
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
@@ -289,10 +270,7 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     if isinstance(scheme, SingleRowWeighted):
         return LambdaMaxResult(1.0)
     if isinstance(scheme, FixedIdentity):
-        sigma_sq = block_spectral_norm_sq(A, np.arange(A.rows)) if A.rows <= 64 else None
-        if sigma_sq is None:
-            sigma_sq = float(np.linalg.svd(A.toarray(), compute_uv=False)[0] ** 2)
-        return LambdaMaxResult(sigma_sq)
+        return LambdaMaxResult(block_spectral_norm_sq(A, np.arange(A.rows)))
     if isinstance(scheme, PartitionBlock):
         worst = max(
             block_spectral_norm_sq(A, blk) / A.row_norms_sq[blk].sum()

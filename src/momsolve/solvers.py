@@ -3,10 +3,10 @@ heavy-ball momentum, stochastic CG, CGNE, and the fixed-parameter momentum
 baseline.
 
 ``basic``, ``mbasic``, ``ashbm`` and ``mrabk`` are one stochastic heavy-ball
-update, x+ = x − alpha_k·grad f_S(x) + beta_k·(x − x_prev), run by one loop;
-each method supplies only its (alpha, beta) rule and how it treats a zero
-sketch. ``scg`` and ``cgne`` keep their own recursions: they are the
-references the momentum form is checked against.
+update, x_{k+1} = x_k − alpha_k·grad f_S(x_k) + beta_k·(x_k − x_{k−1}), run
+by one loop; each method supplies only its (alpha, beta) rule and how it
+treats a zero sketch. ``scg`` and ``cgne`` keep their own recursions: they
+are the references the momentum form is checked against.
 
 All solvers start from x0 = 0 (which lies in Range(A^T)) and converge to
 the min-norm solution; the relative solution error is tracked against
@@ -20,7 +20,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,28 +58,25 @@ DEGENERACY_THRESHOLD = 1e-14
 # recurrence residual and the heavy-ball loop's carried R·[x; 1]
 DRIFT_CHECK_INTERVAL = 1000
 
+# A diverging run overflows in its products a few steps before ``record``
+# sees a non-finite RSE and raises DivergedError. Each solver runs under this
+# state (entered once per run, not per step), so numpy stays silent until then.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass
 class SolverConfig:
     zeta: float = 1.0
-    zeta_schedule: Callable[[int], float] | None = None
     max_iters: int = 1_000_000
     rse_tolerance: float = 1e-12
     zero_test_threshold: float | None = None
-    resample_cap: int | None = None
     momentum_beta: float = 0.7
     seed: int = 0
     track_residual: bool = True
     record_timing: bool = True
 
-    def zeta_at(self, k: int) -> float:
-        z = self.zeta_schedule(k) if self.zeta_schedule is not None else self.zeta
-        if not 0.0 < z < 2.0:
-            raise ValueError(f"zeta_{k}={z} outside (0, 2)")
-        return z
-
     def validate(self) -> None:
-        if self.zeta_schedule is None and not 0.0 < self.zeta < 2.0:
+        if not 0.0 < self.zeta < 2.0:
             raise ValueError(f"zeta={self.zeta} outside (0, 2)")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
@@ -94,7 +91,6 @@ class SolverConfig:
 @dataclass
 class SolverState:
     x: np.ndarray
-    x_prev: np.ndarray
     r: np.ndarray
     k: int
 
@@ -232,11 +228,7 @@ class _Run:
             else 1e-14 * (1.0 + b_norm)
         ) ** 2
         self.b_inf = float(np.max(np.abs(self.b))) if len(self.b) else 0.0
-        self.cap = (
-            config.resample_cap
-            if config.resample_cap is not None
-            else 100 * (self.sampler.support_size if self.sampler else 1)
-        )
+        self.cap = 100 * (self.sampler.support_size if self.sampler else 1)
         # the identity scheme has one sample, so a rejection cannot help
         self.attempts = range(1 if self.sampler and self.sampler.deterministic else self.cap)
         W = np.zeros((4, n + 1))
@@ -357,11 +349,10 @@ class _Run:
         if self.diag is not None:
             self.diag.setdefault(key, []).append(value)
 
-    def finish(self, xa, xa_prev, converged, reason) -> tuple[SolverState, Trace]:
+    def finish(self, xa, converged, reason) -> tuple[SolverState, Trace]:
         n, k = self.n, len(self.rse_col)
         x = xa[:n].copy()
-        state = SolverState(x=x, x_prev=xa_prev[:n].copy(),
-                            r=self.A.matvec(x) - self.b, k=k)
+        state = SolverState(x=x, r=self.A.matvec(x) - self.b, k=k)
         moved = np.ones(k, dtype=bool)
         moved[self.unmoved] = False
         trace = Trace(
@@ -386,14 +377,14 @@ class _Run:
 
     def already_solved(self):
         """The trivial run when x0 = 0 is already the min-norm solution."""
-        xa = self.states[0].xa
-        return self.finish(xa, xa, True, "already_solved")
+        return self.finish(self.states[0].xa, True, "already_solved")
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
 
+@_quiet_overflow
 def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterates: bool,
                 diagnostics: bool, draw_mode: str, rule_for, observer_for=None):
     """The heavy-ball loop shared by basic, mbasic, ashbm and mrabk.
@@ -425,11 +416,11 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
         t0 = clock()
         drawn = draw(cur.xa)
         if drawn is None:
-            return run.finish(cur.xa, nxt.xa, True, "residual")
+            return run.finish(cur.xa, True, "residual")
         fwd, bwd, K, t, tn2 = drawn
         if tn2 <= skip_below:
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
-                return run.finish(cur.xa, nxt.xa, True, "rse")
+                return run.finish(cur.xa, True, "rse")
             continue
         g = bwd.dot(t, out=cur.g)
         g[n] = 0.0
@@ -446,18 +437,14 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
         if observe is not None:
             observe(k, cur, nxt, fwd, t, tn2)
         if run.record(cur, alpha, beta, t0) <= tol:
-            return run.finish(cur.xa, nxt.xa, True, "rse")
-    return run.finish(cur.xa, nxt.xa, False, "max_iters")
+            return run.finish(cur.xa, True, "rse")
+    return run.finish(cur.xa, False, "max_iters")
 
 
 def _polyak_rule(run):
-    """alpha = (2 − zeta_k)·||t||^2 / ||g||^2 and beta = 0."""
-    config = run.config
-    if config.zeta_schedule is None:
-        w = 2.0 - config.zeta
-        return lambda k, tn2, cur: (w * tn2 / float(cur.g.dot(cur.g)), 0.0)
-    return lambda k, tn2, cur: (
-        (2.0 - config.zeta_at(k - 1)) * tn2 / float(cur.g.dot(cur.g)), 0.0)
+    """alpha = (2 − zeta)·||t||^2 / ||g||^2 and beta = 0."""
+    w = 2.0 - run.config.zeta
+    return lambda k, tn2, cur: (w * tn2 / float(cur.g.dot(cur.g)), 0.0)
 
 
 def _ashbm_rule(run):
@@ -521,6 +508,7 @@ def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
                        "resample", _ashbm_rule, _ashbm_observer)
 
 
+@_quiet_overflow
 def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
               *, keep_iterates: bool = False, diagnostics: bool = False):
     """Stochastic CG recursion; identical sample sequences make it
@@ -533,7 +521,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
 
     drawn = run.draw_nonzero(cur.xa)
     if drawn is None:
-        return run.finish(cur.xa, nxt.xa, True, "residual")
+        return run.finish(cur.xa, True, "residual")
     fwd, bwd, _, t, s_cur = drawn
     g = bwd.dot(t)
     g[n] = 0.0
@@ -544,7 +532,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
             if run.residual_norm(cur.xa) <= tol * (1.0 + run.b_inf):
-                return run.finish(cur.xa, nxt.xa, True, "residual")
+                return run.finish(cur.xa, True, "residual")
             raise DegenerateDirectionError("search direction vanished with large residual")
         delta = s_cur / pn2
         step = delta * p
@@ -557,10 +545,10 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             dn = float(np.linalg.norm(t_next_same) * np.sqrt(s_cur))
             run.add_diag("sketch_resid_orth", float(t_next_same.dot(t)) / dn if dn else 0.0)
         if rse <= tol:
-            return run.finish(cur.xa, nxt.xa, True, "rse")
+            return run.finish(cur.xa, True, "rse")
         drawn = run.draw_nonzero(cur.xa)
         if drawn is None:
-            return run.finish(cur.xa, nxt.xa, True, "residual")
+            return run.finish(cur.xa, True, "residual")
         fwd_next, bwd_next, _, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
@@ -572,9 +560,10 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             run.add_diag("direction_orth", float(p.dot(p_new)) / dn if dn else 0.0)
         p = p_new
         fwd, t, s_cur = fwd_next, t_new, s_new
-    return run.finish(cur.xa, nxt.xa, False, "max_iters")
+    return run.finish(cur.xa, False, "max_iters")
 
 
+@_quiet_overflow
 def solve_cgne(system: LinearSystem, config: SolverConfig,
                *, keep_iterates: bool = False, diagnostics: bool = False):
     """Conjugate gradient on A A^T y = b with x = A^T y; finite termination
@@ -589,17 +578,15 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
     r = A.matvec(x) - b
     p = -A.rmatvec(r)
     rn2 = float(r @ r)
-    x_prev = x.copy()
     res_tol = cfg.rse_tolerance * (1.0 + run.b_inf)
     for k in range(1, cfg.max_iters + 1):
         t0 = run.clock()
         pn2 = float(p @ p)
         if pn2 <= run.threshold_sq:
             if np.sqrt(rn2) <= res_tol or float(np.max(np.abs(r))) <= res_tol:
-                return run.finish(x, x_prev, True, "residual")
+                return run.finish(x, True, "residual")
             raise BreakdownError("CG direction vanished with large residual")
         mu = rn2 / pn2
-        x_prev = x.copy()
         x += mu * p
         err += mu * p
         r = r + mu * A.matvec(p)
@@ -608,7 +595,7 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
         rn2_new = float(r @ r)
         rse = run.record(state, mu, 0.0, t0, resnorm=float(np.sqrt(rn2_new)))
         if rse <= cfg.rse_tolerance or float(np.max(np.abs(r))) <= res_tol:
-            return run.finish(x, x_prev, True, "rse" if rse <= cfg.rse_tolerance else "residual")
+            return run.finish(x, True, "rse" if rse <= cfg.rse_tolerance else "residual")
         tau = rn2_new / rn2
         if run.diag is not None:
             p_new = -A.rmatvec(r) + tau * p
@@ -618,7 +605,7 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
         else:
             p = -A.rmatvec(r) + tau * p
         rn2 = rn2_new
-    return run.finish(x, x_prev, False, "max_iters")
+    return run.finish(x, False, "max_iters")
 
 
 def solve_mrabk(system: LinearSystem, scheme: PartitionBlock, config: SolverConfig,

@@ -214,11 +214,10 @@ class TestSweep:
         # beta = 0.99 makes every mrabk trial diverge; its cells are written
         # with NaN medians and no warning, and the sweep exits like solve
         out = tmp_path / "sw"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["sweep", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
-                       "--sampling", "partition:8", "--p-list", "8,16",
-                       "--solver", "mrabk,ashbm", "--beta", "0.99", "--trials", "2",
-                       "--max-iters", "20000", "--out", str(out)])
+        rc = main(["sweep", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
+                   "--sampling", "partition:8", "--p-list", "8,16",
+                   "--solver", "mrabk,ashbm", "--beta", "0.99", "--trials", "2",
+                   "--max-iters", "20000", "--out", str(out)])
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
         assert "RSE inf" in capsys.readouterr().err
         header, *lines = (out / "sweep.csv").read_text().splitlines()
@@ -382,17 +381,26 @@ class TestExitCodes:
 
     def test_diverged_run(self, tmp_path):
         out = tmp_path / "x"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["solve", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
-                       "--solver", "mrabk", "--sampling", "partition:10",
-                       "--beta", "0.999", "--max-iters", "20000",
-                       "--out", str(out)])
+        rc = main(["solve", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
+                   "--solver", "mrabk", "--sampling", "partition:10",
+                   "--beta", "0.999", "--max-iters", "20000",
+                   "--out", str(out)])
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
         (record,) = _read_json(out / "summary.json")["errors"]
         assert sorted(record) == ["message", "seed", "trial", "type"]
         assert (record["trial"], record["seed"]) == (0, trial_seed(0, 0))
         assert record["type"] == "DivergedError"
         assert record["message"].startswith("RSE ")
+
+    def test_diverged_run_warns_nothing(self, tmp_path, capsys):
+        # the overflow before the RSE check used to escape as a numpy
+        # RuntimeWarning; with warnings as errors that was exit 1
+        rc = main(["solve", "--m", "200", "--n", "50", "--r", "50", "--kappa", "5",
+                   "--solver", "mrabk", "--sampling", "partition:10",
+                   "--beta", "0.999", "--max-iters", "20000",
+                   "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        assert "Warning" not in capsys.readouterr().err
 
     def test_solver_breakdown(self, tmp_path, monkeypatch):
         def boom(system, scheme, config, **kw):

@@ -37,10 +37,9 @@ class TestMatrix:
 
     def test_from_csr_roundtrip(self):
         dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
-        csr = sp.csr_matrix(dense)
-        A = Matrix.from_csr(csr.indptr, csr.indices, csr.data, csr.shape)
-        np.testing.assert_allclose(A.toarray(), dense)
-        np.testing.assert_array_equal(A.row_offsets, csr.indptr)
+        A = Matrix.from_scipy(sp.csr_matrix(dense))
+        assert A.is_sparse
+        np.testing.assert_array_equal(A.toarray(), dense)
 
     def test_matvec_example(self):
         A = Matrix.from_dense([[1.0, 2.0], [3.0, 4.0]])

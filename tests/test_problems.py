@@ -1,10 +1,12 @@
 """Synthetic problem generation and the Matrix Market reader."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from momsolve.errors import (
     InconsistentSystemError,
@@ -180,6 +182,29 @@ class TestLoadMatrixMarket:
         dense = load_matrix_market(path).toarray()
         np.testing.assert_allclose(dense, [[1.0, 2.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric", "skew-symmetric"])
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    def test_reads_back_scipy_writer(self, tmp_path, rng, fmt, symmetry):
+        # a skew-symmetric array stores only the strictly lower triangle
+        dense = rng.standard_normal((4, 4))
+        if symmetry == "symmetric":
+            dense = dense + dense.T
+        elif symmetry == "skew-symmetric":
+            dense = dense - dense.T
+        path = tmp_path / "m.mtx"
+        source = dense if fmt == "array" else scipy.sparse.coo_matrix(dense)
+        scipy.io.mmwrite(path, source, symmetry=symmetry)
+        assert path.read_text().split()[2:5] == [fmt, "real", symmetry]
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(), dense)
+
+    def test_empty_body_reads_without_warning(self, tmp_path):
+        path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 3 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = load_matrix_market(path)
+        assert A.shape == (2, 3)
+        assert A.fro_norm_sq == 0.0
+
     def test_matches_scipy_reader(self, tmp_path, rng):
         m, n, nnz = 9, 6, 25
         lines = ["%%MatrixMarket matrix coordinate real general", f"{m} {n} {nnz}"]
@@ -216,6 +241,20 @@ class TestLoadMatrixMarket:
          MatrixMarketParseError),
         ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
          UnsupportedError),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0abc\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0x10\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0 5\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1.0 1 2.0\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 0\n1 1 1.0\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n",
+         MatrixMarketParseError),
+        ("%%MatrixMarket matrix array real skew-symmetric\n3 3\n"
+         "1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n", MatrixMarketParseError),
     ])
     def test_malformed_inputs(self, tmp_path, text, exc):
         path = _write(tmp_path, text)

@@ -221,6 +221,13 @@ class TestLambdaMaxSup:
         A = Matrix.from_dense(np.diag([3.0, 1.0]))
         assert lambda_max_sup(FixedIdentity(), A).value == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("shape", [(100, 20), (20, 100)], ids=["tall", "wide"])
+    def test_identity_matches_svd(self, rng, shape):
+        A = Matrix.from_dense(rng.standard_normal(shape))
+        res = lambda_max_sup(FixedIdentity(), A)
+        assert res.value == pytest.approx(np.linalg.norm(A.toarray(), 2) ** 2, rel=1e-12)
+        assert not res.is_estimate
+
     def test_uniform_matches_brute_force(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 3)))
         res = lambda_max_sup(UniformBlock(p=2), A)
@@ -253,12 +260,15 @@ class TestLambdaMaxSup:
         assert res.is_estimate
         assert res.value > 0.0
 
-    def test_block_spectral_norm_power_iteration_path(self, rng):
-        # blocks larger than the eigvalsh cutoff go through power iteration
-        A = Matrix.from_dense(rng.standard_normal((100, 20)))
-        idx = np.arange(80)
+    @pytest.mark.parametrize("shape", [(300, 40), (250, 400)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("q", [1, 64, 65, 200])
+    def test_block_spectral_norm_is_exact(self, rng, shape, q):
+        # the tall system's blocks of more than 40 rows take the n x n Gram,
+        # the wide system's the q x q one; both must match the SVD
+        A = Matrix.from_dense(rng.standard_normal(shape))
+        idx = np.sort(rng.choice(shape[0], size=q, replace=False))
         direct = float(np.linalg.norm(A.toarray()[idx], 2) ** 2)
-        assert block_spectral_norm_sq(A, idx) == pytest.approx(direct, rel=1e-8)
+        assert block_spectral_norm_sq(A, idx) == pytest.approx(direct, rel=1e-12)
 
 
 class TestSchemeSpec:

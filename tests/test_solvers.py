@@ -252,7 +252,7 @@ class TestSolverRuns:
 
     def test_stalled_sampling(self):
         sys_ = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
-        cfg = _cfg(zero_test_threshold=1e6, resample_cap=5)
+        cfg = _cfg(zero_test_threshold=1e6)
         with pytest.raises(StalledSamplingError):
             solve_modified_basic(sys_, SingleRowWeighted(), cfg)
 
@@ -261,12 +261,6 @@ class TestSolverRuns:
         _, trace = solve_modified_basic(sys_, SingleRowWeighted(),
                                         _cfg(max_iters=25), keep_iterates=True)
         assert len(trace.iterates) == len(trace)
-
-    def test_zeta_schedule(self):
-        sys_ = generate_gaussian_problem(30, 15, 15, 2.0, seed=4)
-        cfg = _cfg(zeta_schedule=lambda k: 0.5 if k % 2 == 0 else 1.5, max_iters=200)
-        _, trace = solve_modified_basic(sys_, SingleRowWeighted(), cfg)
-        assert len(trace) > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -416,12 +410,12 @@ class TestMrabk:
 
     def test_divergence_stops_the_run(self):
         # beta = 0.999 overshoots: the RSE overflows after a few thousand
-        # steps, and the run must stop there instead of spinning to max_iters
+        # steps, and the run must stop there instead of spinning to max_iters;
+        # the overflow on the way raises no numpy warning
         sys_ = generate_gaussian_problem(200, 50, 50, 5.0, seed=0)
         scheme = PartitionBlock.from_permutation(200, 10, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergedError):
-                solve_mrabk(sys_, scheme, _cfg(momentum_beta=0.999, max_iters=20000))
+        with pytest.raises(DivergedError):
+            solve_mrabk(sys_, scheme, _cfg(momentum_beta=0.999, max_iters=20000))
 
 
 def _sparse_system(m, n, seed):
