@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,16 +127,15 @@ def load_matrix_market(path) -> Matrix:
 def _read_entries(fh, dtype) -> np.ndarray:
     """The rest of ``fh`` as one structured array, one record per non-blank
     line; each line must hold exactly the dtype's fields."""
-    line = fh.readline()
-    while line.isspace():
-        line = fh.readline()
-    if not line:
-        # an empty body: loadtxt would warn that it found no data
-        return np.empty(0, dtype=dtype)
-    try:
-        return np.loadtxt(itertools.chain([line], fh), dtype=dtype, comments=None, ndmin=1)
-    except ValueError as exc:
-        raise MatrixMarketParseError(f"bad entry line: {exc}") from exc
+    with warnings.catch_warnings():
+        # numpy only deprecates truncating a token such as "2.9" into an
+        # int64 field; as an error it becomes the ValueError caught below
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise MatrixMarketParseError(f"bad entry line: {exc}") from exc
 
 
 def _read_coordinate(fh, m, n, nnz, field, symmetry) -> Matrix:

@@ -255,8 +255,21 @@ class TestLoadMatrixMarket:
          MatrixMarketParseError),
         ("%%MatrixMarket matrix array real skew-symmetric\n3 3\n"
          "1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n", MatrixMarketParseError),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n",
+         MatrixMarketParseError),
     ])
     def test_malformed_inputs(self, tmp_path, text, exc):
         path = _write(tmp_path, text)
         with pytest.raises(exc):
             load_matrix_market(path)
+
+    @pytest.mark.parametrize("index", ["2.9", "1e0", "1.0"])
+    def test_non_integer_index_rejected_with_warnings_ignored(self, tmp_path, index):
+        # numpy only warns when it truncates such a token into an int64
+        # field; the reader must reject it under any warning filter
+        path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                                f"2 2 1\n{index} 1 5.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(MatrixMarketParseError):
+                load_matrix_market(path)
