@@ -351,6 +351,8 @@ def cmd_sweep(args) -> int:
             finals = np.array([max(t.final_rse, 0.0) for t in traces])
             factors = []
             for t in traces:
+                if t.final_rse > 1.0:
+                    continue  # the error grew: no contraction factor
                 try:
                     factors.append(analysis.convergence_factor(t.final_rse, t.iterations))
                 except ExactConvergence:

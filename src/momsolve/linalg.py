@@ -1,9 +1,11 @@
-"""Matrix/vector primitives, spectral quantities, and the SVD oracle.
+"""Matrix/vector primitives, spectral quantities, and the min-norm oracle.
 
 ``min_norm_solution`` is the independent ground truth used by the tests and
-the error metrics: LAPACK's SVD least squares (``gelsd`` through
-``np.linalg.lstsq``), which never forms the left singular vectors. It shares
-no code with the iterative solvers.
+the error metrics. A CSR matrix gets LSQR started from 0 (Paige & Saunders
+1982), which never densifies A; LAPACK's SVD least squares (``gelsd``
+through ``np.linalg.lstsq``) serves dense matrices and every CSR system on
+which LSQR does not stop at machine precision. Neither shares code with the
+iterative solvers.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def toarray(self) -> np.ndarray:
+    def toarray(self, order="C") -> np.ndarray:
         if self._dense is not None:
-            return np.array(self._dense)
-        return self._csr.toarray()
+            return np.array(self._dense, order=order)
+        return self._csr.toarray(order=order)
 
     # -- products --------------------------------------------------------
 
@@ -122,7 +124,10 @@ class SpectralSummary:
 
 
 def _singular_values(A: Matrix) -> np.ndarray:
-    return np.linalg.svd(A.toarray(), compute_uv=False)
+    # scipy, unlike numpy, lets LAPACK overwrite the one F-ordered copy
+    from scipy.linalg import svd
+
+    return svd(A.toarray(order="F"), compute_uv=False, overwrite_a=True, check_finite=False)
 
 
 def rank_tolerance(A: Matrix, sigma_max: float) -> float:
@@ -147,8 +152,21 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
     )
 
 
+def _lsqr_solution(A: Matrix, b: np.ndarray, cut: float) -> np.ndarray | None:
+    """LSQR's solution from 0 for a CSR A, or None unless LSQR stopped at
+    machine precision. A condition estimate past 1/cut (the rank cut), or
+    2·min(m, n) iterations without convergence, leaves the system to SVD."""
+    from scipy.sparse.linalg import lsqr
+
+    x, istop = lsqr(A._csr, b, atol=0.0, btol=0.0, conlim=1.0 / cut,
+                    iter_lim=2 * min(A.shape))[:2]
+    # 0: A^T b = 0; 1, 2: exact; 4, 5: within machine precision
+    return x if istop in (0, 1, 2, 4, 5) else None
+
+
 def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
-    """Min-norm solution A^+ b of a consistent system, via SVD least squares.
+    """Min-norm solution A^+ b of a consistent system: LSQR for a CSR A,
+    SVD least squares (``gelsd``) for a dense A and as LSQR's fallback.
 
     Raises InconsistentSystemError when the residual of the pseudoinverse
     solution exceeds ``tol`` (default 1e-8 * (1 + ||b||)).
@@ -158,8 +176,12 @@ def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
         raise ValueError(f"b must have length {A.rows}")
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("min_norm_solution: zero matrix")
-    # gelsd zeroes sigma <= rcond * sigma_max: the cut of rank_tolerance
-    x = np.linalg.lstsq(A.toarray(), b, rcond=rank_tolerance(A, 1.0))[0]
+    cut = rank_tolerance(A, 1.0)
+    # a non-finite b goes straight to gelsd, whose NaN fails the check below
+    x = _lsqr_solution(A, b, cut) if A.is_sparse and np.isfinite(b).all() else None
+    if x is None:
+        # gelsd zeroes sigma <= rcond * sigma_max: the cut of rank_tolerance
+        x = np.linalg.lstsq(A.toarray(), b, rcond=cut)[0]
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(b)))
     residual = float(np.linalg.norm(A.matvec(x) - b))

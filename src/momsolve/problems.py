@@ -66,7 +66,8 @@ def generate_gaussian_problem(m: int, n: int, r: int, kappa: float, seed: int) -
 
 
 def attach_min_norm(system: LinearSystem) -> LinearSystem:
-    """Fill ``min_norm`` via the SVD oracle if absent (idempotent)."""
+    """Fill ``min_norm`` if absent (idempotent): LSQR for a CSR A, with
+    ``gelsd`` as its fallback and for a dense A (see ``min_norm_solution``)."""
     if system.min_norm is not None:
         return system
     x_min = min_norm_solution(system.A, system.b)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from momsolve import cli, problems
 from momsolve.cli import ExperimentConfig, main
@@ -112,6 +114,27 @@ class TestSolve:
                    "--tol", "1e-10", "--out", str(out)])
         assert rc == 0
         assert _read_json(out / "summary.json")["converged"] == 1
+
+    def test_coordinate_matrix_never_densified(self, tmp_path, monkeypatch):
+        # LSQR certifies the oracle of this well-conditioned file, and the
+        # solvers and the residual tracker work on CSR rows
+        rng = np.random.default_rng(5)
+        mtx = tmp_path / "A.mtx"
+        scipy.io.mmwrite(mtx, sp.random(80, 30, density=0.2, random_state=rng)
+                         + sp.eye(80, 30))
+        assert "coordinate" in mtx.read_text().splitlines()[0]
+
+        def densify(*args, **kwargs):
+            raise AssertionError("a coordinate .mtx was densified")
+
+        monkeypatch.setattr(Matrix, "toarray", densify)
+        for solver, sampling in (("cgne", "row"), ("ashbm", "partition:8")):
+            out = tmp_path / solver
+            rc = main(["solve", "--matrix", str(mtx), "--solver", solver,
+                       "--sampling", sampling, "--trials", "1", "--seed", "2",
+                       "--tol", "1e-10", "--out", str(out)])
+            assert rc == 0
+            assert _read_json(out / "summary.json")["converged"] == 1
 
     def test_config_file(self, tmp_path):
         cfg = ExperimentConfig(
@@ -229,6 +252,25 @@ class TestSweep:
             medians = [float(r[c]) for c in ("iters_median", "full_iters_median",
                                              "final_rse_median", "conv_factor_median")]
             assert np.isnan(medians).all() == (r["solver"] == "mrabk")
+
+    def test_error_growth_leaves_factor_empty(self, tmp_path):
+        # mrabk at p=10 ends with its error above the start; that trial has
+        # no contraction factor, so its cell is NaN and the sweep succeeds
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--m", "200", "--n", "50", "--r", "50", "--kappa", "10",
+                   "--solver", "mrabk,basic", "--sampling", "partition:10",
+                   "--p-list", "10,20", "--beta", "0.95", "--max-iters", "10",
+                   "--seed", "1", "--no-timing", "--out", str(out)])
+        assert rc == 0
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [(r["p"], r["solver"], r["failed"]) for r in rows] == [
+            ("10", "mrabk", "0"), ("10", "basic", "0"),
+            ("20", "mrabk", "0"), ("20", "basic", "0")]
+        assert float(rows[0]["final_rse_median"]) > 1.0
+        assert np.isnan(float(rows[0]["conv_factor_median"]))
+        for r in rows[1:]:
+            assert 0.0 < float(r["conv_factor_median"]) < 1.0
 
     def test_requires_block_scheme(self, tmp_path):
         rc = main(["sweep", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",

@@ -1,5 +1,9 @@
-"""Matrix primitives, spectral summaries, and the SVD min-norm oracle."""
+"""Matrix primitives, spectral summaries, and the min-norm oracle (LSQR for
+CSR, gelsd for dense and as the fallback)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import scipy.sparse as sp
 from momsolve.errors import InconsistentSystemError, ZeroMatrixError
 from momsolve.linalg import Matrix, min_norm_solution, spectral_quantities
 
+SRC = str(Path(__file__).parent.parent / "src")
 DATA_DIRS = [Path(__file__).parent / "data", Path(__file__).parent.parent / "data"]
 
 
@@ -18,6 +23,14 @@ def _find_data(name):
         if p.exists():
             return p
     return None
+
+
+def _with_singular_values(rng, m, svals) -> np.ndarray:
+    """A random m x len(svals) matrix with the given singular values."""
+    n = len(svals)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * svals) @ V.T
 
 
 class TestMatrix:
@@ -144,10 +157,13 @@ class TestMinNormSolution:
         with pytest.raises(InconsistentSystemError):
             min_norm_solution(A, [0.0, 1.0])
 
-    def test_non_finite_rhs_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_non_finite_rhs_rejected(self, storage, bad):
         # a NaN residual must fail the consistency check, not pass it
+        A = Matrix.from_dense(np.eye(2)) if storage == "dense" else Matrix.from_scipy(sp.eye(2))
         with pytest.raises(InconsistentSystemError):
-            min_norm_solution(Matrix.from_dense(np.eye(2)), [1.0, np.nan])
+            min_norm_solution(A, [1.0, bad])
 
     def test_solution_lies_in_row_space(self, rng):
         dense = rng.standard_normal((6, 10))
@@ -161,28 +177,79 @@ class TestMinNormSolution:
         P = dense.T @ np.linalg.pinv(dense.T)
         np.testing.assert_allclose(P @ x, x, atol=1e-10)
 
-    @pytest.mark.parametrize("case", ["tall", "wide", "rank_deficient", "csr", "zero_row"])
+    @pytest.mark.parametrize("case", ["tall", "wide", "rank_deficient", "csr", "zero_row",
+                                      "csr_wide", "csr_rank_deficient", "csr_ill_conditioned"])
     def test_matches_truncated_pseudo_inverse(self, rng, case):
         if case == "tall":
             dense = rng.standard_normal((40, 12))
-        elif case == "wide":
+        elif case in ("wide", "csr_wide"):
             dense = rng.standard_normal((9, 25))
         elif case == "rank_deficient":
             dense = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 15))
+        elif case == "csr_ill_conditioned":
+            dense = _with_singular_values(rng, 40, np.geomspace(1.0, 1e-10, 12))
         else:
             dense = rng.standard_normal((30, 10))
-            if case == "csr":
-                dense[rng.random(dense.shape) < 0.7] = 0.0
-            else:
+            if case == "zero_row":
                 dense[[3, 17]] = 0.0
-        A = Matrix.from_scipy(sp.csr_matrix(dense)) if case == "csr" else Matrix.from_dense(dense)
+            else:
+                dense[rng.random(dense.shape) < 0.7] = 0.0
+            if case == "csr_rank_deficient":
+                dense[:, 7] = dense[:, 2]
+        if case.startswith("csr"):
+            A = Matrix.from_scipy(sp.csr_matrix(dense))
+        else:
+            A = Matrix.from_dense(dense)
         b = dense @ rng.standard_normal(dense.shape[1])
+        x = min_norm_solution(A, b)
+        cut = max(dense.shape) * np.finfo(np.float64).eps
+        if case == "csr_ill_conditioned":
+            # LSQR runs into its iteration cap and the answer is gelsd's, bit
+            # for bit; at kappa = 1e10 no two SVD routes agree to 1e-12
+            assert np.array_equal(x, np.linalg.lstsq(dense, b, rcond=cut)[0])
+            return
         # A^+ b from the full SVD, zeroing sigma <= max(m, n)·eps·sigma_1
         U, svals, Vt = np.linalg.svd(dense, full_matrices=False)
-        keep = svals > max(dense.shape) * np.finfo(np.float64).eps * svals[0]
+        keep = svals > cut * svals[0]
         expected = Vt[keep].T @ ((U[:, keep].T @ b) / svals[keep])
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_csr_never_densifies(self, rng, monkeypatch):
+        # a well-conditioned CSR system is solved by LSQR alone
+        A = Matrix.from_scipy(sp.random(60, 20, density=0.3, random_state=rng) + sp.eye(60, 20))
+        b = A.matvec(rng.standard_normal(20))
+        expected = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
+
+        def densify(*args, **kwargs):
+            raise AssertionError("the CSR oracle densified A")
+
+        monkeypatch.setattr(Matrix, "toarray", densify)
+        monkeypatch.setattr(np.linalg, "lstsq", densify)
         x = min_norm_solution(A, b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_lsqr_agrees_with_gelsd_on_sparse_system(self):
+        # a seeded 1%-dense system like the benchmark's .mtx, at half its size
+        rng = np.random.default_rng(2024)
+        m, n, per_row = 2000, 500, 5
+        rows = np.repeat(np.arange(m), per_row)
+        cols = np.concatenate([rng.choice(n, per_row, replace=False) for _ in range(m)])
+        A = Matrix.from_scipy(sp.coo_matrix((rng.standard_normal(m * per_row), (rows, cols)),
+                                            shape=(m, n)))
+        b = A.matvec(rng.standard_normal(n))
+        gelsd = np.linalg.lstsq(A.toarray(), b, rcond=max(m, n) * np.finfo(np.float64).eps)[0]
+        x = min_norm_solution(A, b)
+        assert np.linalg.norm(x - gelsd) <= 1e-12 * np.linalg.norm(gelsd)
+
+    def test_import_leaves_scipy_solvers_unloaded(self):
+        # scipy.linalg and scipy.sparse.linalg are imported where they are
+        # used, so a run that needs neither does not pay their memory
+        code = ("import sys, momsolve.cli; "
+                "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]"
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
