@@ -124,12 +124,10 @@ def _load_system(cfg: ExperimentConfig) -> LinearSystem:
             b = read_vector(rhs)
             if b.shape != (A.rows,):
                 raise ValueError(f"rhs length {b.shape} does not match {A.rows} rows")
-            system = LinearSystem(A=A, b=b)
-        else:
-            # synthesize a consistent right-hand side from the base seed
-            x_star = np.random.default_rng(cfg.seed).standard_normal(A.cols)
-            system = LinearSystem(A=A, b=A.matvec(x_star), planted_solution=x_star)
-        return system
+            return LinearSystem(A=A, b=b)
+        # synthesize a consistent right-hand side from the base seed
+        x_star = np.random.default_rng(cfg.seed).standard_normal(A.cols)
+        return LinearSystem(A=A, b=A.matvec(x_star), planted_solution=x_star)
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
@@ -332,7 +330,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    if not cfg.scheme.split(":")[0] in ("uniform", "partition"):
+    base = cfg.scheme.split(":")[0]
+    if base not in ("uniform", "partition"):
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
     p_list = [int(p) for p in args.p_list.split(",")]
     solvers = args.solver.split(",")
@@ -340,7 +339,6 @@ def cmd_sweep(args) -> int:
     m = system.A.rows
     rows, failures = [], []
     for p in p_list:
-        base = cfg.scheme.split(":")[0]
         for solver in solvers:
             sub = dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver)
             scheme = _materialize(sub, system)
@@ -351,8 +349,8 @@ def cmd_sweep(args) -> int:
             finals = np.array([max(t.final_rse, 0.0) for t in traces])
             factors = []
             for t in traces:
-                if t.final_rse > 1.0:
-                    continue  # the error grew: no contraction factor
+                if t.iterations == 0 or t.final_rse > 1.0:
+                    continue  # no step, or the error grew: no contraction factor
                 try:
                     factors.append(analysis.convergence_factor(t.final_rse, t.iterations))
                 except ExactConvergence:

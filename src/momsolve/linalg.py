@@ -115,6 +115,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {kind})"
 
 
+def augmented(A: Matrix, b: np.ndarray):
+    """[A | −b] in A's own storage: an ndarray, or CSR for a sparse A."""
+    if A.is_sparse:
+        return sp.hstack([A._csr, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
+    return np.hstack([A._dense, -b.reshape(-1, 1)])
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     sigma_max: float

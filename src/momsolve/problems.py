@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -9,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidRankError, MatrixMarketParseError, UnsupportedError
-from .linalg import Matrix, min_norm_solution
+from .linalg import Matrix, augmented, min_norm_solution
 
 __all__ = [
     "LinearSystem",
@@ -26,10 +27,31 @@ class LinearSystem:
     planted_solution: np.ndarray | None = None
     min_norm: np.ndarray | None = None
     consistency_residual: float = float("nan")
+    _lock = threading.RLock()  # for _shared; reentrant, as the table is made from R
 
     def __post_init__(self):
         if not np.isfinite(self.b).all():
             raise ValueError("right-hand side has non-finite entries")
+
+    def _shared(self, name: str, make) -> np.ndarray:
+        """The read-only array ``make()``, made once per system even for trials
+        in worker threads, in the instance dict (frozen=True leaves it open)."""
+        with self._lock:
+            if name not in self.__dict__:
+                self.__dict__[name] = value = make()
+                value.setflags(write=False)
+            return self.__dict__[name]
+
+    @property
+    def residual_factor(self) -> np.ndarray:
+        """R of [A | −b] = Q·R: ||Ax − b|| = ||R·[x; 1]|| at any rank."""
+        return self._shared("R", lambda: np.linalg.qr(augmented(self.A, self.b), mode="r"))
+
+    @property
+    def residual_table(self) -> np.ndarray:
+        """A·R[:, :n]^T: row i is row i of A mapped through R."""
+        return self._shared(
+            "table", lambda: self.A._dense.dot(self.residual_factor[:, :self.A.cols].T))
 
 
 def generate_gaussian_problem(m: int, n: int, r: int, kappa: float, seed: int) -> LinearSystem:
@@ -81,7 +103,8 @@ def attach_min_norm(system: LinearSystem) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 def load_matrix_market(path) -> Matrix:
-    """Read a real-valued Matrix Market file into a sparse Matrix.
+    """Read a real-valued Matrix Market file: a coordinate file into a
+    sparse (CSR) Matrix, an array file, dense by format, into a dense one.
 
     Supports coordinate and array formats; general/symmetric/skew-symmetric
     headers (symmetry expanded to full storage); pattern entries become 1.0;
@@ -179,4 +202,4 @@ def _read_array(fh, m, n, symmetry) -> Matrix:
         dense = np.zeros((n, n))
         dense.T[np.triu_indices(n, 1 if skew else 0)] = values
         dense += (-1.0 if skew else 1.0) * np.tril(dense, -1).T
-    return Matrix.from_scipy(sp.csr_matrix(dense))
+    return Matrix.from_dense(dense)

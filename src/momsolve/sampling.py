@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidBlockSizeError, UnsupportedError
-from .linalg import Matrix
+from .linalg import Matrix, augmented
+from .problems import LinearSystem
 
 __all__ = [
     "SingleRowWeighted",
@@ -153,26 +153,24 @@ class BlockSampler:
     ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
     the last entry, ``−s b_J·t``).
 
-    Given the triangular factor R of ``[A | −b] = Q·R``, each block also
-    carries ``K_J = R[:, :n]·(s·A_J)^T``, so that ``R·[A^T S t; 0] = K_J·t``
-    follows a step without a product with R. K is cached only when every
-    block has fewer rows than R, where ``K_J·t`` is the cheaper product;
-    otherwise, and without R, it is None.
+    With ``carry_residual``, each block also carries ``K_J = R[:, :n]·(s·A_J)^T``
+    from the system's ``residual_table``, R being its ``residual_factor``, so
+    that ``R·[A^T S t; 0] = K_J·t`` follows a step without a product with R.
+    K is cached only when every block has fewer rows than R, where ``K_J·t``
+    is the cheaper product; otherwise it is None.
 
     ``draw()`` returns the triple ``(block, block^T, K)`` of the next
     sample. Weighted schemes (partition, row) draw their uniforms in chunks
-    with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows
-    (and its K from one scaled m×rows(R) table) on every draw; the identity
+    with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows,
+    and scales a gather of the table for its K, on every draw; the identity
     scheme always returns its single block.
     """
 
-    def __init__(self, scheme, A: Matrix, b: np.ndarray, rng, residual_factor=None):
+    def __init__(self, scheme, system: LinearSystem, rng, carry_residual=False):
+        A = system.A
         if isinstance(scheme, UniformBlock):
             _check_block_size(scheme.p, A.rows)
-        if A.is_sparse:
-            aug = sp.hstack([A._csr, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
-        else:
-            aug = np.hstack([A._dense, -b.reshape(-1, 1)])
+        aug = augmented(A, system.b)
         self.deterministic = isinstance(scheme, FixedIdentity)
         if isinstance(scheme, FixedIdentity):
             self.blocks = [(*_block_pair(aug), None)]
@@ -193,18 +191,15 @@ class BlockSampler:
             rows, largest = None, scheme.p
         else:
             raise TypeError(f"unsupported scheme {scheme!r}")
-        R = residual_factor
-        self.carries_residual = R is not None and largest < len(R)
+        self.carries_residual = carry_residual and largest < min(A.rows, A.cols + 1)  # rows of R
         # row i of the table is R[:, :n]·A_i, so K_J = (s·table[J])^T
-        table = A._dense.dot(R[:, :A.cols].T) if self.carries_residual else None
+        table = system.residual_table if self.carries_residual else None
         if rows is None:
             scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
             aug *= scale
-            if table is not None:
-                table *= scale
             self.blocks = None
             self.support_size = UNIFORM_SUPPORT_CAP
-            self.draw = _uniform_draws(rng, aug, table, A.rows, scheme.p).__next__
+            self.draw = _uniform_draws(rng, aug, table, scale, A.rows, scheme.p).__next__
             return
         scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
         self.blocks = [
@@ -225,10 +220,10 @@ def _weighted_draws(rng, cum, blocks):
             yield blocks[i]
 
 
-def _uniform_draws(rng, aug, table, m, p):
+def _uniform_draws(rng, aug, table, scale, m, p):
     while True:
         rows = np.sort(rng.choice(m, size=p, replace=False))
-        yield (*_block_pair(aug[rows]), None if table is None else table[rows].T)
+        yield (*_block_pair(aug[rows]), None if table is None else (table[rows] * scale).T)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +276,12 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
         m, p = A.rows, scheme.p
         _check_block_size(p, m)
         factor = (m / p) / A.fro_norm_sq
-        if math.comb(m, p) <= _ENUMERATION_LIMIT:
-            worst = max(
-                block_spectral_norm_sq(A, np.array(J))
-                for J in itertools.combinations(range(m), p)
-            )
-            return LambdaMaxResult(factor * worst, is_estimate=False)
+        exact = math.comb(m, p) <= _ENUMERATION_LIMIT
         rng = np.random.default_rng(0)
-        worst = max(
-            block_spectral_norm_sq(A, np.sort(rng.choice(m, size=p, replace=False)))
-            for _ in range(_ESTIMATE_DRAWS)
-        )
-        return LambdaMaxResult(factor * worst, is_estimate=True)
+        subsets = (itertools.combinations(range(m), p) if exact else
+                   (np.sort(rng.choice(m, size=p, replace=False)) for _ in range(_ESTIMATE_DRAWS)))
+        worst = max(block_spectral_norm_sq(A, np.array(J)) for J in subsets)
+        return LambdaMaxResult(factor * worst, is_estimate=not exact)
     raise UnsupportedError(f"lambda_max_sup not defined for {scheme!r}")
 
 

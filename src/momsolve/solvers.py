@@ -211,22 +211,16 @@ class _Run:
         config.validate()
         if system.min_norm is None:
             raise ValueError("system.min_norm is required; call attach_min_norm first")
-        self.A, self.b = system.A, system.b
+        self.system, self.A, self.b = system, system.A, system.b
         self.config = config
         self.n = n = self.A.cols
-        self.res_factor = self.res_buf = None
-        R = (self.residual_factor()
-             if carry_residual and config.track_residual and not self.A.is_sparse else None)
-        self.sampler = (
-            BlockSampler(scheme, self.A, self.b, np.random.default_rng(config.seed), R)
-            if scheme is not None else None
-        )
-        b_norm = float(np.linalg.norm(self.b))
-        self.threshold_sq = (
-            config.zero_test_threshold
-            if config.zero_test_threshold is not None
-            else 1e-14 * (1.0 + b_norm)
-        ) ** 2
+        carry_residual = carry_residual and config.track_residual and not self.A.is_sparse
+        rng = np.random.default_rng(config.seed)
+        self.sampler = BlockSampler(scheme, system, rng, carry_residual) if scheme else None
+        threshold = config.zero_test_threshold
+        if threshold is None:
+            threshold = 1e-14 * (1.0 + float(np.linalg.norm(self.b)))
+        self.threshold_sq = threshold ** 2
         self.b_inf = float(np.max(np.abs(self.b))) if len(self.b) else 0.0
         self.cap = 100 * (self.sampler.support_size if self.sampler else 1)
         # the identity scheme has one sample, so a rejection cannot help
@@ -240,7 +234,7 @@ class _Run:
         self.carry_residual = self.sampler is not None and self.sampler.carries_residual
         if self.carry_residual:
             for state in self.states:
-                state.carry(R)
+                state.carry(system.residual_factor)
         # step weights C: columns 2 and 3 take beta and -alpha
         self.C = np.zeros((3, 4))
         self.C[0, 0] = self.C[1, 1] = 1.0
@@ -292,30 +286,19 @@ class _Run:
         r = self.A.matvec(xa[:self.n]) - self.b
         return float(np.linalg.norm(r))
 
-    def residual_factor(self) -> np.ndarray:
-        """R of the QR factorisation [A | −b] = Q·R of a dense A, so that
-        ||Ax − b|| = ||R·xa|| for any rank. R has n + 1 columns and
-        min(m, n + 1) rows. It is factored on the first call, so runs that
-        record their own residual (cgne) never pay for it."""
-        if self.res_factor is None:
-            self.res_factor = np.linalg.qr(
-                np.hstack([self.A._dense, -self.b.reshape(-1, 1)]), mode="r")
-            self.res_buf = np.empty(len(self.res_factor))
-        return self.res_factor
-
     def tracked_residual_norm(self, xa) -> float:
         """||Ax − b|| for the trace when the run does not carry it. A
         sparse A keeps its O(nnz) product; a dense A costs one product with
         R, (n+1)² instead of m·n for a tall A."""
         if self.A.is_sparse:
             return self.residual_norm(xa)
-        r = self.residual_factor().dot(xa, out=self.res_buf)
+        r = self.system.residual_factor.dot(xa)
         return math.sqrt(r.dot(r))
 
     def refresh_residual(self, state: _State) -> None:
         """Replace the carried R·xa and R·d by exact products, which bounds
         the drift of the updated values."""
-        R = self.res_factor
+        R = self.system.residual_factor
         R.dot(state.xa, out=state.V[0])
         R.dot(state.d, out=state.V[2])
 

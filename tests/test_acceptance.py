@@ -20,7 +20,7 @@ from momsolve.analysis import (
     theoretical_bound,
 )
 from momsolve.linalg import Matrix, min_norm_solution
-from momsolve.problems import generate_gaussian_problem
+from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
     BlockSampler,
     FixedIdentity,
@@ -266,7 +266,7 @@ def test_criterion_10_sampling_statistics():
     A = Matrix.from_dense(rng.standard_normal((100, 20)))
     scheme = PartitionBlock.from_permutation(100, 7, seed=99)
     probs = np.array([A.row_norms_sq[blk].sum() for blk in scheme.blocks]) / A.fro_norm_sq
-    sampler = BlockSampler(scheme, A, row_coded_rhs(A), rng)
+    sampler = BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A)), rng)
     block_of_row = np.empty(A.rows, dtype=int)
     for i, blk in enumerate(scheme.blocks):
         block_of_row[blk] = i
@@ -281,7 +281,7 @@ def test_criterion_10_sampling_statistics():
     # uniform-block Monte-Carlo second moment vs. the closed form
     B = Matrix.from_dense(rng.standard_normal((30, 10)))
     m, p = B.rows, 6
-    usampler = BlockSampler(UniformBlock(p=p), B, row_coded_rhs(B), rng)
+    usampler = BlockSampler(UniformBlock(p=p), LinearSystem(B, row_coded_rhs(B)), rng)
     diag = np.zeros(30)
     for size in batches:
         rows, scale = decode_block(np.stack([usampler.draw()[0] for _ in range(size)]), B)

@@ -1,6 +1,9 @@
 """End-to-end CLI tests: generate/solve/sweep/bound, formats, exit codes."""
 
+import dataclasses
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -272,11 +275,89 @@ class TestSweep:
         for r in rows[1:]:
             assert 0.0 < float(r["conv_factor_median"]) < 1.0
 
+    def test_already_solved_system(self, tmp_path):
+        # a zero right-hand side is solved by x0 = 0: its trials take no
+        # step, have no contraction factor, and the sweep succeeds
+        prob = tmp_path / "prob"
+        main(["generate", "30", "10", "10", "2", "--seed", "3", "--out", str(prob)])
+        cli.write_vector(prob / "zero.txt", np.zeros(30))
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--matrix", str(prob / "A.mtx"), "--rhs", str(prob / "zero.txt"),
+                   "--sampling", "partition:5", "--p-list", "5,10",
+                   "--solver", "mbasic,ashbm", "--trials", "2", "--out", str(out)])
+        assert rc == 0
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 4
+        for r in rows:
+            assert (r["iters_median"], r["failed"]) == ("0.0", "0")
+            assert np.isnan(float(r["conv_factor_median"]))
+
     def test_requires_block_scheme(self, tmp_path):
         rc = main(["sweep", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
                    "--sampling", "row", "--p-list", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG_ERROR
+
+
+class TestSharedSetUp:
+    """One command factors ``[A | −b]`` once, however many trials and
+    cells it runs, and its runs equal runs on fresh systems."""
+
+    PROBLEM = ["--m", "60", "--n", "20", "--r", "20", "--kappa", "3", "--seed", "4",
+               "--tol", "1e-10", "--no-timing"]
+
+    @staticmethod
+    def _count_factors(monkeypatch, delay=0.0):
+        # mode "r" is the residual factor; generating the problem runs two
+        # reduced QRs of its own
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(kwargs.get("mode", "reduced"))
+            time.sleep(delay)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return calls
+
+    @staticmethod
+    def _fresh_run(argv, solver, spec, trial):
+        """Trial ``trial`` of a command, run by the library on a system of
+        its own."""
+        cfg = dataclasses.replace(cli._config_from_args(cli.build_parser().parse_args(argv)),
+                                  solver=solver, scheme=spec)
+        system = cli.build_system(cfg)
+        scheme = cli._materialize(cfg, system)
+        return cli.SOLVER_IDS[solver](system, scheme, cfg.solver_config(trial))[1]
+
+    def test_solve_trials_factor_once(self, tmp_path, monkeypatch):
+        calls = self._count_factors(monkeypatch)
+        argv = ["solve", "--solver", "ashbm", "--sampling", "partition:4", "--trials", "3",
+                "--out", str(tmp_path / "run")] + self.PROBLEM
+        assert main(argv) == 0
+        assert calls.count("r") == 1
+        for i in range(3):
+            trace = self._fresh_run(argv, "ashbm", "partition:4", i)
+            cli.write_trace(tmp_path / "lib.csv", trace, "csv")
+            assert ((tmp_path / "run" / f"trace_{i:03d}.csv").read_bytes()
+                    == (tmp_path / "lib.csv").read_bytes())
+
+    def test_sweep_cells_factor_once(self, tmp_path, monkeypatch):
+        calls = self._count_factors(monkeypatch)
+        argv = ["sweep", "--solver", "mbasic,ashbm", "--sampling", "partition:4",
+                "--p-list", "4,8", "--trials", "2",
+                "--out", str(tmp_path / "sw")] + self.PROBLEM
+        assert main(argv) == 0
+        assert calls.count("r") == 1
+        header, *lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            spec = f"partition:{row['p']}"
+            traces = [self._fresh_run(argv, row["solver"], spec, i) for i in range(2)]
+            assert float(row["iters_median"]) == np.median([t.iterations for t in traces])
+            assert float(row["final_rse_median"]) == np.median([t.final_rse for t in traces])
 
 
 class TestBound:
@@ -464,14 +545,23 @@ class TestExitCodes:
 
 
 class TestWorkerDeterminism:
-    def test_traces_independent_of_pool_size(self, tmp_path):
+    def test_traces_independent_of_pool_size(self, tmp_path, monkeypatch):
         common = ["solve", "--m", "60", "--n", "30", "--r", "30", "--kappa", "2",
                   "--solver", "mbasic", "--sampling", "partition:6",
-                  "--trials", "4", "--seed", "13", "--tol", "1e-10",
+                  "--trials", "8", "--seed", "13", "--tol", "1e-10",
                   "--no-timing"]
-        a, b = tmp_path / "w1", tmp_path / "w4"
+        a, b = tmp_path / "w1", tmp_path / "w8"
         assert main(common + ["--workers", "1", "--out", str(a)]) == 0
-        assert main(common + ["--workers", "4", "--out", str(b)]) == 0
-        for i in range(4):
+        # more workers than cores, frequent thread switches and a slow
+        # factor: trials that start together still share one factor
+        calls = TestSharedSetUp._count_factors(monkeypatch, delay=0.05)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(common + ["--workers", "8", "--out", str(b)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls.count("r") == 1
+        for i in range(8):
             name = f"trace_{i:03d}.csv"
             assert (a / name).read_bytes() == (b / name).read_bytes()

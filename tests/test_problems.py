@@ -195,7 +195,10 @@ class TestLoadMatrixMarket:
         source = dense if fmt == "array" else scipy.sparse.coo_matrix(dense)
         scipy.io.mmwrite(path, source, symmetry=symmetry)
         assert path.read_text().split()[2:5] == [fmt, "real", symmetry]
-        np.testing.assert_array_equal(load_matrix_market(path).toarray(), dense)
+        A = load_matrix_market(path)
+        np.testing.assert_array_equal(A.toarray(), dense)
+        # an array file is dense by format and keeps dense storage
+        assert A.is_sparse == (fmt == "coordinate")
 
     def test_empty_body_reads_without_warning(self, tmp_path):
         path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 3 0\n")

@@ -9,7 +9,7 @@ import pytest
 from conftest import decode_block, dense_sketch, row_coded_rhs
 from momsolve.errors import InvalidBlockSizeError, UnsupportedError
 from momsolve.linalg import Matrix
-from momsolve.problems import generate_gaussian_problem
+from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
     UNIFORM_SUPPORT_CAP,
     BlockSampler,
@@ -35,7 +35,7 @@ from momsolve.solvers import (
 
 def _sampler(scheme, A, rng):
     """``scheme`` bound to A with a row-coded right-hand side."""
-    return BlockSampler(scheme, A, row_coded_rhs(A), rng)
+    return BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A)), rng)
 
 
 class TestBuildPartition:
@@ -117,14 +117,14 @@ class TestDraw:
     @pytest.mark.parametrize("m,p", [(4, 2), (40, 3)])
     def test_uniform_support_size(self, rng, m, p):
         system = generate_gaussian_problem(m, 2, 2, 2.0, seed=0)
-        sampler = BlockSampler(UniformBlock(p=p), system.A, system.b, rng)
+        sampler = BlockSampler(UniformBlock(p=p), system, rng)
         assert sampler.support_size == UNIFORM_SUPPORT_CAP
 
     def test_partition_must_cover_rows(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
         bad = PartitionBlock(blocks=(np.array([0, 1]), np.array([2, 3])))
         with pytest.raises(ValueError):
-            BlockSampler(bad, A, np.zeros(6), rng)
+            BlockSampler(bad, LinearSystem(A, np.zeros(6)), rng)
         # the solvers bind the sampler and must reject it as well
         system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         half = PartitionBlock(blocks=(np.arange(0, 5), np.arange(5, 10)))
@@ -135,7 +135,7 @@ class TestDraw:
     def test_uniform_block_size_checked(self, rng, p):
         system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
-            BlockSampler(UniformBlock(p=p), system.A, system.b, rng)
+            BlockSampler(UniformBlock(p=p), system, rng)
         for solve in (solve_basic, solve_modified_basic, solve_ashbm, solve_scg):
             with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
                 solve(system, UniformBlock(p=p), SolverConfig(seed=0, record_timing=False))
@@ -149,13 +149,13 @@ class TestStructuredProducts:
 
     def test_transpose_single_row(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        sampler = BlockSampler(SingleRowWeighted(), A, np.zeros(2), rng)
+        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, np.zeros(2)), rng)
         fwd, _, _ = sampler.blocks[1]
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [5.0])
 
     def test_transpose_identity(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        fwd, _, _ = BlockSampler(FixedIdentity(), A, np.zeros(2), rng).draw()
+        fwd, _, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(2)), rng).draw()
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [3.0, 5.0])
 
     def test_matches_dense_sketch(self, rng):
@@ -163,7 +163,7 @@ class TestStructuredProducts:
         b = row_coded_rhs(A)
         x = rng.standard_normal(8)
         w = rng.standard_normal(3)
-        fwd, bwd, _ = BlockSampler(UniformBlock(p=3), A, b, rng).draw()
+        fwd, bwd, _ = BlockSampler(UniformBlock(p=3), LinearSystem(A, b), rng).draw()
         S = dense_sketch(*decode_block(fwd, A), 15)
         np.testing.assert_allclose(fwd.dot(np.append(x, 1.0)), S.T @ (A.matvec(x) - b),
                                    atol=1e-12)
@@ -172,7 +172,7 @@ class TestStructuredProducts:
     def test_identity_pullback(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 4)))
         w = rng.standard_normal(5)
-        _, bwd, _ = BlockSampler(FixedIdentity(), A, np.zeros(5), rng).draw()
+        _, bwd, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(5)), rng).draw()
         np.testing.assert_allclose(bwd.dot(w)[:4], A.toarray().T @ w, atol=1e-13)
 
 

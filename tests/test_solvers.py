@@ -149,7 +149,7 @@ class TestAshbmParameters:
         target = min_norm_solution(A, b)
         state, trace = solve_ashbm(sys_, SingleRowWeighted(), _cfg(max_iters=2, seed=4))
         assert trace.sample_draws == 2
-        sampler = BlockSampler(SingleRowWeighted(), A, b, np.random.default_rng(4))
+        sampler = BlockSampler(SingleRowWeighted(), sys_, np.random.default_rng(4))
 
         def gradient(x):
             fwd, bwd, _ = sampler.draw()
@@ -497,6 +497,11 @@ class TestResidualChannel:
         solve_cgne(sys_, _cfg(max_iters=50))  # records its own recurrence residual
         assert calls == []
         solve_ashbm(sys_, scheme, _cfg(max_iters=50))
+        assert calls == ["r"]
+        # the factor and its table are the system's, so later tracked runs
+        # on it, carried (ashbm) or not (scg), factor nothing again
+        solve_ashbm(sys_, scheme, _cfg(max_iters=50, seed=4))
+        solve_scg(sys_, scheme, _cfg(max_iters=50))
         assert calls == ["r"]
 
     def test_run_is_freed_without_the_cycle_collector(self):
