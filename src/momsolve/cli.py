@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +49,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_BREAKDOWN = 3
 EXIT_INCONSISTENT = 4
 
+# the exact types each ExperimentConfig field may hold, by its annotation
+_FIELD_TYPES = {"dict": {dict}, "str": {str}, "int": {int}, "float": {int, float}, "bool": {bool}}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,17 +72,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # checked here so that flags and --config files are held to it alike
-        for name in ("trials", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.name in ("trials", "workers") and value < 1:
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as exc:  # not an object, an unknown key or no problem
+            raise ValueError(f"bad config: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -158,36 +168,30 @@ def write_matrix_market(path, A: Matrix) -> None:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _run_one(system, scheme, cfg: ExperimentConfig, trial: int) -> Trace:
+def _run_one(system, scheme, cfg: ExperimentConfig, trial: int):
+    """Trial ``trial``'s trace, or the MomsolveError that ended it."""
     solver_cfg = cfg.solver_config(trial)
-    if cfg.solver == "cgne":
-        _, trace = solve_cgne(system, solver_cfg)
-    else:
-        solve = SOLVER_IDS[cfg.solver]
-        _, trace = solve(system, scheme, solver_cfg)
-    return trace
+    try:
+        if cfg.solver == "cgne":
+            return solve_cgne(system, solver_cfg)[1]
+        return SOLVER_IDS[cfg.solver](system, scheme, solver_cfg)[1]
+    except MomsolveError as exc:
+        return exc
 
 
 def run_trials(system, scheme, cfg: ExperimentConfig):
     """Run cfg.trials independent seeded runs; per-trial errors are captured
-    without aborting the other trials."""
+    without aborting the other trials. More workers than one run them in
+    processes, one chunk of trials each, so a chunk factors its copy of the
+    system once."""
     if cfg.solver not in SOLVER_IDS:
         raise ValueError(f"unknown solver {cfg.solver!r}")
-    results: list = [None] * cfg.trials
-
-    def work(i):
-        try:
-            results[i] = _run_one(system, scheme, cfg, i)
-        except MomsolveError as exc:
-            results[i] = exc
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(work, range(cfg.trials)))
-    else:
-        for i in range(cfg.trials):
-            work(i)
-    return results
+    run = functools.partial(_run_one, system, scheme, cfg)
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers == 1:
+        return list(map(run, range(cfg.trials)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(cfg.trials), chunksize=-(-cfg.trials // workers)))
 
 
 def summarize(results, seed: int) -> dict:

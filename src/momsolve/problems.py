@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -27,31 +27,26 @@ class LinearSystem:
     planted_solution: np.ndarray | None = None
     min_norm: np.ndarray | None = None
     consistency_residual: float = float("nan")
-    _lock = threading.RLock()  # for _shared; reentrant, as the table is made from R
 
     def __post_init__(self):
         if not np.isfinite(self.b).all():
             raise ValueError("right-hand side has non-finite entries")
 
-    def _shared(self, name: str, make) -> np.ndarray:
-        """The read-only array ``make()``, made once per system even for trials
-        in worker threads, in the instance dict (frozen=True leaves it open)."""
-        with self._lock:
-            if name not in self.__dict__:
-                self.__dict__[name] = value = make()
-                value.setflags(write=False)
-            return self.__dict__[name]
+    # cached_property writes the instance dict, which frozen=True leaves open
 
-    @property
+    @functools.cached_property
     def residual_factor(self) -> np.ndarray:
         """R of [A | −b] = Q·R: ||Ax − b|| = ||R·[x; 1]|| at any rank."""
-        return self._shared("R", lambda: np.linalg.qr(augmented(self.A, self.b), mode="r"))
+        R = np.linalg.qr(augmented(self.A, self.b), mode="r")
+        R.setflags(write=False)
+        return R
 
-    @property
+    @functools.cached_property
     def residual_table(self) -> np.ndarray:
         """A·R[:, :n]^T: row i is row i of A mapped through R."""
-        return self._shared(
-            "table", lambda: self.A._dense.dot(self.residual_factor[:, :self.A.cols].T))
+        table = self.A._dense.dot(self.residual_factor[:, :self.A.cols].T)
+        table.setflags(write=False)
+        return table
 
 
 def generate_gaussian_problem(m: int, n: int, r: int, kappa: float, seed: int) -> LinearSystem:
