@@ -6,7 +6,6 @@ from .analysis import (
     ContractionVerdict,
     contraction_check,
     convergence_factor,
-    rse,
     theoretical_bound,
 )
 from .linalg import (
@@ -27,7 +26,6 @@ from .sampling import (
     SingleRowWeighted,
     UniformBlock,
     build_partition,
-    expected_gram,
     lambda_max_sup,
     parse_scheme,
 )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadySolvedError, ExactConvergence, UnsupportedError
+from .errors import UnsupportedError
 from .linalg import Matrix, spectral_quantities
 from .sampling import (
     FixedIdentity,
@@ -18,7 +18,6 @@ from .sampling import (
 
 __all__ = [
     "BoundReport",
-    "rse",
     "convergence_factor",
     "theoretical_bound",
     "contraction_check",
@@ -39,25 +38,13 @@ class BoundReport:
     is_estimate: bool
 
 
-def rse(x, min_norm, x0) -> float:
-    """Squared relative solution error ||x - A^+b||^2 / ||x0 - A^+b||^2."""
-    x = np.asarray(x, dtype=np.float64)
-    min_norm = np.asarray(min_norm, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
-    den = float(np.sum((x0 - min_norm) ** 2))
-    if den == 0.0:
-        raise AlreadySolvedError("x0 equals the min-norm solution; RSE undefined")
-    return float(np.sum((x - min_norm) ** 2)) / den
-
-
 def convergence_factor(final_rse: float, K: int) -> float:
-    """Geometric per-iteration contraction rho = final_rse^(1/K)."""
+    """Geometric per-iteration contraction rho = final_rse^(1/K); exact
+    convergence (final_rse = 0) gives 0."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if final_rse == 0.0:
-        raise ExactConvergence("exact convergence; geometric factor undefined")
-    if not 0.0 < final_rse <= 1.0:
-        raise ValueError(f"final_rse={final_rse} outside (0, 1]")
+    if not 0.0 <= final_rse <= 1.0:
+        raise ValueError(f"final_rse={final_rse} outside [0, 1]")
     return float(final_rse ** (1.0 / K))
 
 

@@ -25,7 +25,6 @@ from . import analysis
 from .errors import (
     BreakdownError,
     DegenerateDirectionError,
-    ExactConvergence,
     InconsistentSystemError,
     InvalidBlockSizeError,
     InvalidRankError,
@@ -310,8 +309,15 @@ def _materialize(cfg: ExperimentConfig, system):
     return spec.materialize(system.A, cfg.seed)
 
 
+def _check_pairing(solvers, scheme: str) -> None:
+    """The fixed-parameter baseline is defined on partition sampling only."""
+    if "mrabk" in solvers and parse_scheme(scheme).variant != "partition":
+        raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {scheme!r}")
+
+
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
+    _check_pairing([cfg.solver], cfg.scheme)
     system = build_system(cfg)
     scheme = _materialize(cfg, system) if cfg.solver != "cgne" else None
     results = run_trials(system, scheme, cfg)
@@ -339,6 +345,7 @@ def cmd_sweep(args) -> int:
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
     p_list = [int(p) for p in args.p_list.split(",")]
     solvers = args.solver.split(",")
+    _check_pairing(solvers, cfg.scheme)
     system = build_system(cfg)
     m = system.A.rows
     rows, failures = [], []
@@ -351,14 +358,9 @@ def cmd_sweep(args) -> int:
             failures += [e for e in results if not isinstance(e, Trace)]
             iters = np.array([t.iterations for t in traces], dtype=float)
             finals = np.array([max(t.final_rse, 0.0) for t in traces])
-            factors = []
-            for t in traces:
-                if t.iterations == 0 or t.final_rse > 1.0:
-                    continue  # no step, or the error grew: no contraction factor
-                try:
-                    factors.append(analysis.convergence_factor(t.final_rse, t.iterations))
-                except ExactConvergence:
-                    factors.append(0.0)
+            # no step, or the error grew: no contraction factor
+            factors = [analysis.convergence_factor(t.final_rse, t.iterations)
+                       for t in traces if t.iterations > 0 and t.final_rse <= 1.0]
             rows.append({
                 "p": p,
                 "solver": solver,

@@ -43,11 +43,3 @@ class BreakdownError(MomsolveError):
 
 class DivergedError(BreakdownError):
     """The iterate blew up: the relative solution error is no longer finite."""
-
-
-class AlreadySolvedError(MomsolveError):
-    """x0 already equals the min-norm solution; RSE is undefined."""
-
-
-class ExactConvergence(MomsolveError):
-    """Sentinel raised when the final RSE is exactly zero."""

@@ -28,36 +28,30 @@ __all__ = [
 class Matrix:
     """Immutable dense (row-major) or CSR real matrix with cached row norms.
 
-    Construct via :meth:`from_dense` or :meth:`from_scipy` (any scipy
-    sparse format, CSR included).
+    ``data`` is the storage: a read-only ndarray, or a scipy CSR matrix when
+    ``is_sparse``. Construct via :meth:`from_dense` or :meth:`from_scipy`
+    (any scipy sparse format, CSR included).
     """
 
-    __slots__ = ("rows", "cols", "_dense", "_csr", "row_norms_sq", "fro_norm_sq")
+    __slots__ = ("rows", "cols", "data", "is_sparse", "row_norms_sq", "fro_norm_sq")
 
-    def __init__(self, *, dense=None, csr=None):
-        if (dense is None) == (csr is None):
-            raise ValueError("exactly one of dense/csr must be given")
-        if dense is not None:
-            dense = np.ascontiguousarray(np.asarray(dense, dtype=np.float64))
-            if dense.ndim != 2:
-                raise ValueError("dense matrix must be 2-D")
-            if not np.isfinite(dense).all():
-                raise ValueError("matrix has non-finite entries")
-            dense.setflags(write=False)
-            self._dense = dense
-            self._csr = None
-            self.rows, self.cols = dense.shape
-            self.row_norms_sq = np.einsum("ij,ij->i", dense, dense)
+    def __init__(self, data):
+        self.is_sparse = sp.issparse(data)
+        if self.is_sparse:
+            data = data.tocsr().astype(np.float64)
+            data.sum_duplicates()
+            data.sort_indices()
         else:
-            csr = csr.tocsr().astype(np.float64)
-            csr.sum_duplicates()
-            csr.sort_indices()
-            if not np.isfinite(csr.data).all():
-                raise ValueError("matrix has non-finite entries")
-            self._dense = None
-            self._csr = csr
-            self.rows, self.cols = csr.shape
-            self.row_norms_sq = np.asarray(csr.multiply(csr).sum(axis=1)).ravel()
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            if data.ndim != 2:
+                raise ValueError("dense matrix must be 2-D")
+            data.setflags(write=False)
+        if not np.isfinite(data.data if self.is_sparse else data).all():
+            raise ValueError("matrix has non-finite entries")
+        self.data = data
+        self.row_norms_sq = (np.asarray(data.multiply(data).sum(axis=1)).ravel() if self.is_sparse
+                             else np.einsum("ij,ij->i", data, data))
+        self.rows, self.cols = data.shape
         self.row_norms_sq.setflags(write=False)
         self.fro_norm_sq = float(self.row_norms_sq.sum())
 
@@ -65,26 +59,22 @@ class Matrix:
 
     @classmethod
     def from_dense(cls, values) -> "Matrix":
-        return cls(dense=values)
+        return cls(np.asarray(values, dtype=np.float64))
 
     @classmethod
     def from_scipy(cls, matrix) -> "Matrix":
-        return cls(csr=sp.csr_matrix(matrix))
+        return cls(sp.csr_matrix(matrix))
 
     # -- storage views -------------------------------------------------
-
-    @property
-    def is_sparse(self) -> bool:
-        return self._csr is not None
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def toarray(self, order="C") -> np.ndarray:
-        if self._dense is not None:
-            return np.array(self._dense, order=order)
-        return self._csr.toarray(order=order)
+        if self.is_sparse:
+            return self.data.toarray(order=order)
+        return np.array(self.data, order=order)
 
     # -- products --------------------------------------------------------
 
@@ -92,23 +82,18 @@ class Matrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cols,):
             raise ValueError(f"matvec: expected vector of length {self.cols}, got {x.shape}")
-        if self._dense is not None:
-            return self._dense @ x
-        return self._csr @ x
+        return self.data @ x
 
     def rmatvec(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.rows,):
             raise ValueError(f"rmatvec: expected vector of length {self.rows}, got {y.shape}")
-        if self._dense is not None:
-            return self._dense.T @ y
-        return self._csr.T @ y
+        return self.data.T @ y
 
     def row_block(self, idx) -> np.ndarray:
         """Selected rows as a dense array (small blocks only)."""
-        if self._dense is not None:
-            return np.array(self._dense[idx])
-        return self._csr[idx].toarray()
+        block = self.data[idx]
+        return block.toarray() if self.is_sparse else np.array(block)
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
@@ -118,8 +103,8 @@ class Matrix:
 def augmented(A: Matrix, b: np.ndarray):
     """[A | −b] in A's own storage: an ndarray, or CSR for a sparse A."""
     if A.is_sparse:
-        return sp.hstack([A._csr, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
-    return np.hstack([A._dense, -b.reshape(-1, 1)])
+        return sp.hstack([A.data, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
+    return np.hstack([A.data, -b.reshape(-1, 1)])
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,7 @@ def _lsqr_solution(A: Matrix, b: np.ndarray, cut: float) -> np.ndarray | None:
     2·min(m, n) iterations without convergence, leaves the system to SVD."""
     from scipy.sparse.linalg import lsqr
 
-    x, istop = lsqr(A._csr, b, atol=0.0, btol=0.0, conlim=1.0 / cut,
+    x, istop = lsqr(A.data, b, atol=0.0, btol=0.0, conlim=1.0 / cut,
                     iter_lim=2 * min(A.shape))[:2]
     # 0: A^T b = 0; 1, 2: exact; 4, 5: within machine precision
     return x if istop in (0, 1, 2, 4, 5) else None

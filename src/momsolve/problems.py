@@ -44,7 +44,7 @@ class LinearSystem:
     @functools.cached_property
     def residual_table(self) -> np.ndarray:
         """A·R[:, :n]^T: row i is row i of A mapped through R."""
-        table = self.A._dense.dot(self.residual_factor[:, :self.A.cols].T)
+        table = self.A.data.dot(self.residual_factor[:, :self.A.cols].T)
         table.setflags(write=False)
         return table
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlockSizeError, UnsupportedError
+from .errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
 from .linalg import Matrix, augmented
 from .problems import LinearSystem
 
@@ -27,7 +27,6 @@ __all__ = [
     "SchemeSpec",
     "parse_scheme",
     "build_partition",
-    "expected_gram",
     "lambda_max_sup",
     "LambdaMaxResult",
     "UNIFORM_SUPPORT_CAP",
@@ -230,15 +229,6 @@ def _uniform_draws(rng, aug, table, scale, m, p):
 # Bound quantities
 # ---------------------------------------------------------------------------
 
-def expected_gram(scheme, A: Matrix) -> np.ndarray:
-    """Closed-form E[S S^T] for the shipped schemes."""
-    if isinstance(scheme, FixedIdentity):
-        return np.eye(A.rows)
-    if isinstance(scheme, (SingleRowWeighted, UniformBlock, PartitionBlock)):
-        return np.eye(A.rows) / A.fro_norm_sq
-    raise UnsupportedError(f"no closed-form expected gram for {scheme!r}")
-
-
 @dataclass(frozen=True)
 class LambdaMaxResult:
     value: float
@@ -262,15 +252,16 @@ def block_spectral_norm_sq(A: Matrix, idx) -> float:
 
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     """sup over the scheme's support of lambda_max(A^T S S^T A)."""
+    if A.fro_norm_sq == 0.0:
+        raise ZeroMatrixError("lambda_max_sup: zero matrix")
     if isinstance(scheme, SingleRowWeighted):
         return LambdaMaxResult(1.0)
     if isinstance(scheme, FixedIdentity):
         return LambdaMaxResult(block_spectral_norm_sq(A, np.arange(A.rows)))
     if isinstance(scheme, PartitionBlock):
-        worst = max(
-            block_spectral_norm_sq(A, blk) / A.row_norms_sq[blk].sum()
-            for blk in scheme.blocks
-        )
+        # a block of zero rows has probability 0, so it is not in the support
+        worst = max(block_spectral_norm_sq(A, blk) / w for blk in scheme.blocks
+                    if (w := A.row_norms_sq[blk].sum()) > 0)
         return LambdaMaxResult(float(worst))
     if isinstance(scheme, UniformBlock):
         m, p = A.rows, scheme.p

@@ -487,6 +487,24 @@ class TestExitCodes:
         assert "config error" in captured.err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "mrabk", "--sampling", "row"],
+        ["sweep", "--solver", "mrabk", "--sampling", "uniform:8", "--p-list", "8"],
+        ["sweep", "--solver", "mbasic,mrabk", "--sampling", "uniform:8", "--p-list", "8"],
+    ], ids=["solve-row", "sweep-uniform", "sweep-second-solver"])
+    def test_mrabk_without_partition(self, tmp_path, capsys, monkeypatch, argv):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        out = tmp_path / "x"
+        rc = main([*argv, "--m", "40", "--n", "10", "--r", "10", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: mrabk requires partition:<p> sampling")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),
                    "--out", str(tmp_path / "x")])

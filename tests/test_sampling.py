@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import decode_block, dense_sketch, row_coded_rhs
-from momsolve.errors import InvalidBlockSizeError, UnsupportedError
+from momsolve.errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
 from momsolve.linalg import Matrix
 from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
@@ -20,7 +20,6 @@ from momsolve.sampling import (
     UniformBlock,
     block_spectral_norm_sq,
     build_partition,
-    expected_gram,
     lambda_max_sup,
     parse_scheme,
 )
@@ -177,14 +176,29 @@ class TestStructuredProducts:
 
 
 class TestExpectedGram:
+    """E[S S^T] = I / ||A||_F^2 for every randomized scheme (H = I/||A||_F^2
+    in the bound), and I for the identity scheme."""
+
     def test_uniform_block(self, rng):
+        # each row lies in a fraction p/m of the subsets, each scaled by
+        # (m/p)/||A||_F^2, so the average is exact
         A = Matrix.from_dense(rng.standard_normal((7, 4)))
-        np.testing.assert_allclose(expected_gram(UniformBlock(p=3), A),
-                                   np.eye(7) / A.fro_norm_sq)
+        sampler = _sampler(UniformBlock(p=3), A, rng)
+        acc = np.zeros((7, 7))
+        subsets = list(combinations(range(7), 3))
+        for J in subsets:
+            S = dense_sketch(np.array(J), np.sqrt(7 / 3 / A.fro_norm_sq), 7)
+            acc += S @ S.T / len(subsets)
+        np.testing.assert_allclose(acc, np.eye(7) / A.fro_norm_sq, atol=1e-15)
+        # the sampler's blocks carry the same scale
+        _, scale = decode_block(sampler.draw()[0], A)
+        np.testing.assert_allclose(scale, np.sqrt(7 / 3 / A.fro_norm_sq))
 
     def test_fixed_identity(self, rng):
+        # the single sample is S = I: its block is [A | -b] unscaled
         A = Matrix.from_dense(rng.standard_normal((4, 4)))
-        np.testing.assert_allclose(expected_gram(FixedIdentity(), A), np.eye(4))
+        fwd, _, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(4)), rng).draw()
+        np.testing.assert_array_equal(fwd[:, :4], A.toarray())
 
     def test_partition_monte_carlo(self, rng):
         A = Matrix.from_dense(rng.standard_normal((30, 10)))
@@ -195,7 +209,7 @@ class TestExpectedGram:
         for _ in range(n_draws):
             S = dense_sketch(*decode_block(sampler.draw()[0], A), 30)
             acc += S @ S.T
-        np.testing.assert_allclose(acc / n_draws, expected_gram(scheme, A), atol=5e-3)
+        np.testing.assert_allclose(acc / n_draws, np.eye(30) / A.fro_norm_sq, atol=5e-3)
 
     def test_single_row_closed_form_is_exact_average(self, rng):
         # sum over the support, weighted by probabilities, equals I/||A||_F^2
@@ -206,8 +220,7 @@ class TestExpectedGram:
         for i, (fwd, _, _) in enumerate(sampler.blocks):
             rows, scale = decode_block(fwd, A)
             acc[rows[0], rows[0]] = probs[i] * scale[0] ** 2
-        np.testing.assert_allclose(acc, expected_gram(SingleRowWeighted(), A),
-                                   atol=1e-13)
+        np.testing.assert_allclose(acc, np.eye(6) / A.fro_norm_sq, atol=1e-13)
 
 
 class TestLambdaMaxSup:
@@ -253,6 +266,21 @@ class TestLambdaMaxSup:
             M = dense.T @ S @ S.T @ dense
             worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
         assert res.value == pytest.approx(worst, rel=1e-10)
+
+    def test_partition_skips_zero_block(self):
+        # a block of zero rows has probability 0, so it is outside the
+        # support; first in the partition, its 0/0 used to make the sup NaN
+        A = Matrix.from_dense([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [1.0, 1.0]])
+        scheme = PartitionBlock(blocks=tuple(np.array([i]) for i in range(4)))
+        assert lambda_max_sup(scheme, A).value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scheme", [
+        SingleRowWeighted(), UniformBlock(p=2), FixedIdentity(),
+        PartitionBlock(blocks=(np.array([0, 1]), np.array([2, 3]))),
+    ], ids=["row", "uniform", "identity", "partition"])
+    def test_zero_matrix_rejected(self, scheme):
+        with pytest.raises(ZeroMatrixError):
+            lambda_max_sup(scheme, Matrix.from_dense(np.zeros((4, 2))))
 
     def test_large_uniform_support_is_estimate(self, rng):
         A = Matrix.from_dense(rng.standard_normal((60, 5)))

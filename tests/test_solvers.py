@@ -200,6 +200,18 @@ class TestSolverRuns:
         assert trace.iterations == 0
         assert trace.reason == "already_solved"
 
+    @pytest.mark.parametrize("solve", [solve_modified_basic, solve_ashbm, solve_scg])
+    def test_rse_is_relative_squared_error(self, rng, solve):
+        # rse[k-1] = ||x_k - A^+b||^2 / ||x_0 - A^+b||^2 with x_0 = 0
+        dense = rng.standard_normal((12, 6))
+        sys_ = _system(dense, dense @ rng.standard_normal(6))
+        _, trace = solve(sys_, PartitionBlock.from_permutation(12, 3, seed=1),
+                         _cfg(max_iters=20), keep_iterates=True)
+        x_min = sys_.min_norm
+        expected = [np.sum((x - x_min) ** 2) / np.sum(x_min ** 2) for x in trace.iterates]
+        assert len(expected) == trace.iterations > 0
+        np.testing.assert_allclose(trace.rse, expected, rtol=1e-10, atol=1e-15)
+
     def test_orthogonal_rows_two_steps(self):
         sys_ = attach_min_norm(
             LinearSystem(A=Matrix.from_dense(np.eye(2)), b=np.array([1.0, 1.0]))
