@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
-from .sampling import parse_scheme
+from .sampling import BlockSampler, parse_scheme
 from .seeds import trial_seed
 from .solvers import SOLVER_IDS, SolverConfig, Trace, solve_cgne
 
@@ -167,30 +166,41 @@ def write_matrix_market(path, A: Matrix) -> None:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _run_one(system, scheme, cfg: ExperimentConfig, trial: int):
-    """Trial ``trial``'s trace, or the MomsolveError that ended it."""
-    solver_cfg = cfg.solver_config(trial)
-    try:
-        if cfg.solver == "cgne":
-            return solve_cgne(system, solver_cfg)[1]
-        return SOLVER_IDS[cfg.solver](system, scheme, solver_cfg)[1]
-    except MomsolveError as exc:
-        return exc
-
-
-def run_trials(system, scheme, cfg: ExperimentConfig):
-    """Run cfg.trials independent seeded runs; per-trial errors are captured
-    without aborting the other trials. More workers than one run them in
-    processes, one chunk of trials each, so a chunk factors its copy of the
-    system once."""
-    if cfg.solver not in SOLVER_IDS:
-        raise ValueError(f"unknown solver {cfg.solver!r}")
-    run = functools.partial(_run_one, system, scheme, cfg)
-    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+def run_trials(system, cells, workers: int):
+    """One result list per ``(ExperimentConfig, scheme)`` cell: each trial's
+    trace, or the MomsolveError that ended it. More workers than one run in
+    one pool of processes; worker w takes trials w, w + W, ... of every
+    cell, so it receives the system once and factors it once."""
+    workers = min(workers, max(cfg.trials for cfg, _ in cells), os.cpu_count() or 1)
     if workers == 1:
-        return list(map(run, range(cfg.trials)))
+        return _run_share(system, cells, 0, 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(cfg.trials), chunksize=-(-cfg.trials // workers)))
+        futures = [pool.submit(_run_share, system, cells, w, workers) for w in range(workers)]
+        shares = [f.result() for f in futures]
+    return [[shares[i % workers][c][i // workers] for i in range(cfg.trials)]
+            for c, (cfg, _) in enumerate(cells)]
+
+
+def _run_share(system, cells, first: int, step: int):
+    """Trials first, first + step, ... of every cell. Adjacent cells of one
+    scheme share its sampler, and one sampler at most is alive at a time."""
+    shares, sampler = [], None
+    for cfg, scheme in cells:
+        if cfg.solver == "cgne":
+            solve, args = solve_cgne, (system,)
+        else:
+            if getattr(sampler, "scheme", None) is not scheme:
+                sampler = None  # release the last scheme's blocks before binding
+                sampler = BlockSampler(scheme, system)
+            solve, args = SOLVER_IDS[cfg.solver], (system, sampler)
+        results = []
+        for i in range(first, cfg.trials, step):
+            try:
+                results.append(solve(*args, cfg.solver_config(i))[1])
+            except MomsolveError as exc:
+                results.append(exc)
+        shares.append(results)
+    return shares
 
 
 def summarize(results, seed: int) -> dict:
@@ -310,7 +320,9 @@ def _materialize(cfg: ExperimentConfig, system):
 
 
 def _check_pairing(solvers, scheme: str) -> None:
-    """The fixed-parameter baseline is defined on partition sampling only."""
+    """Solvers are known, and the fixed-parameter baseline gets partitions."""
+    if unknown := [s for s in solvers if s not in SOLVER_IDS]:
+        raise ValueError(f"unknown solver {unknown[0]!r}")
     if "mrabk" in solvers and parse_scheme(scheme).variant != "partition":
         raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {scheme!r}")
 
@@ -320,7 +332,7 @@ def cmd_solve(args) -> int:
     _check_pairing([cfg.solver], cfg.scheme)
     system = build_system(cfg)
     scheme = _materialize(cfg, system) if cfg.solver != "cgne" else None
-    results = run_trials(system, scheme, cfg)
+    (results,) = run_trials(system, [(cfg, scheme)], cfg.workers)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(results):
@@ -348,29 +360,29 @@ def cmd_sweep(args) -> int:
     _check_pairing(solvers, cfg.scheme)
     system = build_system(cfg)
     m = system.A.rows
+    schemes = {p: _materialize(dataclasses.replace(cfg, scheme=f"{base}:{p}"), system)
+               for p in p_list}
+    cells = [(dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver), schemes[p])
+             for p in p_list for solver in solvers]
     rows, failures = [], []
-    for p in p_list:
-        for solver in solvers:
-            sub = dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver)
-            scheme = _materialize(sub, system)
-            results = run_trials(system, scheme, sub)
-            traces = [t for t in results if isinstance(t, Trace)]
-            failures += [e for e in results if not isinstance(e, Trace)]
-            iters = np.array([t.iterations for t in traces], dtype=float)
-            finals = np.array([max(t.final_rse, 0.0) for t in traces])
-            # no step, or the error grew: no contraction factor
-            factors = [analysis.convergence_factor(t.final_rse, t.iterations)
-                       for t in traces if t.iterations > 0 and t.final_rse <= 1.0]
-            rows.append({
-                "p": p,
-                "solver": solver,
-                "iters_median": _median(iters),
-                "full_iters_median": _median(iters) * p / m,
-                "final_rse_median": _median(finals),
-                "conv_factor_median": _median(factors),
-                "trials": len(results),
-                "failed": len(results) - len(traces),
-            })
+    for (sub, scheme), results in zip(cells, run_trials(system, cells, cfg.workers)):
+        traces = [t for t in results if isinstance(t, Trace)]
+        failures += [e for e in results if not isinstance(e, Trace)]
+        iters = np.array([t.iterations for t in traces], dtype=float)
+        finals = np.array([max(t.final_rse, 0.0) for t in traces])
+        # no step, or the error grew: no contraction factor
+        factors = [analysis.convergence_factor(t.final_rse, t.iterations)
+                   for t in traces if t.iterations > 0 and t.final_rse <= 1.0]
+        rows.append({
+            "p": scheme.p,
+            "solver": sub.solver,
+            "iters_median": _median(iters),
+            "full_iters_median": _median(iters) * scheme.p / m,
+            "final_rse_median": _median(finals),
+            "conv_factor_median": _median(factors),
+            "trials": len(results),
+            "failed": len(results) - len(traces),
+        })
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"

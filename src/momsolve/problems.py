@@ -41,13 +41,6 @@ class LinearSystem:
         R.setflags(write=False)
         return R
 
-    @functools.cached_property
-    def residual_table(self) -> np.ndarray:
-        """A·R[:, :n]^T: row i is row i of A mapped through R."""
-        table = self.A.data.dot(self.residual_factor[:, :self.A.cols].T)
-        table.setflags(write=False)
-        return table
-
 
 def generate_gaussian_problem(m: int, n: int, r: int, kappa: float, seed: int) -> LinearSystem:
     """Dense A = U D V^T with orthonormal U (m x r), V (n x r) from QR of

@@ -8,6 +8,7 @@ products with the scaled row block; S is never materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 # Rejection-cap basis of ``uniform:<p>``. Its C(m, p) subsets are too many
-# to count against, so the sampler reports this fixed support size and a
+# to count against, so the sampler counts this many instead, and a
 # rejection loop gives up after 100 times as many zero sketches.
 UNIFORM_SUPPORT_CAP = 100
 
@@ -144,7 +145,9 @@ def _block_pair(aug):
 
 
 class BlockSampler:
-    """A sampling scheme bound to one system.
+    """A sampling scheme bound to one system, once per (system, scheme)
+    pair; ``draws(rng, carry)`` is one run's stream of draws from it. A
+    solver takes such a sampler, or a bare scheme that it binds for the run.
 
     Each support element J is cached once as the scaled augmented block
     ``[s·A_J | −s·b_J]``. With the augmented iterate ``xa = [x; 1]`` the
@@ -152,77 +155,83 @@ class BlockSampler:
     ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
     the last entry, ``−s b_J·t``).
 
-    With ``carry_residual``, each block also carries ``K_J = R[:, :n]·(s·A_J)^T``
-    from the system's ``residual_table``, R being its ``residual_factor``, so
-    that ``R·[A^T S t; 0] = K_J·t`` follows a step without a product with R.
-    K is cached only when every block has fewer rows than R, where ``K_J·t``
-    is the cheaper product; otherwise it is None.
+    A draw is ``(block, block^T, K)``. A run that carries its residual gets
+    ``K_J = R[:, :n]·(s·A_J)^T`` as K, R being the system's
+    ``residual_factor``, so that ``R·[A^T S t; 0] = K_J·t`` follows a step
+    without a product with R; ``residual_maps`` builds them on the first
+    such run. ``can_carry`` says whether every block has fewer rows than R,
+    where ``K_J·t`` is the cheaper product; otherwise K is None.
 
-    ``draw()`` returns the triple ``(block, block^T, K)`` of the next
-    sample. Weighted schemes (partition, row) draw their uniforms in chunks
-    with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its rows,
-    and scales a gather of the table for its K, on every draw; the identity
-    scheme always returns its single block.
+    Weighted schemes (partition, row, the identity's one block) draw their
+    uniforms in chunks with one ``searchsorted`` per chunk; ``uniform:<p>``
+    gathers its rows, and scales a gather of ``A·R[:, :n]^T`` for its K, on
+    every draw. Rejection gives up after ``len(attempts)`` draws: 100 per
+    support element, one for the identity, which a redraw cannot change.
     """
 
-    def __init__(self, scheme, system: LinearSystem, rng, carry_residual=False):
+    def __init__(self, scheme, system: LinearSystem):
         A = system.A
+        self.scheme, self.system = scheme, system
         if isinstance(scheme, UniformBlock):
             _check_block_size(scheme.p, A.rows)
         aug = augmented(A, system.b)
-        self.deterministic = isinstance(scheme, FixedIdentity)
         if isinstance(scheme, FixedIdentity):
-            self.blocks = [(*_block_pair(aug), None)]
-            self.support_size = 1
-            self.carries_residual = False
-            self.draw = itertools.repeat(self.blocks[0]).__next__
+            self.blocks, self.cum = [(*_block_pair(aug), None)], np.ones(1)
+            self.attempts = range(1)
+            self.can_carry = False
+            return
+        # R has min(m, n + 1) rows; a row block has one
+        self.can_carry = not A.is_sparse and getattr(scheme, "p", 1) < min(A.rows, A.cols + 1)
+        if isinstance(scheme, UniformBlock):
+            self.scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
+            aug *= self.scale
+            self.aug, self.blocks = aug, None
+            self.attempts = range(100 * UNIFORM_SUPPORT_CAP)
             return
         if isinstance(scheme, PartitionBlock):
             scheme.check_covers(A.rows)
-            rows = scheme.blocks
-            weights = np.array([A.row_norms_sq[blk].sum() for blk in rows])
-            largest = scheme.p
+            self.rows = scheme.blocks
+            weights = np.array([A.row_norms_sq[blk].sum() for blk in self.rows])
         elif isinstance(scheme, SingleRowWeighted):
-            rows = [np.array([i]) for i in range(A.rows)]
+            self.rows = [np.array([i]) for i in range(A.rows)]
             weights = A.row_norms_sq
-            largest = 1
-        elif isinstance(scheme, UniformBlock):
-            rows, largest = None, scheme.p
         else:
             raise TypeError(f"unsupported scheme {scheme!r}")
-        self.carries_residual = carry_residual and largest < min(A.rows, A.cols + 1)  # rows of R
+        self.scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
+        self.blocks = [(*_block_pair(aug[blk] * s), None)
+                       for blk, s in zip(self.rows, self.scales)]
+        self.attempts = range(100 * len(self.blocks))
+        self.cum = np.cumsum(weights / A.fro_norm_sq)
+
+    def describe(self) -> str:
+        return self.scheme.describe()
+
+    @functools.cached_property
+    def residual_maps(self):
+        """The blocks with their K_J; for ``uniform:<p>``, ``A·R[:, :n]^T``."""
+        A = self.system.A
         # row i of the table is R[:, :n]·A_i, so K_J = (s·table[J])^T
-        table = system.residual_table if self.carries_residual else None
-        if rows is None:
-            scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
-            aug *= scale
-            self.blocks = None
-            self.support_size = UNIFORM_SUPPORT_CAP
-            self.draw = _uniform_draws(rng, aug, table, scale, A.rows, scheme.p).__next__
-            return
-        scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
-        self.blocks = [
-            (*_block_pair(aug[blk] * s), None if table is None else (table[blk] * s).T)
-            for blk, s in zip(rows, scales)
-        ]
-        self.support_size = len(self.blocks)
-        cum = np.cumsum(weights / A.fro_norm_sq)
-        self.draw = _weighted_draws(rng, cum, self.blocks).__next__
+        table = A.data.dot(self.system.residual_factor[:, :A.cols].T)
+        if self.blocks is None:
+            return table
+        return [(fwd, bwd, (table[blk] * s).T)
+                for (fwd, bwd, _), blk, s in zip(self.blocks, self.rows, self.scales)]
 
-
-def _weighted_draws(rng, cum, blocks):
-    last = len(blocks) - 1
-    while True:
-        idx = np.searchsorted(cum, rng.random(_DRAW_CHUNK), side="right")
-        # cum[-1] may round to just below 1
-        for i in np.minimum(idx, last).tolist():
-            yield blocks[i]
-
-
-def _uniform_draws(rng, aug, table, scale, m, p):
-    while True:
-        rows = np.sort(rng.choice(m, size=p, replace=False))
-        yield (*_block_pair(aug[rows]), None if table is None else (table[rows] * scale).T)
+    def draws(self, rng, carry=False):
+        """One run's endless stream of draws, its randomness from ``rng``."""
+        if self.blocks is None:
+            table = self.residual_maps if carry else None
+            while True:
+                rows = np.sort(rng.choice(self.aug.shape[0], size=self.scheme.p, replace=False))
+                yield (*_block_pair(self.aug[rows]),
+                       None if table is None else (table[rows] * self.scale).T)
+        blocks = self.residual_maps if carry else self.blocks
+        last = len(blocks) - 1
+        while True:
+            idx = np.searchsorted(self.cum, rng.random(_DRAW_CHUNK), side="right")
+            # cum[-1] may round to just below 1
+            for i in np.minimum(idx, last).tolist():
+                yield blocks[i]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +302,6 @@ class SchemeSpec:
         if self.variant == "identity":
             return FixedIdentity()
         if self.variant == "uniform":
-            _check_block_size(self.p, A.rows)
             return UniformBlock(p=self.p)
         if self.variant == "partition":
             return PartitionBlock.from_permutation(A.rows, self.p, seed)

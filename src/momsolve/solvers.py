@@ -200,10 +200,10 @@ class _State:
 
 
 class _Run:
-    """State shared by the solver loops: the bound sampler, the two
-    working buffers (see ``_State``), the step weights and the trace
-    columns. The loops swap the buffers on every step, so the one not in
-    use holds the previous iterate.
+    """State shared by the solver loops: the run's draws, the two working
+    buffers (see ``_State``), the step weights and the trace columns. The
+    loops swap the buffers on every step, so the one not in use holds the
+    previous iterate.
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
@@ -214,24 +214,26 @@ class _Run:
         self.system, self.A, self.b = system, system.A, system.b
         self.config = config
         self.n = n = self.A.cols
-        carry_residual = carry_residual and config.track_residual and not self.A.is_sparse
-        rng = np.random.default_rng(config.seed)
-        self.sampler = BlockSampler(scheme, system, rng, carry_residual) if scheme else None
         threshold = config.zero_test_threshold
         if threshold is None:
             threshold = 1e-14 * (1.0 + float(np.linalg.norm(self.b)))
         self.threshold_sq = threshold ** 2
         self.b_inf = float(np.max(np.abs(self.b))) if len(self.b) else 0.0
-        self.cap = 100 * (self.sampler.support_size if self.sampler else 1)
-        # the identity scheme has one sample, so a rejection cannot help
-        self.attempts = range(1 if self.sampler and self.sampler.deterministic else self.cap)
         W = np.zeros((4, n + 1))
         W[0, n] = 1.0
         W[1, :n] = -system.min_norm
         self.states = (_State(W), _State(W.copy()))
         self.err0_sq = float(W[1].dot(W[1]))
-        # the loop that asked to carry R·xa does so when the blocks allow it
-        self.carry_residual = self.sampler is not None and self.sampler.carries_residual
+        self.carry_residual = False
+        if scheme is not None:
+            sampler = scheme if isinstance(scheme, BlockSampler) else BlockSampler(scheme, system)
+            if sampler.system is not system:
+                raise ValueError("the sampler is bound to another system")
+            # the loop that asked to carry R·xa does so when the blocks allow it
+            self.carry_residual = carry_residual and config.track_residual and sampler.can_carry
+            rng = np.random.default_rng(config.seed)
+            self.draw = sampler.draws(rng, self.carry_residual).__next__
+            self.attempts = sampler.attempts
         if self.carry_residual:
             for state in self.states:
                 state.carry(system.residual_factor)
@@ -253,7 +255,7 @@ class _Run:
     def draw_once(self, xa):
         """One draw; returns (block, block^T, K, t, ||t||^2) with
         t = S^T (Ax − b) and K the block's residual map (see BlockSampler)."""
-        fwd, bwd, K = self.sampler.draw()
+        fwd, bwd, K = self.draw()
         self.draws += 1
         t = fwd.dot(xa)
         return fwd, bwd, K, t, float(t.dot(t))
@@ -264,7 +266,7 @@ class _Run:
         Returns (block, block^T, K, t, ||t||^2) or None when the cap was
         reached with a residual already below tolerance (i.e. solved).
         """
-        thr2, draw = self.threshold_sq, self.sampler.draw
+        thr2, draw = self.threshold_sq, self.draw
         for _ in self.attempts:
             fwd, bwd, K = draw()
             self.draws += 1
@@ -276,7 +278,7 @@ class _Run:
         if float(np.max(np.abs(r))) <= self.config.rse_tolerance * (1.0 + self.b_inf):
             return None
         raise StalledSamplingError(
-            f"{self.cap} consecutive zero sketches with residual above tolerance"
+            f"{len(self.attempts)} consecutive zero sketches with residual above tolerance"
         )
 
     # -- bookkeeping -----------------------------------------------------
@@ -591,15 +593,16 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
     return run.finish(x, False, "max_iters")
 
 
-def solve_mrabk(system: LinearSystem, scheme: PartitionBlock, config: SolverConfig,
+def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
                 *, keep_iterates: bool = False, diagnostics: bool = False):
     """Fixed-parameter momentum baseline on partition sampling: constant
     step 1 / (tau ||A||_F^2) plus constant momentum beta."""
-    if not isinstance(scheme, PartitionBlock):
+    partition = scheme.scheme if isinstance(scheme, BlockSampler) else scheme
+    if not isinstance(partition, PartitionBlock):
         raise TypeError("the fixed-parameter baseline requires partition sampling")
 
     def fixed_rule(run):
-        step = (1.0 / (compute_tau(scheme, run.A) * run.A.fro_norm_sq), config.momentum_beta)
+        step = (1.0 / (compute_tau(partition, run.A) * run.A.fro_norm_sq), config.momentum_beta)
         return lambda k, tn2, cur: step
 
     return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,

@@ -266,13 +266,13 @@ def test_criterion_10_sampling_statistics():
     A = Matrix.from_dense(rng.standard_normal((100, 20)))
     scheme = PartitionBlock.from_permutation(100, 7, seed=99)
     probs = np.array([A.row_norms_sq[blk].sum() for blk in scheme.blocks]) / A.fro_norm_sq
-    sampler = BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A)), rng)
+    stream = BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A))).draws(rng)
     block_of_row = np.empty(A.rows, dtype=int)
     for i, blk in enumerate(scheme.blocks):
         block_of_row[blk] = i
     counts = np.zeros(len(scheme.blocks))
     for size in batches:
-        first_rows, _ = decode_block(np.stack([sampler.draw()[0][0] for _ in range(size)]), A)
+        first_rows, _ = decode_block(np.stack([next(stream)[0][0] for _ in range(size)]), A)
         counts += np.bincount(block_of_row[first_rows], minlength=len(scheme.blocks))
     sd = np.sqrt(draws * probs * (1.0 - probs))
     freq_dev = np.abs(counts - draws * probs) / sd
@@ -281,10 +281,10 @@ def test_criterion_10_sampling_statistics():
     # uniform-block Monte-Carlo second moment vs. the closed form
     B = Matrix.from_dense(rng.standard_normal((30, 10)))
     m, p = B.rows, 6
-    usampler = BlockSampler(UniformBlock(p=p), LinearSystem(B, row_coded_rhs(B)), rng)
+    ustream = BlockSampler(UniformBlock(p=p), LinearSystem(B, row_coded_rhs(B))).draws(rng)
     diag = np.zeros(30)
     for size in batches:
-        rows, scale = decode_block(np.stack([usampler.draw()[0] for _ in range(size)]), B)
+        rows, scale = decode_block(np.stack([next(ustream)[0] for _ in range(size)]), B)
         diag += np.bincount(rows.ravel(), weights=scale.ravel() ** 2, minlength=30)
     estimate = np.diag(diag / draws)
     target = np.eye(30) / B.fro_norm_sq

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from momsolve.problems import (
     generate_gaussian_problem,
     load_matrix_market,
 )
-from momsolve.sampling import PartitionBlock, SingleRowWeighted
+from momsolve.sampling import BlockSampler, PartitionBlock, SingleRowWeighted
 from momsolve.seeds import trial_seed
 from momsolve.solvers import SolverConfig, solve_ashbm, solve_basic
 from momsolve.analysis import theoretical_bound
@@ -359,6 +361,59 @@ class TestSharedSetUp:
             assert float(row["final_rse_median"]) == np.median([t.final_rse for t in traces])
 
 
+class TestOneRunner:
+    """``run_trials`` binds each scheme once per process and runs every cell
+    of a command in one pool."""
+
+    PROBLEM = ["--m", "60", "--n", "20", "--r", "20", "--kappa", "3", "--seed", "4",
+               "--tol", "1e-10", "--no-timing"]
+
+    def test_trials_of_a_cell_share_their_blocks(self, monkeypatch):
+        drawn = []
+        draws = BlockSampler.draws
+
+        def recording_draws(sampler, rng, carry=False):
+            drawn.append([])
+            for block in draws(sampler, rng, carry):
+                drawn[-1].append(block[0])
+                yield block
+
+        monkeypatch.setattr(BlockSampler, "draws", recording_draws)
+        cfg = ExperimentConfig(problem={"kind": "generate", "m": 60, "n": 20, "r": 20,
+                                        "kappa": 3.0},
+                               scheme="partition:30", solver="mbasic", trials=2,
+                               max_iters=20, record_timing=False)
+        system = cli.build_system(cfg)
+        (results,) = cli.run_trials(system, [(cfg, cli._materialize(cfg, system))], 1)
+        assert all(isinstance(r, cli.Trace) for r in results)
+        first, second = drawn
+        assert len(first) >= 20 and len(second) >= 20
+        # two blocks, each one array that both trials draw
+        assert len({id(block) for block in first + second}) == 2
+
+    def test_sweep_runs_in_one_pool(self, tmp_path, monkeypatch):
+        pools, tasks = [], []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["sweep", "--solver", "mbasic,ashbm", "--sampling", "partition:8",
+                "--p-list", "8,16", "--trials", "2", "--workers", "2",
+                "--out", str(tmp_path / "sw")] + self.PROBLEM
+        assert main(argv) == 0
+        assert len(pools) == 1
+        assert len(tasks) == 2
+        assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 1 + 4
+
+
 class TestBound:
     def test_orthonormal_rows_factor(self, tmp_path):
         mtx = tmp_path / "I10.mtx"
@@ -504,6 +559,32 @@ class TestExitCodes:
         assert captured.err.startswith("config error: mrabk requires partition:<p> sampling")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "nope"],
+        ["sweep", "--solver", "mbasic,nope", "--sampling", "partition:8", "--p-list", "8"],
+    ], ids=["solve", "sweep-second-solver"])
+    def test_unknown_solver_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("the command went past its checks")
+
+        monkeypatch.setattr(cli, "build_system", no_work)
+        monkeypatch.setattr(cli, "run_trials", no_work)
+        out = tmp_path / "x"
+        rc = main([*argv, "--m", "40", "--n", "10", "--r", "10", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: unknown solver 'nope'\n"
+        assert not out.exists()
+
+    def test_stalled_identity_run_reports_its_one_draw(self, tmp_path, capsys):
+        # the identity scheme has one sample, so its rejection loop stops
+        # after one draw, and the message says so
+        rc = main(["solve", "--m", "40", "--n", "10", "--r", "10", "--kappa", "2",
+                   "--solver", "mbasic", "--sampling", "identity", "--tol", "1e-30",
+                   "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        assert capsys.readouterr().err == ("solver breakdown: 1 consecutive zero sketches "
+                                           "with residual above tolerance\n")
 
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),

@@ -32,9 +32,9 @@ from momsolve.solvers import (
 )
 
 
-def _sampler(scheme, A, rng):
-    """``scheme`` bound to A with a row-coded right-hand side."""
-    return BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A)), rng)
+def _draws(scheme, A, rng):
+    """Draws from ``scheme`` bound to A with a row-coded right-hand side."""
+    return BlockSampler(scheme, LinearSystem(A, row_coded_rhs(A))).draws(rng)
 
 
 class TestBuildPartition:
@@ -72,17 +72,17 @@ class TestBuildPartition:
 class TestDraw:
     def test_fixed_identity(self, rng):
         A = Matrix.from_dense(np.eye(3))
-        sampler = _sampler(FixedIdentity(), A, rng)
-        first = sampler.draw()
+        draws = _draws(FixedIdentity(), A, rng)
+        first = next(draws)
         for _ in range(3):
-            assert sampler.draw() is first
+            assert next(draws) is first
         rows, scale = decode_block(first[0], A)
         np.testing.assert_array_equal(rows, np.arange(3))
         np.testing.assert_allclose(scale, 1.0)
 
     def test_uniform_block_shape_and_scale(self, rng):
         A = Matrix.from_dense(rng.standard_normal((12, 4)))
-        rows, scale = decode_block(_sampler(UniformBlock(p=3), A, rng).draw()[0], A)
+        rows, scale = decode_block(next(_draws(UniformBlock(p=3), A, rng))[0], A)
         assert len(rows) == 3
         assert len(set(rows.tolist())) == 3
         expected = np.sqrt(12 / 3) / np.sqrt(A.fro_norm_sq)
@@ -90,7 +90,7 @@ class TestDraw:
 
     def test_single_row_scale(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 4)))
-        rows, scale = decode_block(_sampler(SingleRowWeighted(), A, rng).draw()[0], A)
+        rows, scale = decode_block(next(_draws(SingleRowWeighted(), A, rng))[0], A)
         i = int(rows[0])
         assert len(rows) == 1
         assert scale[0] == pytest.approx(1.0 / np.sqrt(A.row_norms_sq[i]))
@@ -98,32 +98,32 @@ class TestDraw:
     def test_partition_op_is_a_block(self, rng):
         A = Matrix.from_dense(rng.standard_normal((10, 5)))
         scheme = PartitionBlock.from_permutation(10, 4, seed=1)
-        rows, scale = decode_block(_sampler(scheme, A, rng).draw()[0], A)
+        rows, scale = decode_block(next(_draws(scheme, A, rng))[0], A)
         assert any(np.array_equal(rows, blk) for blk in scheme.blocks)
         fro = np.sqrt(A.row_norms_sq[rows].sum())
         np.testing.assert_allclose(scale, 1.0 / fro)
 
     def test_row_probabilities_proportional_to_norms(self, rng):
         A = Matrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        sampler = _sampler(SingleRowWeighted(), A, rng)
+        stream = _draws(SingleRowWeighted(), A, rng)
         draws = 30000
-        counts = np.bincount([int(decode_block(sampler.draw()[0], A)[0][0])
+        counts = np.bincount([int(decode_block(next(stream)[0], A)[0][0])
                               for _ in range(draws)], minlength=3)
         probs = np.array([1.0, 4.0, 9.0]) / 14.0
         sd = np.sqrt(draws * probs * (1.0 - probs))
         assert np.all(np.abs(counts - draws * probs) <= 4.0 * sd)
 
     @pytest.mark.parametrize("m,p", [(4, 2), (40, 3)])
-    def test_uniform_support_size(self, rng, m, p):
+    def test_uniform_support_size(self, m, p):
         system = generate_gaussian_problem(m, 2, 2, 2.0, seed=0)
-        sampler = BlockSampler(UniformBlock(p=p), system, rng)
-        assert sampler.support_size == UNIFORM_SUPPORT_CAP
+        sampler = BlockSampler(UniformBlock(p=p), system)
+        assert sampler.attempts == range(100 * UNIFORM_SUPPORT_CAP)
 
     def test_partition_must_cover_rows(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
         bad = PartitionBlock(blocks=(np.array([0, 1]), np.array([2, 3])))
         with pytest.raises(ValueError):
-            BlockSampler(bad, LinearSystem(A, np.zeros(6)), rng)
+            BlockSampler(bad, LinearSystem(A, np.zeros(6)))
         # the solvers bind the sampler and must reject it as well
         system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         half = PartitionBlock(blocks=(np.arange(0, 5), np.arange(5, 10)))
@@ -134,7 +134,7 @@ class TestDraw:
     def test_uniform_block_size_checked(self, rng, p):
         system = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
-            BlockSampler(UniformBlock(p=p), system, rng)
+            BlockSampler(UniformBlock(p=p), system)
         for solve in (solve_basic, solve_modified_basic, solve_ashbm, solve_scg):
             with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=20"):
                 solve(system, UniformBlock(p=p), SolverConfig(seed=0, record_timing=False))
@@ -148,13 +148,13 @@ class TestStructuredProducts:
 
     def test_transpose_single_row(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, np.zeros(2)), rng)
+        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, np.zeros(2)))
         fwd, _, _ = sampler.blocks[1]
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [5.0])
 
     def test_transpose_identity(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        fwd, _, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(2)), rng).draw()
+        fwd, _, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(2))).draws(rng))
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [3.0, 5.0])
 
     def test_matches_dense_sketch(self, rng):
@@ -162,7 +162,7 @@ class TestStructuredProducts:
         b = row_coded_rhs(A)
         x = rng.standard_normal(8)
         w = rng.standard_normal(3)
-        fwd, bwd, _ = BlockSampler(UniformBlock(p=3), LinearSystem(A, b), rng).draw()
+        fwd, bwd, _ = next(BlockSampler(UniformBlock(p=3), LinearSystem(A, b)).draws(rng))
         S = dense_sketch(*decode_block(fwd, A), 15)
         np.testing.assert_allclose(fwd.dot(np.append(x, 1.0)), S.T @ (A.matvec(x) - b),
                                    atol=1e-12)
@@ -171,7 +171,7 @@ class TestStructuredProducts:
     def test_identity_pullback(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 4)))
         w = rng.standard_normal(5)
-        _, bwd, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(5)), rng).draw()
+        _, bwd, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(5))).draws(rng))
         np.testing.assert_allclose(bwd.dot(w)[:4], A.toarray().T @ w, atol=1e-13)
 
 
@@ -183,7 +183,7 @@ class TestExpectedGram:
         # each row lies in a fraction p/m of the subsets, each scaled by
         # (m/p)/||A||_F^2, so the average is exact
         A = Matrix.from_dense(rng.standard_normal((7, 4)))
-        sampler = _sampler(UniformBlock(p=3), A, rng)
+        draws = _draws(UniformBlock(p=3), A, rng)
         acc = np.zeros((7, 7))
         subsets = list(combinations(range(7), 3))
         for J in subsets:
@@ -191,30 +191,30 @@ class TestExpectedGram:
             acc += S @ S.T / len(subsets)
         np.testing.assert_allclose(acc, np.eye(7) / A.fro_norm_sq, atol=1e-15)
         # the sampler's blocks carry the same scale
-        _, scale = decode_block(sampler.draw()[0], A)
+        _, scale = decode_block(next(draws)[0], A)
         np.testing.assert_allclose(scale, np.sqrt(7 / 3 / A.fro_norm_sq))
 
     def test_fixed_identity(self, rng):
         # the single sample is S = I: its block is [A | -b] unscaled
         A = Matrix.from_dense(rng.standard_normal((4, 4)))
-        fwd, _, _ = BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(4)), rng).draw()
+        fwd, _, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(4))).draws(rng))
         np.testing.assert_array_equal(fwd[:, :4], A.toarray())
 
     def test_partition_monte_carlo(self, rng):
         A = Matrix.from_dense(rng.standard_normal((30, 10)))
         scheme = PartitionBlock.from_permutation(30, 7, seed=2)
-        sampler = _sampler(scheme, A, rng)
+        draws = _draws(scheme, A, rng)
         acc = np.zeros((30, 30))
         n_draws = 20000
         for _ in range(n_draws):
-            S = dense_sketch(*decode_block(sampler.draw()[0], A), 30)
+            S = dense_sketch(*decode_block(next(draws)[0], A), 30)
             acc += S @ S.T
         np.testing.assert_allclose(acc / n_draws, np.eye(30) / A.fro_norm_sq, atol=5e-3)
 
     def test_single_row_closed_form_is_exact_average(self, rng):
         # sum over the support, weighted by probabilities, equals I/||A||_F^2
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
-        sampler = _sampler(SingleRowWeighted(), A, rng)
+        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, row_coded_rhs(A)))
         probs = A.row_norms_sq / A.fro_norm_sq
         acc = np.zeros((6, 6))
         for i, (fwd, _, _) in enumerate(sampler.blocks):

@@ -149,10 +149,10 @@ class TestAshbmParameters:
         target = min_norm_solution(A, b)
         state, trace = solve_ashbm(sys_, SingleRowWeighted(), _cfg(max_iters=2, seed=4))
         assert trace.sample_draws == 2
-        sampler = BlockSampler(SingleRowWeighted(), sys_, np.random.default_rng(4))
+        draws = BlockSampler(SingleRowWeighted(), sys_).draws(np.random.default_rng(4))
 
         def gradient(x):
-            fwd, bwd, _ = sampler.draw()
+            fwd, bwd, _ = next(draws)
             t = fwd.dot(np.append(x, 1.0))
             return bwd.dot(t)[:20], float(t @ t)
 
@@ -510,8 +510,8 @@ class TestResidualChannel:
         assert calls == []
         solve_ashbm(sys_, scheme, _cfg(max_iters=50))
         assert calls == ["r"]
-        # the factor and its table are the system's, so later tracked runs
-        # on it, carried (ashbm) or not (scg), factor nothing again
+        # the factor is the system's, so later tracked runs on it, carried
+        # (ashbm) or not (scg), factor nothing again
         solve_ashbm(sys_, scheme, _cfg(max_iters=50, seed=4))
         solve_scg(sys_, scheme, _cfg(max_iters=50))
         assert calls == ["r"]
