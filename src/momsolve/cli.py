@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
-from .sampling import BlockSampler, parse_scheme
+from .sampling import BlockSampler, _check_block_size, parse_scheme
 from .seeds import trial_seed
 from .solvers import SOLVER_IDS, SolverConfig, Trace, solve_cgne
 
@@ -69,30 +69,35 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        # checked here so that flags and --config files are held to it alike
+        # every check that needs no system, so that flags, --config files
+        # and sweep cells are held to it alike before a system is built;
+        # only p <= m waits for the system
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if type(value) not in _FIELD_TYPES[f.type]:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
             if f.name in ("trials", "workers") and value < 1:
                 raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {self.fmt!r}")
+        if self.solver not in SOLVER_IDS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if parse_scheme(self.scheme).variant != "partition" and self.solver == "mrabk":
+            raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {self.scheme!r}")
+        self.solver_config(0).validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            return cls(**d)
-        except TypeError as exc:  # not an object, an unknown key or no problem
-            raise ValueError(f"bad config: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls(**json.loads(text))
+        except TypeError as exc:  # not an object, an unknown key or no problem
+            raise ValueError(f"bad config: {exc}") from exc
 
     def solver_config(self, trial: int) -> SolverConfig:
         return SolverConfig(
@@ -167,40 +172,44 @@ def write_matrix_market(path, A: Matrix) -> None:
 # ---------------------------------------------------------------------------
 
 def run_trials(system, cells, workers: int):
-    """One result list per ``(ExperimentConfig, scheme)`` cell: each trial's
-    trace, or the MomsolveError that ended it. More workers than one run in
-    one pool of processes; worker w takes trials w, w + W, ... of every
-    cell, so it receives the system once and factors it once."""
-    workers = min(workers, max(cfg.trials for cfg, _ in cells), os.cpu_count() or 1)
+    """One result list per ExperimentConfig cell: each trial's trace, or
+    the MomsolveError that ended it. The cells' (cell, trial) tasks form one
+    list; more workers than one run in one pool of processes, and worker w
+    takes tasks w, w + W, ..., so it receives the system once and factors
+    it once."""
+    tasks = [(cfg, i) for cfg in cells for i in range(cfg.trials)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        return _run_share(system, cells, 0, 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_share, system, cells, w, workers) for w in range(workers)]
-        shares = [f.result() for f in futures]
-    return [[shares[i % workers][c][i // workers] for i in range(cfg.trials)]
-            for c, (cfg, _) in enumerate(cells)]
+        done = _run_tasks(system, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_tasks, system, tasks[w::workers])
+                       for w in range(workers)]
+            shares = [f.result() for f in futures]
+        done = [shares[j % workers][j // workers] for j in range(len(tasks))]
+    results = iter(done)
+    return [[next(results) for _ in range(cfg.trials)] for cfg in cells]
 
 
-def _run_share(system, cells, first: int, step: int):
-    """Trials first, first + step, ... of every cell. Adjacent cells of one
-    scheme share its sampler, and one sampler at most is alive at a time."""
-    shares, sampler = [], None
-    for cfg, scheme in cells:
+def _run_tasks(system, tasks):
+    """Run (cell, trial) tasks in order. Consecutive tasks of one (scheme,
+    seed) share its bound sampler, and one sampler at most is alive at a
+    time."""
+    results, key, sampler = [], None, None
+    for cfg, i in tasks:
         if cfg.solver == "cgne":
             solve, args = solve_cgne, (system,)
         else:
-            if getattr(sampler, "scheme", None) is not scheme:
+            if (cfg.scheme, cfg.seed) != key:
                 sampler = None  # release the last scheme's blocks before binding
-                sampler = BlockSampler(scheme, system)
+                scheme = parse_scheme(cfg.scheme).materialize(system.A, cfg.seed)
+                sampler, key = BlockSampler(scheme, system), (cfg.scheme, cfg.seed)
             solve, args = SOLVER_IDS[cfg.solver], (system, sampler)
-        results = []
-        for i in range(first, cfg.trials, step):
-            try:
-                results.append(solve(*args, cfg.solver_config(i))[1])
-            except MomsolveError as exc:
-                results.append(exc)
-        shares.append(results)
-    return shares
+        try:
+            results.append(solve(*args, cfg.solver_config(i))[1])
+        except MomsolveError as exc:
+            results.append(exc)
+    return results
 
 
 def summarize(results, seed: int) -> dict:
@@ -286,7 +295,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, solver=None) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             return ExperimentConfig.from_json(fh.read())
@@ -300,7 +309,7 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         problem=problem,
         scheme=args.sampling,
-        solver=args.solver,
+        solver=solver or args.solver,
         trials=args.trials,
         seed=args.seed,
         zeta=args.zeta,
@@ -314,25 +323,10 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _materialize(cfg: ExperimentConfig, system):
-    spec = parse_scheme(cfg.scheme)
-    return spec.materialize(system.A, cfg.seed)
-
-
-def _check_pairing(solvers, scheme: str) -> None:
-    """Solvers are known, and the fixed-parameter baseline gets partitions."""
-    if unknown := [s for s in solvers if s not in SOLVER_IDS]:
-        raise ValueError(f"unknown solver {unknown[0]!r}")
-    if "mrabk" in solvers and parse_scheme(scheme).variant != "partition":
-        raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {scheme!r}")
-
-
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    _check_pairing([cfg.solver], cfg.scheme)
     system = build_system(cfg)
-    scheme = _materialize(cfg, system) if cfg.solver != "cgne" else None
-    (results,) = run_trials(system, [(cfg, scheme)], cfg.workers)
+    (results,) = run_trials(system, [cfg], cfg.workers)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(results):
@@ -351,21 +345,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
+    solvers = args.solver.split(",")
+    cfg = _config_from_args(args, solvers[0])
     base = cfg.scheme.split(":")[0]
     if base not in ("uniform", "partition"):
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
     p_list = [int(p) for p in args.p_list.split(",")]
-    solvers = args.solver.split(",")
-    _check_pairing(solvers, cfg.scheme)
+    cells = [dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver)
+             for p in p_list for solver in solvers]
     system = build_system(cfg)
     m = system.A.rows
-    schemes = {p: _materialize(dataclasses.replace(cfg, scheme=f"{base}:{p}"), system)
-               for p in p_list}
-    cells = [(dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver), schemes[p])
-             for p in p_list for solver in solvers]
+    for p in p_list:  # p <= m needs the system; check it before any cell runs
+        _check_block_size(p, m)
     rows, failures = [], []
-    for (sub, scheme), results in zip(cells, run_trials(system, cells, cfg.workers)):
+    for sub, results in zip(cells, run_trials(system, cells, cfg.workers)):
+        p = parse_scheme(sub.scheme).p
         traces = [t for t in results if isinstance(t, Trace)]
         failures += [e for e in results if not isinstance(e, Trace)]
         iters = np.array([t.iterations for t in traces], dtype=float)
@@ -374,10 +368,10 @@ def cmd_sweep(args) -> int:
         factors = [analysis.convergence_factor(t.final_rse, t.iterations)
                    for t in traces if t.iterations > 0 and t.final_rse <= 1.0]
         rows.append({
-            "p": scheme.p,
+            "p": p,
             "solver": sub.solver,
             "iters_median": _median(iters),
-            "full_iters_median": _median(iters) * scheme.p / m,
+            "full_iters_median": _median(iters) * p / m,
             "final_rse_median": _median(finals),
             "conv_factor_median": _median(factors),
             "trials": len(results),
@@ -402,7 +396,7 @@ def cmd_bound(args) -> int:
     # the report depends only on A and the scheme, so the oracle is skipped
     cfg = _config_from_args(args)
     system = _load_system(cfg)
-    scheme = _materialize(cfg, system)
+    scheme = parse_scheme(cfg.scheme).materialize(system.A, cfg.seed)
     report = analysis.theoretical_bound(scheme, system.A, cfg.zeta)
     factor = report.per_iter_factor
     curve = []

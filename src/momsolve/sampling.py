@@ -28,6 +28,7 @@ __all__ = [
     "SchemeSpec",
     "parse_scheme",
     "build_partition",
+    "compute_tau",
     "lambda_max_sup",
     "LambdaMaxResult",
     "UNIFORM_SUPPORT_CAP",
@@ -207,6 +208,11 @@ class BlockSampler:
         return self.scheme.describe()
 
     @functools.cached_property
+    def tau(self) -> float:
+        """``compute_tau`` of the bound partition, made on first use."""
+        return compute_tau(self.scheme, self.system.A)
+
+    @functools.cached_property
     def residual_maps(self):
         """The blocks with their K_J; for ``uniform:<p>``, ``A·R[:, :n]^T``."""
         A = self.system.A
@@ -283,6 +289,12 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
         worst = max(block_spectral_norm_sq(A, np.array(J)) for J in subsets)
         return LambdaMaxResult(factor * worst, is_estimate=not exact)
     raise UnsupportedError(f"lambda_max_sup not defined for {scheme!r}")
+
+
+def compute_tau(partition: PartitionBlock, A: Matrix) -> float:
+    """Step-size constant for the fixed-parameter momentum baseline:
+    tau = max_i ||A_Ii||_2^2 / ||A_Ii||_F^2 / ||A||_F^2."""
+    return lambda_max_sup(partition, A).value / A.fro_norm_sq
 
 
 # ---------------------------------------------------------------------------

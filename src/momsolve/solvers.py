@@ -30,9 +30,8 @@ from .errors import (
     DivergedError,
     StalledSamplingError,
 )
-from .linalg import Matrix
 from .problems import LinearSystem
-from .sampling import BlockSampler, PartitionBlock, lambda_max_sup
+from .sampling import BlockSampler, PartitionBlock, compute_tau
 
 __all__ = [
     "SolverConfig",
@@ -156,12 +155,6 @@ def ashbm_parameters(dn2: float, gd: float, gn2: float, s: float) -> tuple[float
     return dn2 * s / det, gd * s / det
 
 
-def compute_tau(partition: PartitionBlock, A: Matrix) -> float:
-    """Step-size constant for the fixed-parameter momentum baseline:
-    tau = max_i ||A_Ii||_2^2 / ||A_Ii||_F^2 / ||A||_F^2."""
-    return lambda_max_sup(partition, A).value / A.fro_norm_sq
-
-
 # ---------------------------------------------------------------------------
 # Shared run machinery
 # ---------------------------------------------------------------------------
@@ -274,8 +267,7 @@ class _Run:
             tn2 = float(t.dot(t))
             if tn2 > thr2:
                 return fwd, bwd, K, t, tn2
-        r = self.A.matvec(xa[:self.n]) - self.b
-        if float(np.max(np.abs(r))) <= self.config.rse_tolerance * (1.0 + self.b_inf):
+        if self.solved(self.A.matvec(xa[:self.n]) - self.b):
             return None
         raise StalledSamplingError(
             f"{len(self.attempts)} consecutive zero sketches with residual above tolerance"
@@ -283,17 +275,17 @@ class _Run:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def residual_norm(self, xa) -> float:
-        """||Ax − b|| from the full product with A."""
-        r = self.A.matvec(xa[:self.n]) - self.b
-        return float(np.linalg.norm(r))
+    def solved(self, r) -> bool:
+        """The run's one test that the residual r = Ax − b counts as zero:
+        max|r| <= tol·(1 + max|b|)."""
+        return float(np.max(np.abs(r))) <= self.config.rse_tolerance * (1.0 + self.b_inf)
 
-    def tracked_residual_norm(self, xa) -> float:
+    def residual_norm(self, xa) -> float:
         """||Ax − b|| for the trace when the run does not carry it. A
         sparse A keeps its O(nnz) product; a dense A costs one product with
         R, (n+1)² instead of m·n for a tall A."""
         if self.A.is_sparse:
-            return self.residual_norm(xa)
+            return float(np.linalg.norm(self.A.matvec(xa[:self.n]) - self.b))
         r = self.system.residual_factor.dot(xa)
         return math.sqrt(r.dot(r))
 
@@ -323,7 +315,7 @@ class _Run:
         elif self.config.track_residual:
             rx = state.rx
             self.resnorm_col.append(math.sqrt(rx.dot(rx)) if rx is not None
-                                    else self.tracked_residual_norm(state.xa))
+                                    else self.residual_norm(state.xa))
         if not moved:
             self.unmoved.append(len(self.rse_col) - 1)
         if self.iterates is not None:
@@ -516,7 +508,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         t0 = run.clock()
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
-            if run.residual_norm(cur.xa) <= tol * (1.0 + run.b_inf):
+            if run.solved(run.A.matvec(cur.xa[:n]) - run.b):
                 return run.finish(cur.xa, True, "residual")
             raise DegenerateDirectionError("search direction vanished with large residual")
         delta = s_cur / pn2
@@ -563,12 +555,11 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
     r = A.matvec(x) - b
     p = -A.rmatvec(r)
     rn2 = float(r @ r)
-    res_tol = cfg.rse_tolerance * (1.0 + run.b_inf)
     for k in range(1, cfg.max_iters + 1):
         t0 = run.clock()
         pn2 = float(p @ p)
         if pn2 <= run.threshold_sq:
-            if np.sqrt(rn2) <= res_tol or float(np.max(np.abs(r))) <= res_tol:
+            if run.solved(r):
                 return run.finish(x, True, "residual")
             raise BreakdownError("CG direction vanished with large residual")
         mu = rn2 / pn2
@@ -579,16 +570,13 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
             r = A.matvec(x) - b  # bound incremental drift
         rn2_new = float(r @ r)
         rse = run.record(state, mu, 0.0, t0, resnorm=float(np.sqrt(rn2_new)))
-        if rse <= cfg.rse_tolerance or float(np.max(np.abs(r))) <= res_tol:
+        if rse <= cfg.rse_tolerance or run.solved(r):
             return run.finish(x, True, "rse" if rse <= cfg.rse_tolerance else "residual")
-        tau = rn2_new / rn2
+        p_new = -A.rmatvec(r) + (rn2_new / rn2) * p
         if run.diag is not None:
-            p_new = -A.rmatvec(r) + tau * p
             dn = float(np.linalg.norm(p) * np.linalg.norm(p_new))
             run.add_diag("direction_orth", float(p @ p_new) / dn if dn else 0.0)
-            p = p_new
-        else:
-            p = -A.rmatvec(r) + tau * p
+        p = p_new
         rn2 = rn2_new
     return run.finish(x, False, "max_iters")
 
@@ -596,16 +584,18 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
 def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
                 *, keep_iterates: bool = False, diagnostics: bool = False):
     """Fixed-parameter momentum baseline on partition sampling: constant
-    step 1 / (tau ||A||_F^2) plus constant momentum beta."""
+    step 1 / (tau ||A||_F^2) plus constant momentum beta. A bound sampler
+    computes tau once for all the runs it serves."""
     partition = scheme.scheme if isinstance(scheme, BlockSampler) else scheme
     if not isinstance(partition, PartitionBlock):
         raise TypeError("the fixed-parameter baseline requires partition sampling")
+    sampler = scheme if partition is not scheme else BlockSampler(partition, system)
 
     def fixed_rule(run):
-        step = (1.0 / (compute_tau(partition, run.A) * run.A.fro_norm_sq), config.momentum_beta)
+        step = (1.0 / (sampler.tau * run.A.fro_norm_sq), config.momentum_beta)
         return lambda k, tn2, cur: step
 
-    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
+    return _heavy_ball(system, sampler, config, keep_iterates, diagnostics,
                        "plain", fixed_rule)
 
 

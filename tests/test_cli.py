@@ -21,7 +21,7 @@ from momsolve.problems import (
     generate_gaussian_problem,
     load_matrix_market,
 )
-from momsolve.sampling import BlockSampler, PartitionBlock, SingleRowWeighted
+from momsolve.sampling import BlockSampler, PartitionBlock, SingleRowWeighted, parse_scheme
 from momsolve.seeds import trial_seed
 from momsolve.solvers import SolverConfig, solve_ashbm, solve_basic
 from momsolve.analysis import theoretical_bound
@@ -327,10 +327,10 @@ class TestSharedSetUp:
     def _fresh_run(argv, solver, spec, trial):
         """Trial ``trial`` of a command, run by the library on a system of
         its own."""
-        cfg = dataclasses.replace(cli._config_from_args(cli.build_parser().parse_args(argv)),
-                                  solver=solver, scheme=spec)
+        args = cli.build_parser().parse_args(argv)
+        cfg = dataclasses.replace(cli._config_from_args(args, solver), scheme=spec)
         system = cli.build_system(cfg)
-        scheme = cli._materialize(cfg, system)
+        scheme = parse_scheme(cfg.scheme).materialize(system.A, cfg.seed)
         return cli.SOLVER_IDS[solver](system, scheme, cfg.solver_config(trial))[1]
 
     def test_solve_trials_factor_once(self, tmp_path, monkeypatch):
@@ -384,14 +384,28 @@ class TestOneRunner:
                                scheme="partition:30", solver="mbasic", trials=2,
                                max_iters=20, record_timing=False)
         system = cli.build_system(cfg)
-        (results,) = cli.run_trials(system, [(cfg, cli._materialize(cfg, system))], 1)
+        (results,) = cli.run_trials(system, [cfg], 1)
         assert all(isinstance(r, cli.Trace) for r in results)
         first, second = drawn
         assert len(first) >= 20 and len(second) >= 20
         # two blocks, each one array that both trials draw
         assert len({id(block) for block in first + second}) == 2
 
-    def test_sweep_runs_in_one_pool(self, tmp_path, monkeypatch):
+    def test_cells_of_one_scheme_and_another_seed_bind_apart(self):
+        # one partition string under two seeds is two partitions
+        cfg = ExperimentConfig(problem={"kind": "generate", "m": 60, "n": 20, "r": 20,
+                                        "kappa": 3.0},
+                               scheme="partition:8", solver="mbasic", trials=2,
+                               tol=1e-10, record_timing=False)
+        other = dataclasses.replace(cfg, seed=1)
+        system = cli.build_system(cfg)
+        together = cli.run_trials(system, [cfg, other], 1)
+        apart = [cli.run_trials(system, [c], 1)[0] for c in (cfg, other)]
+        assert [[t.rse.tolist() for t in cell] for cell in together] == \
+            [[t.rse.tolist() for t in cell] for cell in apart]
+
+    @staticmethod
+    def _count_pools(monkeypatch):
         pools, tasks = [], []
 
         class CountingPool(ProcessPoolExecutor):
@@ -405,8 +419,14 @@ class TestOneRunner:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return pools, tasks
+
+    @pytest.mark.parametrize("trials", ["1", "2"])
+    def test_sweep_runs_in_one_pool(self, tmp_path, monkeypatch, trials):
+        # with one trial per cell the (cell, trial) tasks still fill the pool
+        pools, tasks = self._count_pools(monkeypatch)
         argv = ["sweep", "--solver", "mbasic,ashbm", "--sampling", "partition:8",
-                "--p-list", "8,16", "--trials", "2", "--workers", "2",
+                "--p-list", "8,16", "--trials", trials, "--workers", "2",
                 "--out", str(tmp_path / "sw")] + self.PROBLEM
         assert main(argv) == 0
         assert len(pools) == 1
@@ -575,6 +595,56 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == "config error: unknown solver 'nope'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--sampling", "bogus"],
+        ["solve", "--solver", "cgne", "--sampling", "bogus"],
+        ["solve", "--zeta", "3"],
+        ["solve", "--solver", "ashbm", "--beta", "1.5"],
+        ["sweep", "--sampling", "partition:8", "--p-list", "8,0"],
+        ["bound", "--sampling", "partition:8", "--beta", "1.5"],
+    ], ids=["scheme", "scheme-with-cgne", "zeta", "beta", "sweep-p-zero", "bound-beta"])
+    def test_config_errors_need_no_system(self, tmp_path, capsys, monkeypatch, argv):
+        # every field is checked, also where the command ignores it
+        def no_system(*args):
+            raise AssertionError("a system was built")
+
+        monkeypatch.setattr(cli, "build_system", no_system)
+        monkeypatch.setattr(cli, "_load_system", no_system)
+        out = tmp_path / "x"
+        rc = main([*argv, "--m", "40", "--n", "10", "--r", "10", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_file_format_needs_no_system(self, tmp_path, capsys, monkeypatch):
+        def no_system(*args):
+            raise AssertionError("a system was built")
+
+        monkeypatch.setattr(cli, "build_system", no_system)
+        cfg = ExperimentConfig(
+            problem={"kind": "generate", "m": 30, "n": 15, "r": 15, "kappa": 2.0},
+            out=str(tmp_path / "run")).to_dict()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "fmt": "xml"}) + "\n")
+        assert main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown format 'xml'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_block_above_m_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        rc = main(["sweep", "--m", "40", "--n", "10", "--r", "10", "--sampling", "partition:8",
+                   "--p-list", "8,50", "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == ("config error: block size p=50 must satisfy "
+                                           "1 <= p <= m=40\n")
 
     def test_stalled_identity_run_reports_its_one_draw(self, tmp_path, capsys):
         # the identity scheme has one sample, so its rejection loop stops

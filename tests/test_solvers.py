@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import dense_sketch
-from momsolve import solvers
+from momsolve import sampling, solvers
 from momsolve.errors import (
+    BreakdownError,
     DegenerateDirectionError,
     DivergedError,
     StalledSamplingError,
@@ -344,6 +345,32 @@ class TestScg:
         assert np.max(np.abs(trace.diagnostics["sketch_resid_orth"])) <= 1e-8
 
 
+class TestResidualStop:
+    """With every sketch below the zero test, a run ends before its first
+    step: reason "residual" when max|b| is below the tolerance, an error
+    otherwise. One rule decides it for the draw loop, scg and cgne."""
+
+    @staticmethod
+    def _run(solver, scale):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((30, 10))
+        sys_ = _system(A, A @ (scale * rng.standard_normal(10)))
+        args = (sys_,) if solver == "cgne" else (sys_, SingleRowWeighted())
+        return SOLVER_IDS[solver](*args, _cfg(zero_test_threshold=1e6))[1]
+
+    @pytest.mark.parametrize("solver", ["mbasic", "ashbm", "scg", "cgne"])
+    def test_tiny_residual_stops_at_step_zero(self, solver):
+        trace = self._run(solver, 1e-20)
+        assert (trace.converged, trace.reason, trace.iterations) == (True, "residual", 0)
+
+    @pytest.mark.parametrize("solver, error", [
+        ("mbasic", StalledSamplingError), ("ashbm", StalledSamplingError),
+        ("scg", StalledSamplingError), ("cgne", BreakdownError)])
+    def test_large_residual_raises(self, solver, error):
+        with pytest.raises(error):
+            self._run(solver, 1.0)
+
+
 class TestCgne:
     def test_scalar_system_one_step(self):
         sys_ = attach_min_norm(
@@ -380,6 +407,19 @@ class TestCgne:
 
 
 class TestMrabk:
+    def test_bound_sampler_computes_tau_once(self, monkeypatch):
+        sys_ = generate_gaussian_problem(40, 10, 10, 2.0, seed=4)
+        sampler = BlockSampler(PartitionBlock.from_permutation(40, 8, seed=4), sys_)
+        calls = []
+        lambda_max_sup = sampling.lambda_max_sup
+        monkeypatch.setattr(sampling, "lambda_max_sup",
+                            lambda *args: calls.append(1) or lambda_max_sup(*args))
+        traces = [solve_mrabk(sys_, sampler, _cfg(max_iters=5, seed=seed))[1]
+                  for seed in range(3)]
+        assert len(calls) == 1
+        assert traces[0].alpha[0] == 1.0 / (compute_tau(sampler.scheme, sys_.A)
+                                             * sys_.A.fro_norm_sq)
+
     def test_requires_partition(self):
         sys_ = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         with pytest.raises(TypeError):
