@@ -21,18 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import (
-    BreakdownError,
-    DegenerateDirectionError,
-    InconsistentSystemError,
-    InvalidBlockSizeError,
-    InvalidRankError,
-    MatrixMarketParseError,
-    MomsolveError,
-    StalledSamplingError,
-    UnsupportedError,
-    ZeroMatrixError,
-)
+from .errors import BreakdownError, InconsistentSystemError, MomsolveError, UnsupportedError
 from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
 from .sampling import BlockSampler, _check_block_size, parse_scheme
@@ -47,8 +36,14 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_BREAKDOWN = 3
 EXIT_INCONSISTENT = 4
 
-# the exact types each ExperimentConfig field may hold, by its annotation
-_FIELD_TYPES = {"dict": {dict}, "str": {str}, "int": {int}, "float": {int, float}, "bool": {bool}}
+# the exact types each ExperimentConfig field or problem key may hold, by name
+_FIELD_TYPES = {"dict": {dict}, "str": {str}, "int": {int}, "float": {int, float}, "bool": {bool},
+                "str or None": {str, type(None)}}
+# the keys of each problem kind; a key that may be None may be left out
+_PROBLEM_KEYS = {"generate": {"m": "int", "n": "int", "r": "int", "kappa": "float"},
+                 "mtx": {"matrix": "str", "rhs": "str or None"}}
+# the problem of a command given no --config and no --matrix
+_GENERATE_PROBLEM = {"kind": "generate", "m": 100, "n": 50, "r": 50, "kappa": 2.0}
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class ExperimentConfig:
     beta: float = 0.7
     tol: float = 1e-12
     max_iters: int = 10 ** 6
-    out: str = "."
+    out: str = "out"
     fmt: str = "csv"
     workers: int = 1
     track_residual: bool = True
@@ -78,6 +73,17 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
             if f.name in ("trials", "workers") and value < 1:
                 raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+        kind = self.problem.get("kind")
+        keys = _PROBLEM_KEYS.get(kind) if type(kind) is str else None
+        if keys is None:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        for key in self.problem:
+            if key != "kind" and key not in keys:
+                raise ValueError(f"unknown {kind} problem key {key!r}")
+        for key, name in keys.items():
+            value = self.problem.get(key)  # None where the key is left out
+            if type(value) not in _FIELD_TYPES[name]:
+                raise ValueError(f"{kind} problem {key} must be of type {name}, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.solver not in SOLVER_IDS:
@@ -88,16 +94,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            return cls(**json.loads(text))
-        except TypeError as exc:  # not an object, an unknown key or no problem
-            raise ValueError(f"bad config: {exc}") from exc
 
     def solver_config(self, trial: int) -> SolverConfig:
         return SolverConfig(
@@ -124,24 +120,18 @@ def _load_system(cfg: ExperimentConfig) -> LinearSystem:
     """The experiment's system; a Matrix Market problem comes without its
     min-norm solution, which only the error metrics read."""
     prob = cfg.problem
-    kind = prob.get("kind")
-    if kind == "generate":
-        return generate_gaussian_problem(
-            int(prob["m"]), int(prob["n"]), int(prob["r"]),
-            float(prob["kappa"]), int(cfg.seed),
-        )
-    if kind == "mtx":
-        A = load_matrix_market(prob["matrix"])
-        rhs = prob.get("rhs")
-        if rhs:
-            b = read_vector(rhs)
-            if b.shape != (A.rows,):
-                raise ValueError(f"rhs length {b.shape} does not match {A.rows} rows")
-            return LinearSystem(A=A, b=b)
-        # synthesize a consistent right-hand side from the base seed
-        x_star = np.random.default_rng(cfg.seed).standard_normal(A.cols)
-        return LinearSystem(A=A, b=A.matvec(x_star), planted_solution=x_star)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    if prob["kind"] == "generate":
+        return generate_gaussian_problem(prob["m"], prob["n"], prob["r"], prob["kappa"], cfg.seed)
+    A = load_matrix_market(prob["matrix"])
+    rhs = prob.get("rhs")
+    if rhs is not None:
+        b = read_vector(rhs)
+        if b.shape != (A.rows,):
+            raise ValueError(f"rhs length {b.shape} does not match {A.rows} rows")
+        return LinearSystem(A=A, b=b)
+    # synthesize a consistent right-hand side from the base seed
+    x_star = np.random.default_rng(cfg.seed).standard_normal(A.cols)
+    return LinearSystem(A=A, b=A.matvec(x_star), planted_solution=x_star)
 
 
 def write_vector(path, v) -> None:
@@ -296,31 +286,38 @@ def cmd_generate(args) -> int:
 
 
 def _config_from_args(args, solver=None) -> ExperimentConfig:
+    """The --config file's object (with no file, the default problem) with
+    each flag that was given laid over it, and ``solver`` over --solver."""
+    fields = {"problem": dict(_GENERATE_PROBLEM)}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
-            return ExperimentConfig.from_json(fh.read())
-    if args.matrix:
-        problem = {"kind": "mtx", "matrix": args.matrix, "rhs": args.rhs}
-    else:
-        problem = {
-            "kind": "generate",
-            "m": args.m, "n": args.n, "r": args.r, "kappa": args.kappa,
-        }
-    return ExperimentConfig(
-        problem=problem,
-        scheme=args.sampling,
-        solver=solver or args.solver,
-        trials=args.trials,
-        seed=args.seed,
-        zeta=args.zeta,
-        beta=args.beta,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        out=args.out,
-        fmt=args.format,
-        workers=args.workers,
-        record_timing=not args.no_timing,
-    )
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError(f"bad config: {args.config} holds no JSON object")
+    fields.update((f.name, v) for f in dataclasses.fields(ExperimentConfig)
+                  if (v := getattr(args, f.name, None)) is not None)
+    if solver is not None:
+        fields["solver"] = solver
+    sizes = {k: v for k in ("m", "n", "r", "kappa") if (v := getattr(args, k)) is not None}
+    if args.matrix is not None:
+        fields["problem"] = {"kind": "mtx", "matrix": args.matrix, "rhs": args.rhs, **sizes}
+    elif args.rhs is not None:
+        raise ValueError("--rhs needs --matrix")
+    elif sizes:
+        base = fields.get("problem")
+        if not (isinstance(base, dict) and base.get("kind") == "generate"):
+            base = _GENERATE_PROBLEM
+        fields["problem"] = {**base, **sizes}
+    try:
+        cfg = ExperimentConfig(**fields)
+    except TypeError as exc:  # an unknown key or no problem
+        raise ValueError(f"bad config: {exc}") from exc
+    # create nothing yet, but reject an out that mkdir would fail on
+    out = Path(cfg.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"out {cfg.out!r}: {existing} is not a directory")
+    return cfg
 
 
 def cmd_solve(args) -> int:
@@ -345,8 +342,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    solvers = args.solver.split(",")
-    cfg = _config_from_args(args, solvers[0])
+    # a given --solver list overrides the config's one solver
+    cfg = _config_from_args(args, args.solver and args.solver.split(",")[0])
+    solvers = args.solver.split(",") if args.solver else [cfg.solver]
     base = cfg.scheme.split(":")[0]
     if base not in ("uniform", "partition"):
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
@@ -424,31 +422,31 @@ def cmd_bound(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# a flag that is not given is None: the --config file or ExperimentConfig decides
 def _add_problem_flags(p):
-    p.add_argument("--config", help="JSON experiment config file")
+    p.add_argument("--config", help="JSON experiment config file; flags given override it")
     p.add_argument("--matrix", help="Matrix Market file for A")
     p.add_argument("--rhs", help="right-hand side vector file (one value per line)")
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--r", type=int, default=50)
-    p.add_argument("--kappa", type=float, default=2.0)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--kappa", type=float)
 
 
 def _add_run_flags(p):
-    p.add_argument("--solver", default="mbasic",
-                   help="basic|mbasic|ashbm|scg|mrabk|cgne (sweep: comma list)")
-    p.add_argument("--sampling", default="row",
+    p.add_argument("--solver", help="basic|mbasic|ashbm|scg|mrabk|cgne (sweep: comma list)")
+    p.add_argument("--sampling", dest="scheme",
                    help="row | uniform:<p> | partition:<p> | identity")
-    p.add_argument("--zeta", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.7)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=10 ** 6)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-timing", action="store_true",
+    p.add_argument("--zeta", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.add_argument("--format", dest="fmt", help="csv | json")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--no-timing", dest="record_timing", action="store_false", default=None,
                    help="record wall_nanos as 0 for bit-reproducible traces")
 
 
@@ -493,15 +491,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BreakdownError, StalledSamplingError, DegenerateDirectionError) as exc:
+    except BreakdownError as exc:
         print(f"solver breakdown: {exc}", file=sys.stderr)
         return EXIT_SOLVER_BREAKDOWN
     except InconsistentSystemError as exc:
         print(f"inconsistent system: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ValueError, KeyError, UnsupportedError, InvalidRankError,
-            InvalidBlockSizeError, MatrixMarketParseError, ZeroMatrixError,
-            FileNotFoundError) as exc:
+    except (MomsolveError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

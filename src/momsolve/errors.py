@@ -29,16 +29,16 @@ class InvalidBlockSizeError(MomsolveError):
     """Block size outside [1, m]."""
 
 
-class StalledSamplingError(MomsolveError):
+class BreakdownError(MomsolveError):
+    """A run broke down with its residual still large."""
+
+
+class StalledSamplingError(BreakdownError):
     """Rejection sampling hit its cap while the residual is still large."""
 
 
-class DegenerateDirectionError(MomsolveError):
+class DegenerateDirectionError(BreakdownError):
     """Gradient and momentum direction are numerically dependent."""
-
-
-class BreakdownError(MomsolveError):
-    """CG-type recursion broke down with a large residual."""
 
 
 class DivergedError(BreakdownError):

@@ -13,7 +13,19 @@ import scipy.sparse as sp
 
 from momsolve import cli, problems
 from momsolve.cli import ExperimentConfig, main
-from momsolve.errors import BreakdownError
+from momsolve.errors import (
+    BreakdownError,
+    DegenerateDirectionError,
+    DivergedError,
+    InconsistentSystemError,
+    InvalidBlockSizeError,
+    InvalidRankError,
+    MatrixMarketParseError,
+    MomsolveError,
+    StalledSamplingError,
+    UnsupportedError,
+    ZeroMatrixError,
+)
 from momsolve.linalg import Matrix, spectral_quantities
 from momsolve.problems import (
     LinearSystem,
@@ -147,7 +159,7 @@ class TestSolve:
             tol=1e-10, out=str(tmp_path / "run"), record_timing=False,
         )
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json() + "\n")
+        path.write_text(json.dumps(cfg.to_dict()) + "\n")
         assert main(["solve", "--config", str(path)]) == 0
         summary = _read_json(tmp_path / "run" / "summary.json")
         assert summary["trials"] == 2
@@ -201,14 +213,94 @@ class TestWriteTrace:
 
 
 class TestConfigRoundtrip:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(
             problem={"kind": "generate", "m": 10, "n": 5, "r": 5, "kappa": 2.0},
             scheme="uniform:3", solver="scg", trials=4, seed=17, zeta=1.2,
             beta=0.5, tol=1e-9, max_iters=1234, out="somewhere", fmt="json",
             workers=2, track_residual=False, record_timing=False,
         )
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()) + "\n")
+        args = cli.build_parser().parse_args(["solve", "--config", str(path)])
+        assert cli._config_from_args(args) == cfg
+
+
+def _write_config(tmp_path, **fields):
+    """A --config file of a small generated problem; ``fields`` override."""
+    cfg = {"problem": {"kind": "generate", "m": 40, "n": 10, "r": 10, "kappa": 2.0},
+           "scheme": "partition:4", "solver": "ashbm", "trials": 3, "seed": 2,
+           "tol": 1e-10, "out": str(tmp_path / "file_out"), "record_timing": False, **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg) + "\n")
+    return str(path)
+
+
+def _no_system(monkeypatch):
+    def no_system(*args):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(cli, "build_system", no_system)
+    monkeypatch.setattr(cli, "_load_system", no_system)
+
+
+class TestConfigPrecedence:
+    """Flags given with --config override the file key by key; the file
+    or ExperimentConfig decides the rest."""
+
+    def test_solve_flags_override_file(self, tmp_path):
+        out = tmp_path / "o2"
+        assert main(["solve", "--config", _write_config(tmp_path),
+                     "--trials", "1", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace_000.csv"]
+        summary = _read_json(out / "summary.json")
+        assert summary["trials"] == 1
+        assert summary["config"]["solver"] == "ashbm"
+        assert not (tmp_path / "file_out").exists()
+
+    @pytest.mark.parametrize("flags, solver", [([], "ashbm"), (["--solver", "scg"], "scg")])
+    def test_sweep_runs_the_file_solver_unless_given(self, tmp_path, flags, solver):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", _write_config(tmp_path), "--p-list", "4,8",
+                     "--trials", "1", "--out", str(out), *flags]) == 0
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [(r["p"], r["solver"]) for r in rows] == [("4", solver), ("8", solver)]
+
+    def test_bound_flag_overrides_file_scheme(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["bound", "--config", _write_config(tmp_path),
+                     "--sampling", "partition:8", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["scheme"] == "partition:8"
+        assert _read_json(out / "bound.json")["scheme"] == "partition:8"
+
+    def test_size_flag_overrides_file_problem_key(self, tmp_path):
+        path = _write_config(tmp_path, trials=1)
+        assert main(["solve", "--config", path, "--kappa", "5",
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["solve", "--m", "40", "--n", "10", "--r", "10", "--kappa", "5",
+                     "--sampling", "partition:4", "--solver", "ashbm", "--seed", "2",
+                     "--tol", "1e-10", "--no-timing", "--out", str(tmp_path / "flags")]) == 0
+        summary = _read_json(tmp_path / "file" / "summary.json")
+        assert summary["config"]["problem"] == {"kind": "generate", "m": 40, "n": 10,
+                                                "r": 10, "kappa": 5.0}
+        assert ((tmp_path / "file" / "trace_000.csv").read_bytes()
+                == (tmp_path / "flags" / "trace_000.csv").read_bytes())
+
+    def test_size_flag_replaces_file_matrix_problem(self, tmp_path):
+        path = _write_config(tmp_path, problem={"kind": "mtx", "matrix": "A.mtx"})
+        args = cli.build_parser().parse_args(["solve", "--config", path, "--m", "60"])
+        assert cli._config_from_args(args).problem == {**cli._GENERATE_PROBLEM, "m": 60}
+
+    def test_config_without_out_writes_to_out(self, tmp_path, monkeypatch):
+        path = _write_config(tmp_path, trials=1)
+        cfg = _read_json(path)
+        del cfg["out"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--config", path]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestSweep:
@@ -548,9 +640,19 @@ class TestExitCodes:
         lambda cfg: {**cfg, "problem": "x"},
         lambda cfg: {**cfg, "zeta": "x"},
         lambda cfg: {**cfg, "max_iters": 1.5},
+        lambda cfg: {**cfg, "problem": {"kind": "mtx", "matrix": "A.mtx", "rsh": "b.txt"}},
+        lambda cfg: {**cfg, "problem": {**cfg["problem"], "m": 30.7}},
+        lambda cfg: {**cfg, "problem": {**cfg["problem"], "m": True}},
+        lambda cfg: {**cfg, "problem": {"kind": "generate", "n": 15, "r": 15, "kappa": 2.0}},
+        lambda cfg: {**cfg, "problem": {"kind": "csv", "matrix": "A.csv"}},
+        lambda cfg: {**cfg, "problem": {**cfg["problem"], "kind": ["generate"]}},
+        lambda cfg: {**cfg, "problem": {"kind": "mtx", "matrix": None}},
     ], ids=["unknown-key", "no-problem", "not-an-object", "problem-not-an-object",
-            "zeta-not-a-number", "max-iters-not-an-integer"])
-    def test_malformed_config_file(self, tmp_path, capsys, payload):
+            "zeta-not-a-number", "max-iters-not-an-integer", "problem-misspelled-key",
+            "problem-float-m", "problem-bool-m", "problem-missing-m", "problem-unknown-kind",
+            "problem-unhashable-kind", "problem-matrix-none"])
+    def test_malformed_config_file(self, tmp_path, capsys, monkeypatch, payload):
+        _no_system(monkeypatch)
         cfg = ExperimentConfig(
             problem={"kind": "generate", "m": 30, "n": 15, "r": 15, "kappa": 2.0},
             out=str(tmp_path / "run")).to_dict()
@@ -603,14 +705,13 @@ class TestExitCodes:
         ["solve", "--solver", "ashbm", "--beta", "1.5"],
         ["sweep", "--sampling", "partition:8", "--p-list", "8,0"],
         ["bound", "--sampling", "partition:8", "--beta", "1.5"],
-    ], ids=["scheme", "scheme-with-cgne", "zeta", "beta", "sweep-p-zero", "bound-beta"])
+        ["solve", "--rhs", "b.txt"],
+        ["solve", "--matrix", "A.mtx"],
+    ], ids=["scheme", "scheme-with-cgne", "zeta", "beta", "sweep-p-zero", "bound-beta",
+            "rhs-without-matrix", "matrix-with-size"])
     def test_config_errors_need_no_system(self, tmp_path, capsys, monkeypatch, argv):
         # every field is checked, also where the command ignores it
-        def no_system(*args):
-            raise AssertionError("a system was built")
-
-        monkeypatch.setattr(cli, "build_system", no_system)
-        monkeypatch.setattr(cli, "_load_system", no_system)
+        _no_system(monkeypatch)
         out = tmp_path / "x"
         rc = main([*argv, "--m", "40", "--n", "10", "--r", "10", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG_ERROR
@@ -620,10 +721,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_config_file_format_needs_no_system(self, tmp_path, capsys, monkeypatch):
-        def no_system(*args):
-            raise AssertionError("a system was built")
-
-        monkeypatch.setattr(cli, "build_system", no_system)
+        _no_system(monkeypatch)
         cfg = ExperimentConfig(
             problem={"kind": "generate", "m": 30, "n": 15, "r": 15, "kappa": 2.0},
             out=str(tmp_path / "run")).to_dict()
@@ -655,6 +753,49 @@ class TestExitCodes:
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
         assert capsys.readouterr().err == ("solver breakdown: 1 consecutive zero sketches "
                                            "with residual above tolerance\n")
+
+    # every library error, by the exit code the README gives it
+    EXIT_CODES = {
+        ZeroMatrixError: 2, InvalidRankError: 2, UnsupportedError: 2,
+        MatrixMarketParseError: 2, InvalidBlockSizeError: 2, InconsistentSystemError: 4,
+        BreakdownError: 3, StalledSamplingError: 3, DegenerateDirectionError: 3,
+        DivergedError: 3,
+    }
+
+    def test_every_error_has_an_exit_code(self):
+        def subclasses(cls):
+            return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+        assert subclasses(MomsolveError) - {MomsolveError} == set(self.EXIT_CODES)
+
+    @pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
+    def test_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def failing_build(cfg):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "build_system", failing_build)
+        rc = main(["solve", "--m", "20", "--n", "10", "--r", "10",
+                   "--out", str(tmp_path / "x")])
+        assert rc == self.EXIT_CODES[error]
+        assert capsys.readouterr().err.endswith(": forced\n")
+
+    def test_matrix_directory(self, tmp_path, capsys):
+        rc = main(["solve", "--matrix", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command, sub", [("solve", ""), ("bound", "sub")])
+    def test_out_through_a_file(self, tmp_path, capsys, monkeypatch, command, sub):
+        _no_system(monkeypatch)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        rc = main([command, "--m", "20", "--n", "10", "--r", "10", "--sampling",
+                   "partition:4", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (f"config error: out {str(out)!r}: "
+                                           f"{blocker} is not a directory\n")
+        assert blocker.read_text() == ""
 
     def test_missing_matrix_file(self, tmp_path):
         rc = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),
