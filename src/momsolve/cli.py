@@ -36,6 +36,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_BREAKDOWN = 3
 EXIT_INCONSISTENT = 4
 
+# most powers of the per-iteration factor that bound.json's curve holds
+CURVE_CAP = 10 ** 6
+
 # the exact types each ExperimentConfig field or problem key may hold, by name
 _FIELD_TYPES = {"dict": {dict}, "str": {str}, "int": {int}, "float": {int, float}, "bool": {bool},
                 "str or None": {str, type(None)}}
@@ -256,8 +259,7 @@ def write_trace(path, trace: Trace, fmt: str) -> None:
             "fallback_steps": trace.fallback_steps,
         }
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -279,8 +281,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed, "consistency_residual": system.consistency_residual,
     }
     with open(out / "meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
     print(f"wrote problem files to {out}")
     return 0
 
@@ -332,8 +333,7 @@ def cmd_solve(args) -> int:
     summary = summarize(results, cfg.seed)
     summary["config"] = cfg.to_dict()
     with open(out / "summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, sort_keys=True) + "\n")
     print(json.dumps({k: v for k, v in summary.items() if k != "config"}, sort_keys=True))
     if summary.get("failed"):
         first = next(e for e in results if not isinstance(e, Trace))
@@ -390,28 +390,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def bound_curve(factor: float, max_iters: int) -> np.ndarray:
+    """factor^k for k = 1, 2, ... up to the first power below 1e-16, or
+    max_iters or CURVE_CAP powers, whichever comes first. cumprod multiplies
+    in order, so each power is the running product of a loop, bit for bit."""
+    curve = np.full(min(max_iters, CURVE_CAP), factor).cumprod()
+    below = np.flatnonzero(curve < 1e-16)
+    return curve[:below[0] + 1] if below.size else curve
+
+
 def cmd_bound(args) -> int:
     # the report depends only on A and the scheme, so the oracle is skipped
     cfg = _config_from_args(args)
     system = _load_system(cfg)
     scheme = parse_scheme(cfg.scheme).materialize(system.A, cfg.seed)
     report = analysis.theoretical_bound(scheme, system.A, cfg.zeta)
-    factor = report.per_iter_factor
-    curve = []
-    value = 1.0
-    for _ in range(min(cfg.max_iters, 10 ** 6)):
-        value *= factor
-        curve.append(value)
-        if value < 1e-16:
-            break
     payload = dataclasses.asdict(report)
-    payload["curve"] = curve
+    payload["curve"] = bound_curve(report.per_iter_factor, cfg.max_iters).tolist()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "bound.json"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     print(json.dumps({k: payload[k] for k in
                       ("scheme", "per_iter_factor", "lambda_max", "is_estimate")},
                      sort_keys=True))

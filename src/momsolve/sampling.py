@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
-from .linalg import Matrix, augmented
+from .linalg import Matrix, augmented, gram_eigenvalues
 from .problems import LinearSystem
 
 __all__ = [
@@ -259,10 +259,7 @@ _ESTIMATE_DRAWS = 10 ** 4
 def block_spectral_norm_sq(A: Matrix, idx) -> float:
     """lambda_max(A_J^T A_J) = ||A_J||_2^2 for a row block J, exactly: the
     largest eigenvalue of the smaller of the two Grams of A_J."""
-    block = A.row_block(idx)
-    q, n = block.shape
-    gram = block @ block.T if q <= n else block.T @ block
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return float(gram_eigenvalues(A.row_block(idx))[-1])
 
 
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:

@@ -11,7 +11,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from momsolve import cli, problems
+from momsolve import cli, linalg, problems
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import (
     BreakdownError,
@@ -581,6 +581,37 @@ class TestBound:
         rc = main(["bound", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
                    "--sampling", "identity", "--out", str(tmp_path / "b")])
         assert rc == cli.EXIT_CONFIG_ERROR
+
+    def test_well_conditioned_csr_never_densifies(self, tmp_path, monkeypatch):
+        def densify(*args, **kwargs):
+            raise AssertionError("bound must not densify a well-conditioned CSR A")
+
+        monkeypatch.setattr(Matrix, "toarray", densify)
+        monkeypatch.setattr(linalg, "_singular_values", densify)
+        mtx = tmp_path / "A.mtx"
+        rvs = np.random.default_rng(3).standard_normal
+        scipy.io.mmwrite(str(mtx), sp.random(400, 100, density=0.05, random_state=3,
+                                              data_rvs=rvs))
+        assert load_matrix_market(mtx).is_sparse
+        rc = main(["bound", "--matrix", str(mtx), "--sampling", "partition:8",
+                   "--out", str(tmp_path / "b")])
+        assert rc == 0
+        assert _read_json(tmp_path / "b" / "bound.json")["per_iter_factor"] < 1.0
+
+    @pytest.mark.parametrize("factor,max_iters,length", [
+        (0.9999, 10 ** 6, 368_396), (0.5, 30, 30), (1.0 - 1e-7, 2 * 10 ** 6, 10 ** 6),
+    ], ids=["near-one", "max-iters-cap", "million-cap"])
+    def test_curve_matches_sequential_loop(self, factor, max_iters, length):
+        # the loop bound.json's curve came from; it stops at the first power
+        # below 1e-16, at max_iters or at 10^6, whichever comes first
+        curve, value = [], 1.0
+        for _ in range(min(max_iters, 10 ** 6)):
+            value *= factor
+            curve.append(value)
+            if value < 1e-16:
+                break
+        assert len(curve) == length
+        assert cli.bound_curve(factor, max_iters).tolist() == curve
 
 
 class TestExitCodes:

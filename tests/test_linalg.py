@@ -11,7 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from momsolve.errors import InconsistentSystemError, ZeroMatrixError
-from momsolve.linalg import Matrix, min_norm_solution, spectral_quantities
+from momsolve import linalg
+from momsolve.linalg import Matrix, SpectralSummary, min_norm_solution, spectral_quantities
+from momsolve.problems import generate_gaussian_problem
 
 SRC = str(Path(__file__).parent.parent / "src")
 DATA_DIRS = [Path(__file__).parent / "data", Path(__file__).parent.parent / "data"]
@@ -31,6 +33,17 @@ def _with_singular_values(rng, m, svals) -> np.ndarray:
     U = np.linalg.qr(rng.standard_normal((m, n)))[0]
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return (U * svals) @ V.T
+
+
+def _svd_route(A) -> SpectralSummary:
+    """The spectral summary from the SVD of a dense copy of A, the route
+    that ``spectral_quantities`` keeps for inputs its Gram cannot resolve."""
+    from scipy.linalg import svd
+
+    svals = svd(A.toarray(order="F"), compute_uv=False, overwrite_a=True, check_finite=False)
+    nonzero = svals[svals > max(A.shape) * np.finfo(np.float64).eps * svals[0]]
+    return SpectralSummary(sigma_max=float(svals[0]), sigma_min_nonzero=float(nonzero[-1]),
+                           rank=int(nonzero.size), fro_norm=float(np.sqrt(A.fro_norm_sq)))
 
 
 class TestMatrix:
@@ -120,6 +133,46 @@ class TestSpectralQuantities:
         assert s.sigma_max == pytest.approx(svals[0], rel=1e-12)
         assert s.sigma_min_nonzero == pytest.approx(svals[-1], rel=1e-12)
         assert s.rank == 7
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_gaussian_problem(200, 50, 50, 2.0, seed=1).A,
+        lambda: generate_gaussian_problem(500, 100, 100, 20.0, seed=3).A,
+        lambda: Matrix.from_dense(np.random.default_rng(4).standard_normal((50, 200))),
+        lambda: Matrix.from_scipy(sp.random(300, 80, density=0.1, random_state=4)),
+    ], ids=["kappa-2", "kappa-20", "wide", "csr"])
+    def test_gram_side_matches_svd(self, monkeypatch, make):
+        # well conditioned: the Gram's eigenvalues decide, and no SVD runs
+        A = make()
+
+        def no_svd(A):
+            raise AssertionError("a well-conditioned input must not reach the SVD")
+
+        monkeypatch.setattr(linalg, "_singular_values", no_svd)
+        s = spectral_quantities(A)
+        svals = np.linalg.svd(A.toarray(), compute_uv=False)
+        assert s.sigma_max == pytest.approx(svals[0], rel=1e-12)
+        assert s.sigma_min_nonzero == pytest.approx(svals[-1], rel=1e-10)
+        assert s.rank == min(A.shape)
+        assert s.fro_norm == float(np.sqrt(A.fro_norm_sq))
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_gaussian_problem(200, 100, 60, 5.0, seed=2).A,
+        lambda: Matrix.from_dense(_with_singular_values(np.random.default_rng(5), 80,
+                                                        np.geomspace(1.0, 1e-8, 30))),
+        lambda: Matrix.from_scipy(sp.hstack([sp.random(100, 39, density=0.2, random_state=6),
+                                             sp.csr_matrix((100, 1))])),
+        lambda: Matrix.from_dense([[1.0, 1.0], [1.0, 1.0]]),
+        lambda: Matrix.from_dense(np.diag([1e-160, 3e-161])),
+        lambda: Matrix.from_dense(np.diag([1e160, 3e159])),
+    ], ids=["rank-60", "kappa-1e8", "csr-zero-column", "ones", "gram-underflow", "gram-overflow"])
+    def test_svd_side_equals_svd_route(self, monkeypatch, make):
+        # rank-deficient or ill-conditioned: the result of the SVD route,
+        # which every input took before the Gram route, bit for bit
+        A = make()
+        calls, svd = [], linalg._singular_values
+        monkeypatch.setattr(linalg, "_singular_values", lambda A: calls.append(A) or svd(A))
+        assert spectral_quantities(A) == _svd_route(A)
+        assert len(calls) == 1
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):

@@ -295,8 +295,12 @@ class TestLambdaMaxSup:
         # the wide system's the q x q one; both must match the SVD
         A = Matrix.from_dense(rng.standard_normal(shape))
         idx = np.sort(rng.choice(shape[0], size=q, replace=False))
-        direct = float(np.linalg.norm(A.toarray()[idx], 2) ** 2)
+        block = A.toarray()[idx]
+        direct = float(np.linalg.norm(block, 2) ** 2)
         assert block_spectral_norm_sq(A, idx) == pytest.approx(direct, rel=1e-12)
+        # mrabk's tau, and so its traces, rest on these bits of a dense block
+        gram = block @ block.T if q <= shape[1] else block.T @ block
+        assert block_spectral_norm_sq(A, idx) == float(np.linalg.eigvalsh(gram)[-1])
 
 
 class TestSchemeSpec:
