@@ -393,10 +393,16 @@ def cmd_sweep(args) -> int:
 def bound_curve(factor: float, max_iters: int) -> np.ndarray:
     """factor^k for k = 1, 2, ... up to the first power below 1e-16, or
     max_iters or CURVE_CAP powers, whichever comes first. cumprod multiplies
-    in order, so each power is the running product of a loop, bit for bit."""
-    curve = np.full(min(max_iters, CURVE_CAP), factor).cumprod()
-    below = np.flatnonzero(curve < 1e-16)
-    return curve[:below[0] + 1] if below.size else curve
+    in order, so each power is the running product of a loop, bit for bit.
+    A factor in (0, 1) first tries a few powers past log(1e-16)/log(factor)."""
+    full = min(max_iters, CURVE_CAP)
+    guess = int(math.log(1e-16) / math.log(factor)) + 8 if 0.0 < factor < 1.0 else full
+    for size in sorted({min(guess, full), full}):
+        curve = np.full(size, factor).cumprod()
+        below = np.flatnonzero(curve < 1e-16)
+        if below.size:
+            return curve[:below[0] + 1]
+    return curve
 
 
 def cmd_bound(args) -> int:

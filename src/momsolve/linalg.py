@@ -156,11 +156,13 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
 
     They come from the smaller Gram's eigenvalues when its λ_min/λ_max is
     above ``gram_cut`` (A is then of full rank min(m, n)), else from the
-    SVD of a dense copy of A."""
+    SVD of a dense copy of A. A zero row (m <= n) or column (m > n) makes
+    that Gram singular, so such an A goes straight to the SVD."""
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("spectral_quantities: zero matrix")
+    full = A.row_norms_sq.all() if A.rows <= A.cols else (A.data != 0).sum(axis=0).all()
     with np.errstate(over="ignore"):
-        lam = gram_eigenvalues(A.data)
+        lam = gram_eigenvalues(A.data) if full else np.zeros(1)
     # a Gram that overflowed (NaN eigenvalues) or underflowed fails the test
     if lam[0] > max(gram_cut(A) * lam[-1], np.finfo(np.float64).tiny):
         svals = np.sqrt(lam[::-1])

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
 from .linalg import Matrix, augmented, gram_eigenvalues
@@ -145,6 +146,12 @@ def _block_pair(aug):
     return _CsrDot(aug), _CsrDot(aug.T)
 
 
+def _partition_rows(M, blocks):
+    """An ndarray or CSR M with its rows gathered once in block order, and
+    the offsets of the blocks: block i is rows ``offsets[i]:offsets[i + 1]``."""
+    return M[np.concatenate(blocks)], np.cumsum([0, *map(len, blocks)])
+
+
 class BlockSampler:
     """A sampling scheme bound to one system, once per (system, scheme)
     pair; ``draws(rng, carry)`` is one run's stream of draws from it. A
@@ -194,13 +201,12 @@ class BlockSampler:
             self.rows = scheme.blocks
             weights = np.array([A.row_norms_sq[blk].sum() for blk in self.rows])
         elif isinstance(scheme, SingleRowWeighted):
-            self.rows = [np.array([i]) for i in range(A.rows)]
+            self.rows = np.arange(A.rows).reshape(-1, 1)
             weights = A.row_norms_sq
         else:
             raise TypeError(f"unsupported scheme {scheme!r}")
         self.scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
-        self.blocks = [(*_block_pair(aug[blk] * s), None)
-                       for blk, s in zip(self.rows, self.scales)]
+        self.blocks = [(*_block_pair(blk), None) for blk in self._scaled_blocks(aug)]
         self.attempts = range(100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
@@ -212,6 +218,16 @@ class BlockSampler:
         """``compute_tau`` of the bound partition, made on first use."""
         return compute_tau(self.scheme, self.system.A)
 
+    def _scaled_blocks(self, M):
+        """s·M_J for every block J: slices of one row-permuted copy of M."""
+        P, offsets = _partition_rows(M, self.rows)
+        scale = np.repeat(self.scales, np.diff(offsets))
+        if sp.issparse(P):
+            P.data *= np.repeat(scale, np.diff(P.indptr))
+        else:
+            P *= scale[:, None]
+        return [P[a:b] for a, b in itertools.pairwise(offsets)]
+
     @functools.cached_property
     def residual_maps(self):
         """The blocks with their K_J; for ``uniform:<p>``, ``A·R[:, :n]^T``."""
@@ -220,8 +236,8 @@ class BlockSampler:
         table = A.data.dot(self.system.residual_factor[:, :A.cols].T)
         if self.blocks is None:
             return table
-        return [(fwd, bwd, (table[blk] * s).T)
-                for (fwd, bwd, _), blk, s in zip(self.blocks, self.rows, self.scales)]
+        maps = self._scaled_blocks(table)
+        return [(fwd, bwd, K.T) for (fwd, bwd, _), K in zip(self.blocks, maps)]
 
     def draws(self, rng, carry=False):
         """One run's endless stream of draws, its randomness from ``rng``."""
@@ -262,6 +278,21 @@ def block_spectral_norm_sq(A: Matrix, idx) -> float:
     return float(gram_eigenvalues(A.row_block(idx))[-1])
 
 
+def _csr_blocks(A: Matrix, blocks):
+    """A CSR A's row blocks as dense arrays, one at a time in one reused
+    buffer filled straight from the arrays of A's row-permuted copy."""
+    P, offsets = _partition_rows(A.data, blocks)
+    buf = np.zeros(np.diff(offsets).max() * A.cols)
+    # each stored entry's place in its block's row-major buffer
+    row = np.arange(P.shape[0]) - np.repeat(offsets[:-1], np.diff(offsets))
+    flat = np.repeat(row * A.cols, np.diff(P.indptr)) + P.indices
+    for a, b in itertools.pairwise(offsets):
+        lo, hi = P.indptr[a], P.indptr[b]
+        buf[flat[lo:hi]] = P.data[lo:hi]
+        yield buf[:(b - a) * A.cols].reshape(b - a, A.cols)
+        buf[flat[lo:hi]] = 0.0
+
+
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     """sup over the scheme's support of lambda_max(A^T S S^T A)."""
     if A.fro_norm_sq == 0.0:
@@ -272,7 +303,8 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
         return LambdaMaxResult(block_spectral_norm_sq(A, np.arange(A.rows)))
     if isinstance(scheme, PartitionBlock):
         # a block of zero rows has probability 0, so it is not in the support
-        worst = max(block_spectral_norm_sq(A, blk) / w for blk in scheme.blocks
+        dense = _csr_blocks(A, scheme.blocks) if A.is_sparse else map(A.row_block, scheme.blocks)
+        worst = max(float(gram_eigenvalues(M)[-1]) / w for M, blk in zip(dense, scheme.blocks)
                     if (w := A.row_norms_sq[blk].sum()) > 0)
         return LambdaMaxResult(float(worst))
     if isinstance(scheme, UniformBlock):

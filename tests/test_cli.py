@@ -600,10 +600,15 @@ class TestBound:
 
     @pytest.mark.parametrize("factor,max_iters,length", [
         (0.9999, 10 ** 6, 368_396), (0.5, 30, 30), (1.0 - 1e-7, 2 * 10 ** 6, 10 ** 6),
-    ], ids=["near-one", "max-iters-cap", "million-cap"])
+        (0.0, 10 ** 6, 1), (-0.5, 10 ** 6, 1), (1.0, 2 * 10 ** 6, 10 ** 6),
+        (1e-300, 10 ** 6, 1), (10 ** (-16 / 3000), 10 ** 6, 3001),
+    ], ids=["near-one", "max-iters-cap", "million-cap", "zero", "negative", "one",
+            "one-power", "cut-past-log-estimate"])
     def test_curve_matches_sequential_loop(self, factor, max_iters, length):
         # the loop bound.json's curve came from; it stops at the first power
-        # below 1e-16, at max_iters or at 10^6, whichever comes first
+        # below 1e-16, at max_iters or at 10^6, whichever comes first. The
+        # last case's log(1e-16)/log(factor) is 3000.00000001: its cut is
+        # one power past the estimate's whole part
         curve, value = [], 1.0
         for _ in range(min(max_iters, 10 ** 6)):
             value *= factor

@@ -174,6 +174,30 @@ class TestSpectralQuantities:
         assert spectral_quantities(A) == _svd_route(A)
         assert len(calls) == 1
 
+    @staticmethod
+    def _csr_with_stored_zero_column():
+        M = sp.random(300, 80, density=0.1, random_state=7, format="csr")
+        M.data[M.indices == 8] = 0.0  # stored entries, all zero
+        return Matrix.from_scipy(M)
+
+    @staticmethod
+    def _wide_with_zero_row():
+        dense = np.random.default_rng(8).standard_normal((40, 120))
+        dense[5] = 0.0
+        return Matrix.from_dense(dense)
+
+    @pytest.mark.parametrize("make", ["_csr_with_stored_zero_column", "_wide_with_zero_row"])
+    def test_singular_gram_goes_straight_to_svd(self, monkeypatch, make):
+        # a zero column of a tall A, or a zero row of a wide one, makes the
+        # smaller Gram singular: no eigvalsh, and the SVD route's result
+        A = getattr(self, make)()
+
+        def no_gram(M):
+            raise AssertionError("a certainly singular Gram must not be formed")
+
+        monkeypatch.setattr(linalg, "gram_eigenvalues", no_gram)
+        assert spectral_quantities(A) == _svd_route(A)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
             spectral_quantities(Matrix.from_dense(np.zeros((3, 3))))

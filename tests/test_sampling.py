@@ -5,10 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import decode_block, dense_sketch, row_coded_rhs
 from momsolve.errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
-from momsolve.linalg import Matrix
+from momsolve.linalg import Matrix, augmented
 from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
     UNIFORM_SUPPORT_CAP,
@@ -18,8 +19,10 @@ from momsolve.sampling import (
     SchemeSpec,
     SingleRowWeighted,
     UniformBlock,
+    _block_pair,
     block_spectral_norm_sq,
     build_partition,
+    compute_tau,
     lambda_max_sup,
     parse_scheme,
 )
@@ -301,6 +304,69 @@ class TestLambdaMaxSup:
         # mrabk's tau, and so its traces, rest on these bits of a dense block
         gram = block @ block.T if q <= shape[1] else block.T @ block
         assert block_spectral_norm_sq(A, idx) == float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _zero_block_system(kind, p):
+    """A 45 x 10 system, dense or CSR, and its partition into blocks of p
+    rows (the last ragged for p = 8 and 16), whose third block is all zero
+    rows: it gets scale 0."""
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((45, 10)) * (rng.random((45, 10)) < 0.6)
+    blocks = build_partition(45, p, seed=4)
+    dense[blocks[2]] = 0.0
+    A = Matrix.from_dense(dense) if kind == "dense" else Matrix.from_scipy(sp.csr_matrix(dense))
+    return LinearSystem(A, rng.standard_normal(45)), PartitionBlock(blocks=blocks)
+
+
+class TestOnePassBinding:
+    """Blocks cut from one row-permuted copy of A have the bits of the
+    per-block gathers they replace, and so do the products of a run."""
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    @pytest.mark.parametrize("spec", ["partition:8", "partition:16", "row"])
+    def test_blocks_match_per_block_gather(self, kind, spec):
+        system, part = _zero_block_system(kind, 16 if spec == "partition:16" else 8)
+        A = system.A
+        if spec == "row":
+            scheme, rows = SingleRowWeighted(), [np.array([i]) for i in range(A.rows)]
+        else:
+            scheme, rows = part, part.blocks
+        sampler = BlockSampler(scheme, system)
+        # K_J needs the QR factor of the dense [A | -b]; a CSR run never carries
+        bound = sampler.residual_maps if kind == "dense" else sampler.blocks
+        aug = augmented(A, system.b)
+        table = A.data.dot(system.residual_factor[:, :A.cols].T) if kind == "dense" else None
+        rng = np.random.default_rng(1)
+        weights = [A.row_norms_sq[blk].sum() for blk in rows]
+        assert len(bound) == len(rows) and 0.0 in weights
+        for (fwd, bwd, K), blk, w in zip(bound, rows, weights):
+            s = 1.0 / np.sqrt(w) if w > 0 else 0.0
+            old_fwd, old_bwd = _block_pair(aug[blk] * s)
+            xa, t = rng.standard_normal(A.cols + 1), rng.standard_normal(len(blk))
+            assert np.array_equal(fwd.dot(xa), old_fwd.dot(xa))
+            assert np.array_equal(bwd.dot(t), old_bwd.dot(t))
+            if table is not None:
+                assert np.array_equal(K.dot(t), (table[blk] * s).T.dot(t))
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_lambda_max_matches_per_block_loop(self, kind, p):
+        system, part = _zero_block_system(kind, p)
+        A = system.A
+        worst = max(block_spectral_norm_sq(A, blk) / w for blk in part.blocks
+                    if (w := A.row_norms_sq[blk].sum()) > 0)
+        assert lambda_max_sup(part, A).value == float(worst)
+        assert compute_tau(part, A) == float(worst) / A.fro_norm_sq
+
+    def test_csr_lambda_max_makes_no_row_gather(self, monkeypatch):
+        system, part = _zero_block_system("csr", 8)
+        expected = lambda_max_sup(part, system.A)
+
+        def no_row_block(self, idx):
+            raise AssertionError("a partition's blocks come from one permuted copy")
+
+        monkeypatch.setattr(Matrix, "row_block", no_row_block)
+        assert lambda_max_sup(part, system.A) == expected
 
 
 class TestSchemeSpec:
