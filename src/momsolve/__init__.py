@@ -21,9 +21,7 @@ from .problems import (
     load_matrix_market,
 )
 from .sampling import (
-    FixedIdentity,
     PartitionBlock,
-    SingleRowWeighted,
     UniformBlock,
     build_partition,
     lambda_max_sup,

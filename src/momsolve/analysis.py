@@ -8,13 +8,7 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .linalg import Matrix, spectral_quantities
-from .sampling import (
-    FixedIdentity,
-    PartitionBlock,
-    SingleRowWeighted,
-    UniformBlock,
-    lambda_max_sup,
-)
+from .sampling import PartitionBlock, UniformBlock, lambda_max_sup
 
 __all__ = [
     "BoundReport",
@@ -53,10 +47,11 @@ def theoretical_bound(scheme, A: Matrix, zeta: float = 1.0) -> BoundReport:
     / lambda_max, specialized per scheme."""
     if not 0.0 < zeta < 2.0:
         raise ValueError("zeta must lie in (0, 2)")
-    if isinstance(scheme, FixedIdentity):
-        raise UnsupportedError("deterministic scheme: contraction bound degenerate")
-    if not isinstance(scheme, (SingleRowWeighted, UniformBlock, PartitionBlock)):
+    if not isinstance(scheme, (UniformBlock, PartitionBlock)):
         raise UnsupportedError(f"no bound specialization for {scheme!r}")
+    # H = I/||A||_F^2 needs sketches scaled by 1/||A_J||_F; the identity's is S = I
+    if isinstance(scheme, PartitionBlock) and scheme.unit_scale:
+        raise UnsupportedError("deterministic scheme: contraction bound degenerate")
     spec = spectral_quantities(A)
     sigma_min_sq_HA = spec.sigma_min_nonzero ** 2 / A.fro_norm_sq  # H = I/||A||_F^2
     lam = lambda_max_sup(scheme, A)

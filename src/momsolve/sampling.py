@@ -21,10 +21,8 @@ from .linalg import Matrix, augmented, gram_eigenvalues
 from .problems import LinearSystem
 
 __all__ = [
-    "SingleRowWeighted",
     "UniformBlock",
     "PartitionBlock",
-    "FixedIdentity",
     "BlockSampler",
     "SchemeSpec",
     "parse_scheme",
@@ -46,14 +44,6 @@ UNIFORM_SUPPORT_CAP = 100
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SingleRowWeighted:
-    """Row i with probability ||A_i||^2 / ||A||_F^2; S = e_i / ||A_i||."""
-
-    def describe(self) -> str:
-        return "row"
-
-
-@dataclass(frozen=True)
 class UniformBlock:
     """Uniform size-p subset J; S = sqrt(m/p) I[:, J] / ||A||_F."""
 
@@ -66,9 +56,15 @@ class UniformBlock:
 @dataclass(frozen=True)
 class PartitionBlock:
     """Fixed partition; block i with probability ||A_Ii||_F^2 / ||A||_F^2,
-    S = I[:, Ii] / ||A_Ii||_F."""
+    S = I[:, Ii] / ||A_Ii||_F.
+
+    ``row`` is the partition into singletons in row order, and ``identity``
+    the one block of every row with S = I unscaled (``unit_scale``); their
+    ``label`` is what ``describe`` reports."""
 
     blocks: tuple  # tuple of read-only int arrays
+    label: str | None = None
+    unit_scale: bool = False
 
     @property
     def p(self) -> int:
@@ -85,15 +81,13 @@ class PartitionBlock:
             raise ValueError("partition does not cover the matrix rows exactly once")
 
     def describe(self) -> str:
-        return f"partition:{self.p}"
+        return self.label or f"partition:{self.p}"
 
-
-@dataclass(frozen=True)
-class FixedIdentity:
-    """Deterministic scheme: the sample space is the single matrix I."""
-
-    def describe(self) -> str:
-        return "identity"
+    def norms_sq(self, A: Matrix):
+        """(w, d): each block's weight w_J = ||A_J||_F^2 and d_J = 1/s_J^2,
+        which is w_J, or 1 for a ``unit_scale`` family."""
+        w = np.array([A.row_norms_sq[blk].sum() for blk in self.blocks])
+        return w, np.ones_like(w) if self.unit_scale else w
 
 
 def _check_block_size(p: int, m: int) -> None:
@@ -170,44 +164,36 @@ class BlockSampler:
     such run. ``can_carry`` says whether every block has fewer rows than R,
     where ``K_J·t`` is the cheaper product; otherwise K is None.
 
-    Weighted schemes (partition, row, the identity's one block) draw their
-    uniforms in chunks with one ``searchsorted`` per chunk; ``uniform:<p>``
-    gathers its rows, and scales a gather of ``A·R[:, :n]^T`` for its K, on
-    every draw. Rejection gives up after ``len(attempts)`` draws: 100 per
-    support element, one for the identity, which a redraw cannot change.
+    A partition (``row`` and ``identity`` included) draws its uniforms in
+    chunks with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its
+    rows, and scales a gather of ``A·R[:, :n]^T`` for its K, on every draw.
+    Rejection gives up after ``len(attempts)`` draws: 100 per support
+    element, or one for a partition of one block, which a redraw cannot
+    change.
     """
 
     def __init__(self, scheme, system: LinearSystem):
         A = system.A
         self.scheme, self.system = scheme, system
+        if not isinstance(scheme, (UniformBlock, PartitionBlock)):
+            raise TypeError(f"unsupported scheme {scheme!r}")
         if isinstance(scheme, UniformBlock):
             _check_block_size(scheme.p, A.rows)
+        else:
+            scheme.check_covers(A.rows)
         aug = augmented(A, system.b)
-        if isinstance(scheme, FixedIdentity):
-            self.blocks, self.cum = [(*_block_pair(aug), None)], np.ones(1)
-            self.attempts = range(1)
-            self.can_carry = False
-            return
-        # R has min(m, n + 1) rows; a row block has one
-        self.can_carry = not A.is_sparse and getattr(scheme, "p", 1) < min(A.rows, A.cols + 1)
+        # R has min(m, n + 1) rows
+        self.can_carry = not A.is_sparse and scheme.p < min(A.rows, A.cols + 1)
         if isinstance(scheme, UniformBlock):
             self.scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
             aug *= self.scale
             self.aug, self.blocks = aug, None
             self.attempts = range(100 * UNIFORM_SUPPORT_CAP)
             return
-        if isinstance(scheme, PartitionBlock):
-            scheme.check_covers(A.rows)
-            self.rows = scheme.blocks
-            weights = np.array([A.row_norms_sq[blk].sum() for blk in self.rows])
-        elif isinstance(scheme, SingleRowWeighted):
-            self.rows = np.arange(A.rows).reshape(-1, 1)
-            weights = A.row_norms_sq
-        else:
-            raise TypeError(f"unsupported scheme {scheme!r}")
-        self.scales = [1.0 / np.sqrt(w) if w > 0 else 0.0 for w in weights]
+        weights, inv_sq = scheme.norms_sq(A)
+        self.scales = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in inv_sq]
         self.blocks = [(*_block_pair(blk), None) for blk in self._scaled_blocks(aug)]
-        self.attempts = range(100 * len(self.blocks))
+        self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
     def describe(self) -> str:
@@ -220,7 +206,7 @@ class BlockSampler:
 
     def _scaled_blocks(self, M):
         """s·M_J for every block J: slices of one row-permuted copy of M."""
-        P, offsets = _partition_rows(M, self.rows)
+        P, offsets = _partition_rows(M, self.scheme.blocks)
         scale = np.repeat(self.scales, np.diff(offsets))
         if sp.issparse(P):
             P.data *= np.repeat(scale, np.diff(P.indptr))
@@ -281,6 +267,8 @@ def block_spectral_norm_sq(A: Matrix, idx) -> float:
 def _csr_blocks(A: Matrix, blocks):
     """A CSR A's row blocks as dense arrays, one at a time in one reused
     buffer filled straight from the arrays of A's row-permuted copy."""
+    if not blocks:
+        return
     P, offsets = _partition_rows(A.data, blocks)
     buf = np.zeros(np.diff(offsets).max() * A.cols)
     # each stored entry's place in its block's row-major buffer
@@ -297,15 +285,16 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     """sup over the scheme's support of lambda_max(A^T S S^T A)."""
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("lambda_max_sup: zero matrix")
-    if isinstance(scheme, SingleRowWeighted):
-        return LambdaMaxResult(1.0)
-    if isinstance(scheme, FixedIdentity):
-        return LambdaMaxResult(block_spectral_norm_sq(A, np.arange(A.rows)))
     if isinstance(scheme, PartitionBlock):
-        # a block of zero rows has probability 0, so it is not in the support
-        dense = _csr_blocks(A, scheme.blocks) if A.is_sparse else map(A.row_block, scheme.blocks)
-        worst = max(float(gram_eigenvalues(M)[-1]) / w for M, blk in zip(dense, scheme.blocks)
-                    if (w := A.row_norms_sq[blk].sum()) > 0)
+        # s_J^2·lambda_max(A_J A_J^T) = lambda_max / d_J. A block of zero rows
+        # has probability 0, so it is not in the support; a one-row block's
+        # lambda_max is its squared norm w_J, which needs no eigensolver.
+        w, inv_sq = scheme.norms_sq(A)
+        multi = [blk for blk, wj in zip(scheme.blocks, w) if wj > 0 and len(blk) > 1]
+        dense = _csr_blocks(A, multi) if A.is_sparse else map(A.row_block, multi)
+        lam = iter([float(gram_eigenvalues(M)[-1]) for M in dense])
+        worst = max((next(lam) if len(blk) > 1 else wj) / dj
+                    for blk, wj, dj in zip(scheme.blocks, w, inv_sq) if wj > 0)
         return LambdaMaxResult(float(worst))
     if isinstance(scheme, UniformBlock):
         m, p = A.rows, scheme.p
@@ -337,12 +326,16 @@ class SchemeSpec:
 
     def materialize(self, A: Matrix, seed: int):
         """Turn the spec into a concrete scheme; for partition sampling the
-        partition is fixed here, once per run."""
-        if self.variant == "row":
-            return SingleRowWeighted()
-        if self.variant == "identity":
-            return FixedIdentity()
+        partition is fixed here, once per run. ``row`` and ``identity`` are
+        the two fixed partitions: singletons in row order, and one block."""
+        if self.variant in ("row", "identity"):
+            rows = np.arange(A.rows)
+            rows.setflags(write=False)
+            if self.variant == "row":
+                return PartitionBlock(blocks=tuple(rows.reshape(-1, 1)), label="row")
+            return PartitionBlock(blocks=(rows,), label="identity", unit_scale=True)
         if self.variant == "uniform":
+            _check_block_size(self.p, A.rows)
             return UniformBlock(p=self.p)
         if self.variant == "partition":
             return PartitionBlock.from_permutation(A.rows, self.p, seed)

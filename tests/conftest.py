@@ -5,6 +5,8 @@ back which rows a drawn block holds."""
 import numpy as np
 import pytest
 
+from momsolve.sampling import parse_scheme
+
 
 def dense_sketch(indices, scale, m: int) -> np.ndarray:
     """Materialize the m x q sketching matrix S = scale * I[:, J]
@@ -31,6 +33,11 @@ def decode_block(block, A):
     row_norms = np.linalg.norm(block[..., :-1], axis=-1)
     rows = np.rint(-block[..., -1] / row_norms).astype(int) - 1
     return rows, row_norms / np.sqrt(A.row_norms_sq[rows])
+
+
+def materialize(spec: str, A, seed: int = 0):
+    """The scheme that ``spec`` names, made for A as the CLI makes it."""
+    return parse_scheme(spec).materialize(A, seed)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import decode_block, row_coded_rhs
+from conftest import decode_block, materialize, row_coded_rhs
 from momsolve import cli
 from momsolve.analysis import (
     contraction_check,
@@ -23,7 +23,6 @@ from momsolve.linalg import Matrix, min_norm_solution
 from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
     BlockSampler,
-    FixedIdentity,
     PartitionBlock,
     UniformBlock,
 )
@@ -95,7 +94,7 @@ def test_criterion_1_cgne_equivalence():
         system = generate_gaussian_problem(40, 25, 25, 2.0 + 0.8 * seed, seed=seed)
         cfg = _cfg(max_iters=20, rse_tolerance=1e-32, zero_test_threshold=1e-150,
                    seed=seed)
-        _, ta = solve_ashbm(system, FixedIdentity(), cfg, keep_iterates=True)
+        _, ta = solve_ashbm(system, materialize("identity", system.A), cfg, keep_iterates=True)
         _, tc = solve_cgne(system, cfg, keep_iterates=True)
         for xa, xc in zip(ta.iterates, tc.iterates):
             worst = max(worst, float(np.linalg.norm(xa - xc) / np.linalg.norm(xc)))

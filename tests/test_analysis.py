@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_sketch
+from conftest import dense_sketch, materialize
 from momsolve.analysis import (
     BOUND_SLACK,
     BoundReport,
@@ -17,12 +17,7 @@ from momsolve.analysis import (
 from momsolve.errors import UnsupportedError
 from momsolve.linalg import Matrix
 from momsolve.problems import generate_gaussian_problem
-from momsolve.sampling import (
-    FixedIdentity,
-    PartitionBlock,
-    SingleRowWeighted,
-    UniformBlock,
-)
+from momsolve.sampling import PartitionBlock, UniformBlock
 from momsolve.solvers import SolverConfig, Trace, solve_modified_basic
 
 
@@ -60,7 +55,7 @@ class TestConvergenceFactor:
 class TestTheoreticalBound:
     def test_orthonormal_rows_single_row(self):
         A = Matrix.from_dense(np.eye(10))
-        rep = theoretical_bound(SingleRowWeighted(), A, zeta=1.0)
+        rep = theoretical_bound(materialize("row", A), A, zeta=1.0)
         assert rep.per_iter_factor == pytest.approx(0.9)
         assert rep.lambda_max == 1.0
         assert not rep.is_estimate
@@ -71,7 +66,7 @@ class TestTheoreticalBound:
         if zero_row:
             dense[0] = 0.0  # a block outside the support, first in the partition
         A = Matrix.from_dense(dense)
-        row = theoretical_bound(SingleRowWeighted(), A)
+        row = theoretical_bound(materialize("row", A), A)
         part = theoretical_bound(
             PartitionBlock(blocks=tuple(np.array([i]) for i in range(8))), A
         )
@@ -93,25 +88,26 @@ class TestTheoreticalBound:
 
     def test_zeta_dependence(self, rng):
         A = Matrix.from_dense(rng.standard_normal((8, 4)))
-        mid = theoretical_bound(SingleRowWeighted(), A, zeta=1.0)
-        edge = theoretical_bound(SingleRowWeighted(), A, zeta=0.5)
+        mid = theoretical_bound(materialize("row", A), A, zeta=1.0)
+        edge = theoretical_bound(materialize("row", A), A, zeta=0.5)
         assert mid.per_iter_factor < edge.per_iter_factor  # zeta=1 is optimal
 
     def test_identity_unsupported(self):
+        A = Matrix.from_dense(np.eye(3))
         with pytest.raises(UnsupportedError):
-            theoretical_bound(FixedIdentity(), Matrix.from_dense(np.eye(3)))
+            theoretical_bound(materialize("identity", A), A)
 
     def test_invalid_zeta(self):
+        A = Matrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
-            theoretical_bound(SingleRowWeighted(), Matrix.from_dense(np.eye(3)),
-                              zeta=2.0)
+            theoretical_bound(materialize("row", A), A, zeta=2.0)
 
     def test_measured_factor_beats_bound(self):
         sys_ = generate_gaussian_problem(100, 20, 20, 2.0, seed=14)
-        rep = theoretical_bound(SingleRowWeighted(), sys_.A)
+        rep = theoretical_bound(materialize("row", sys_.A), sys_.A)
         cfg = SolverConfig(rse_tolerance=1e-12, max_iters=10 ** 5, seed=14,
                            record_timing=False)
-        _, trace = solve_modified_basic(sys_, SingleRowWeighted(), cfg)
+        _, trace = solve_modified_basic(sys_, materialize("row", sys_.A), cfg)
         rho = convergence_factor(trace.final_rse, trace.iterations)
         assert rho < rep.per_iter_factor
 

@@ -11,6 +11,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from conftest import materialize
 from momsolve import cli, linalg, problems
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import (
@@ -33,7 +34,7 @@ from momsolve.problems import (
     generate_gaussian_problem,
     load_matrix_market,
 )
-from momsolve.sampling import BlockSampler, PartitionBlock, SingleRowWeighted, parse_scheme
+from momsolve.sampling import BlockSampler, PartitionBlock, parse_scheme
 from momsolve.seeds import trial_seed
 from momsolve.solvers import SolverConfig, solve_ashbm, solve_basic
 from momsolve.analysis import theoretical_bound
@@ -198,7 +199,7 @@ class TestWriteTrace:
         scheme = PartitionBlock.from_permutation(40, 5, seed=2)
         traces = [
             # timed and tracked
-            solve_basic(unit, SingleRowWeighted(), SolverConfig(seed=0, max_iters=50))[1],
+            solve_basic(unit, materialize("row", unit.A), SolverConfig(seed=0, max_iters=50))[1],
             solve_ashbm(system, scheme, SolverConfig(seed=1))[1],
             # no residual column (NaN) and zero wall times
             solve_ashbm(system, scheme, SolverConfig(seed=1, track_residual=False,
@@ -576,6 +577,17 @@ class TestBound:
         assert main(common + ["--out", str(tmp_path / "without")]) == 0
         assert ((tmp_path / "with" / "bound.json").read_bytes()
                 == (tmp_path / "without" / "bound.json").read_bytes())
+
+    @pytest.mark.parametrize("spec", ["uniform:11", "partition:11"])
+    def test_oversized_block_fails_before_spectral_work(self, tmp_path, monkeypatch, spec):
+        def no_spectrum(A):
+            raise AssertionError("a block size above m must exit before spectral_quantities")
+
+        monkeypatch.setattr("momsolve.analysis.spectral_quantities", no_spectrum)
+        rc = main(["bound", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",
+                   "--sampling", spec, "--out", str(tmp_path / "b")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert not (tmp_path / "b" / "bound.json").exists()
 
     def test_identity_scheme_rejected(self, tmp_path):
         rc = main(["bound", "--m", "10", "--n", "5", "--r", "5", "--kappa", "2",

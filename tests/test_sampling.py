@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import decode_block, dense_sketch, row_coded_rhs
+from conftest import decode_block, dense_sketch, materialize, row_coded_rhs
+from momsolve.analysis import theoretical_bound
 from momsolve.errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
 from momsolve.linalg import Matrix, augmented
 from momsolve.problems import LinearSystem, generate_gaussian_problem
 from momsolve.sampling import (
     UNIFORM_SUPPORT_CAP,
     BlockSampler,
-    FixedIdentity,
+    LambdaMaxResult,
     PartitionBlock,
     SchemeSpec,
-    SingleRowWeighted,
     UniformBlock,
     _block_pair,
     block_spectral_norm_sq,
@@ -75,7 +75,7 @@ class TestBuildPartition:
 class TestDraw:
     def test_fixed_identity(self, rng):
         A = Matrix.from_dense(np.eye(3))
-        draws = _draws(FixedIdentity(), A, rng)
+        draws = _draws(materialize("identity", A), A, rng)
         first = next(draws)
         for _ in range(3):
             assert next(draws) is first
@@ -93,7 +93,7 @@ class TestDraw:
 
     def test_single_row_scale(self, rng):
         A = Matrix.from_dense(rng.standard_normal((6, 4)))
-        rows, scale = decode_block(next(_draws(SingleRowWeighted(), A, rng))[0], A)
+        rows, scale = decode_block(next(_draws(materialize("row", A), A, rng))[0], A)
         i = int(rows[0])
         assert len(rows) == 1
         assert scale[0] == pytest.approx(1.0 / np.sqrt(A.row_norms_sq[i]))
@@ -108,7 +108,7 @@ class TestDraw:
 
     def test_row_probabilities_proportional_to_norms(self, rng):
         A = Matrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        stream = _draws(SingleRowWeighted(), A, rng)
+        stream = _draws(materialize("row", A), A, rng)
         draws = 30000
         counts = np.bincount([int(decode_block(next(stream)[0], A)[0][0])
                               for _ in range(draws)], minlength=3)
@@ -151,13 +151,14 @@ class TestStructuredProducts:
 
     def test_transpose_single_row(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, np.zeros(2)))
+        sampler = BlockSampler(materialize("row", A), LinearSystem(A, np.zeros(2)))
         fwd, _, _ = sampler.blocks[1]
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [5.0])
 
     def test_transpose_identity(self, rng):
         A = Matrix.from_dense(np.eye(2))
-        fwd, _, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(2))).draws(rng))
+        sampler = BlockSampler(materialize("identity", A), LinearSystem(A, np.zeros(2)))
+        fwd, _, _ = next(sampler.draws(rng))
         np.testing.assert_allclose(fwd.dot([3.0, 5.0, 1.0]), [3.0, 5.0])
 
     def test_matches_dense_sketch(self, rng):
@@ -174,7 +175,8 @@ class TestStructuredProducts:
     def test_identity_pullback(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 4)))
         w = rng.standard_normal(5)
-        _, bwd, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(5))).draws(rng))
+        sampler = BlockSampler(materialize("identity", A), LinearSystem(A, np.zeros(5)))
+        _, bwd, _ = next(sampler.draws(rng))
         np.testing.assert_allclose(bwd.dot(w)[:4], A.toarray().T @ w, atol=1e-13)
 
 
@@ -200,7 +202,8 @@ class TestExpectedGram:
     def test_fixed_identity(self, rng):
         # the single sample is S = I: its block is [A | -b] unscaled
         A = Matrix.from_dense(rng.standard_normal((4, 4)))
-        fwd, _, _ = next(BlockSampler(FixedIdentity(), LinearSystem(A, np.zeros(4))).draws(rng))
+        sampler = BlockSampler(materialize("identity", A), LinearSystem(A, np.zeros(4)))
+        fwd, _, _ = next(sampler.draws(rng))
         np.testing.assert_array_equal(fwd[:, :4], A.toarray())
 
     def test_partition_monte_carlo(self, rng):
@@ -217,7 +220,7 @@ class TestExpectedGram:
     def test_single_row_closed_form_is_exact_average(self, rng):
         # sum over the support, weighted by probabilities, equals I/||A||_F^2
         A = Matrix.from_dense(rng.standard_normal((6, 3)))
-        sampler = BlockSampler(SingleRowWeighted(), LinearSystem(A, row_coded_rhs(A)))
+        sampler = BlockSampler(materialize("row", A), LinearSystem(A, row_coded_rhs(A)))
         probs = A.row_norms_sq / A.fro_norm_sq
         acc = np.zeros((6, 6))
         for i, (fwd, _, _) in enumerate(sampler.blocks):
@@ -229,18 +232,18 @@ class TestExpectedGram:
 class TestLambdaMaxSup:
     def test_single_row_is_one(self, rng):
         A = Matrix.from_dense(rng.standard_normal((5, 3)))
-        res = lambda_max_sup(SingleRowWeighted(), A)
+        res = lambda_max_sup(materialize("row", A), A)
         assert res.value == 1.0
         assert not res.is_estimate
 
     def test_identity_is_sigma_max_sq(self):
         A = Matrix.from_dense(np.diag([3.0, 1.0]))
-        assert lambda_max_sup(FixedIdentity(), A).value == pytest.approx(9.0)
+        assert lambda_max_sup(materialize("identity", A), A).value == pytest.approx(9.0)
 
     @pytest.mark.parametrize("shape", [(100, 20), (20, 100)], ids=["tall", "wide"])
     def test_identity_matches_svd(self, rng, shape):
         A = Matrix.from_dense(rng.standard_normal(shape))
-        res = lambda_max_sup(FixedIdentity(), A)
+        res = lambda_max_sup(materialize("identity", A), A)
         assert res.value == pytest.approx(np.linalg.norm(A.toarray(), 2) ** 2, rel=1e-12)
         assert not res.is_estimate
 
@@ -277,13 +280,12 @@ class TestLambdaMaxSup:
         scheme = PartitionBlock(blocks=tuple(np.array([i]) for i in range(4)))
         assert lambda_max_sup(scheme, A).value == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("scheme", [
-        SingleRowWeighted(), UniformBlock(p=2), FixedIdentity(),
-        PartitionBlock(blocks=(np.array([0, 1]), np.array([2, 3]))),
-    ], ids=["row", "uniform", "identity", "partition"])
-    def test_zero_matrix_rejected(self, scheme):
+    @pytest.mark.parametrize("spec", ["row", "uniform:2", "identity", "partition:2"],
+                             ids=["row", "uniform", "identity", "partition"])
+    def test_zero_matrix_rejected(self, spec):
+        A = Matrix.from_dense(np.zeros((4, 2)))
         with pytest.raises(ZeroMatrixError):
-            lambda_max_sup(scheme, Matrix.from_dense(np.zeros((4, 2))))
+            lambda_max_sup(materialize(spec, A), A)
 
     def test_large_uniform_support_is_estimate(self, rng):
         A = Matrix.from_dense(rng.standard_normal((60, 5)))
@@ -327,10 +329,8 @@ class TestOnePassBinding:
     def test_blocks_match_per_block_gather(self, kind, spec):
         system, part = _zero_block_system(kind, 16 if spec == "partition:16" else 8)
         A = system.A
-        if spec == "row":
-            scheme, rows = SingleRowWeighted(), [np.array([i]) for i in range(A.rows)]
-        else:
-            scheme, rows = part, part.blocks
+        scheme = materialize(spec, A) if spec == "row" else part
+        rows = scheme.blocks
         sampler = BlockSampler(scheme, system)
         # K_J needs the QR factor of the dense [A | -b]; a CSR run never carries
         bound = sampler.residual_maps if kind == "dense" else sampler.blocks
@@ -368,6 +368,41 @@ class TestOnePassBinding:
         monkeypatch.setattr(Matrix, "row_block", no_row_block)
         assert lambda_max_sup(part, system.A) == expected
 
+    # ``row`` and ``identity`` are partitions too: what sets them apart is
+    # their label, the identity's S = I and the size of their support
+
+    @pytest.mark.parametrize("spec", ["row", "identity", "uniform:3", "partition:8"])
+    def test_describe_round_trips(self, spec):
+        system, _ = _zero_block_system("dense", 8)
+        assert materialize(spec, system.A).describe() == spec
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    @pytest.mark.parametrize("spec", ["row", "partition:1"])
+    def test_one_row_blocks_give_exactly_one(self, kind, spec):
+        system, _ = _zero_block_system(kind, 8)
+        assert lambda_max_sup(materialize(spec, system.A), system.A) == LambdaMaxResult(1.0)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_identity_lambda_max_is_unscaled(self, kind):
+        system, _ = _zero_block_system(kind, 8)
+        A = system.A
+        expected = block_spectral_norm_sq(A, np.arange(A.rows))
+        assert lambda_max_sup(materialize("identity", A), A) == LambdaMaxResult(expected)
+
+    @pytest.mark.parametrize("spec,attempts", [
+        ("identity", 1), ("partition:45", 1), ("row", 100 * 45), ("partition:8", 100 * 6),
+    ])
+    def test_attempts_per_block(self, spec, attempts):
+        system, _ = _zero_block_system("dense", 8)
+        sampler = BlockSampler(materialize(spec, system.A), system)
+        assert sampler.attempts == range(attempts)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_bound_refuses_identity(self, kind):
+        system, _ = _zero_block_system(kind, 8)
+        with pytest.raises(UnsupportedError, match="deterministic scheme"):
+            theoretical_bound(materialize("identity", system.A), system.A)
+
 
 class TestSchemeSpec:
     @pytest.mark.parametrize("text,variant,p", [
@@ -391,9 +426,14 @@ class TestSchemeSpec:
 
     def test_materialize(self, rng):
         A = Matrix.from_dense(rng.standard_normal((10, 4)))
-        assert isinstance(parse_scheme("row").materialize(A, 0), SingleRowWeighted)
-        assert isinstance(parse_scheme("identity").materialize(A, 0), FixedIdentity)
+        row = parse_scheme("row").materialize(A, 0)
+        assert [blk.tolist() for blk in row.blocks] == [[i] for i in range(10)]
+        identity = parse_scheme("identity").materialize(A, 0)
+        assert len(identity.blocks) == 1 and identity.unit_scale
+        np.testing.assert_array_equal(identity.blocks[0], np.arange(10))
         assert parse_scheme("uniform:3").materialize(A, 0) == UniformBlock(p=3)
+        with pytest.raises(InvalidBlockSizeError, match="1 <= p <= m=10"):
+            parse_scheme("uniform:11").materialize(A, 0)
         part = parse_scheme("partition:4").materialize(A, 7)
         again = parse_scheme("partition:4").materialize(A, 7)
         assert isinstance(part, PartitionBlock)

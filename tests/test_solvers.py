@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_sketch
+from conftest import dense_sketch, materialize
 from momsolve import sampling, solvers
 from momsolve.errors import (
     BreakdownError,
@@ -18,9 +18,7 @@ from momsolve.linalg import Matrix, min_norm_solution
 from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_problem
 from momsolve.sampling import (
     BlockSampler,
-    FixedIdentity,
     PartitionBlock,
-    SingleRowWeighted,
     parse_scheme,
 )
 from momsolve.solvers import (
@@ -51,7 +49,7 @@ def _first_steps(solve, system, scheme, seeds=range(8), **kw):
 class TestPolyakStepsize:
     def test_identity_single_coordinate(self):
         sys_ = _system(np.eye(2), [1.0, -1.0])  # r0 = -b = [-1, 1]
-        for _, trace in _first_steps(solve_modified_basic, sys_, SingleRowWeighted()):
+        for _, trace in _first_steps(solve_modified_basic, sys_, materialize("row", sys_.A)):
             assert trace.alpha[0] == pytest.approx(1.0)
 
     def test_row_normalized_recovers_row_projection(self, rng):
@@ -60,7 +58,7 @@ class TestPolyakStepsize:
         dense = rng.standard_normal((6, 4))
         sys_ = _system(dense, dense @ rng.standard_normal(4))
         classical = [(sys_.b[i] / (dense[i] @ dense[i])) * dense[i] for i in range(6)]
-        for state, _ in _first_steps(solve_modified_basic, sys_, SingleRowWeighted()):
+        for state, _ in _first_steps(solve_modified_basic, sys_, materialize("row", sys_.A)):
             assert min(np.max(np.abs(state.x - c)) for c in classical) <= 1e-12
 
     def test_block_matches_dense_formula(self):
@@ -82,7 +80,7 @@ class TestPolyakStepsize:
     def test_zero_sketch_is_resampled(self):
         # r0 = [0, -5]: row 0 gives a zero sketch, which is never stepped on
         sys_ = _system(np.eye(2), [0.0, 5.0])
-        runs = _first_steps(solve_modified_basic, sys_, SingleRowWeighted())
+        runs = _first_steps(solve_modified_basic, sys_, materialize("row", sys_.A))
         for state, trace in runs:
             assert trace.alpha[0] == pytest.approx(1.0)
             np.testing.assert_allclose(state.x, [0.0, 5.0], atol=1e-14)
@@ -92,7 +90,7 @@ class TestPolyakStepsize:
 class TestBasicStep:
     def test_exact_row_projection(self):
         sys_ = _system(np.eye(2), [1.0, 2.0])
-        for state, trace in _first_steps(solve_basic, sys_, SingleRowWeighted()):
+        for state, trace in _first_steps(solve_basic, sys_, materialize("row", sys_.A)):
             assert trace.moved[0]
             assert any(np.allclose(state.x, x, rtol=0, atol=1e-14)
                        for x in ([1.0, 0.0], [0.0, 2.0]))
@@ -101,7 +99,7 @@ class TestBasicStep:
     def test_zero_sketch_keeps_iterate(self):
         sys_ = _system(np.eye(2), [1.0, 0.0])
         unmoved = [(state, trace) for state, trace in
-                   _first_steps(solve_basic, sys_, SingleRowWeighted())
+                   _first_steps(solve_basic, sys_, materialize("row", sys_.A))
                    if not trace.moved[0]]
         assert unmoved
         for state, trace in unmoved:
@@ -111,7 +109,8 @@ class TestBasicStep:
 
     def test_relaxed_step(self):
         sys_ = _system([[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0])
-        for state, trace in _first_steps(solve_basic, sys_, SingleRowWeighted(), zeta=0.5):
+        row = materialize("row", sys_.A)
+        for state, trace in _first_steps(solve_basic, sys_, row, zeta=0.5):
             # row i is scaled by 1/||A_i||, so alpha = (2 - 0.5) * 1 / 1
             assert trace.alpha[0] == pytest.approx(1.5)
             assert any(np.allclose(state.x, x, rtol=0, atol=1e-14)
@@ -148,9 +147,9 @@ class TestAshbmParameters:
         sys_ = generate_gaussian_problem(30, 20, 20, 3.0, seed=8)
         A, b = sys_.A, sys_.b
         target = min_norm_solution(A, b)
-        state, trace = solve_ashbm(sys_, SingleRowWeighted(), _cfg(max_iters=2, seed=4))
+        state, trace = solve_ashbm(sys_, materialize("row", sys_.A), _cfg(max_iters=2, seed=4))
         assert trace.sample_draws == 2
-        draws = BlockSampler(SingleRowWeighted(), sys_).draws(np.random.default_rng(4))
+        draws = BlockSampler(materialize("row", sys_.A), sys_).draws(np.random.default_rng(4))
 
         def gradient(x):
             fwd, bwd, _ = next(draws)
@@ -196,7 +195,7 @@ class TestSolverRuns:
     def test_already_solved(self):
         A = Matrix.from_dense(np.eye(2))
         sys_ = attach_min_norm(LinearSystem(A=A, b=np.zeros(2)))
-        state, trace = solve_modified_basic(sys_, SingleRowWeighted(), _cfg())
+        state, trace = solve_modified_basic(sys_, materialize("row", sys_.A), _cfg())
         assert trace.converged
         assert trace.iterations == 0
         assert trace.reason == "already_solved"
@@ -217,7 +216,7 @@ class TestSolverRuns:
         sys_ = attach_min_norm(
             LinearSystem(A=Matrix.from_dense(np.eye(2)), b=np.array([1.0, 1.0]))
         )
-        state, trace = solve_modified_basic(sys_, SingleRowWeighted(), _cfg())
+        state, trace = solve_modified_basic(sys_, materialize("row", sys_.A), _cfg())
         assert trace.converged
         assert trace.iterations <= 2
         np.testing.assert_allclose(state.x, [1.0, 1.0], atol=1e-12)
@@ -228,7 +227,7 @@ class TestSolverRuns:
             LinearSystem(A=Matrix.from_dense(np.eye(2)), b=np.array([1.0, 0.0]))
         )
         # seed chosen so the first draw lands on the zero-residual row
-        state, trace = solve_basic(sys_, SingleRowWeighted(),
+        state, trace = solve_basic(sys_, materialize("row", sys_.A),
                                    _cfg(max_iters=50, seed=0))
         assert trace.converged
         assert not trace.moved.all()
@@ -246,7 +245,7 @@ class TestSolverRuns:
 
     def test_modified_basic_strictly_decreasing(self):
         sys_ = generate_gaussian_problem(60, 30, 30, 3.0, seed=2)
-        _, trace = solve_modified_basic(sys_, SingleRowWeighted(), _cfg())
+        _, trace = solve_modified_basic(sys_, materialize("row", sys_.A), _cfg())
         assert np.all(np.diff(trace.rse) < 0)
 
     def test_trace_determinism(self):
@@ -261,26 +260,24 @@ class TestSolverRuns:
     def test_min_norm_required(self):
         sys_ = LinearSystem(A=Matrix.from_dense(np.eye(2)), b=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            solve_modified_basic(sys_, SingleRowWeighted(), _cfg())
+            solve_modified_basic(sys_, materialize("row", sys_.A), _cfg())
 
     def test_stalled_sampling(self):
         sys_ = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         cfg = _cfg(zero_test_threshold=1e6)
         with pytest.raises(StalledSamplingError):
-            solve_modified_basic(sys_, SingleRowWeighted(), cfg)
+            solve_modified_basic(sys_, materialize("row", sys_.A), cfg)
 
     def test_keep_iterates(self):
         sys_ = generate_gaussian_problem(30, 15, 15, 2.0, seed=4)
-        _, trace = solve_modified_basic(sys_, SingleRowWeighted(),
+        _, trace = solve_modified_basic(sys_, materialize("row", sys_.A),
                                         _cfg(max_iters=25), keep_iterates=True)
         assert len(trace.iterates) == len(trace)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            solve_modified_basic(
-                generate_gaussian_problem(10, 5, 5, 2.0, seed=0),
-                SingleRowWeighted(), _cfg(zeta=2.0),
-            )
+            sys_ = generate_gaussian_problem(10, 5, 5, 2.0, seed=0)
+            solve_modified_basic(sys_, materialize("row", sys_.A), _cfg(zeta=2.0))
         with pytest.raises(ValueError):
             _cfg(momentum_beta=1.0).validate()
 
@@ -310,7 +307,7 @@ class TestAshbm:
     def test_identity_scheme_matches_cgne(self):
         sys_ = generate_gaussian_problem(40, 25, 25, 8.0, seed=9)
         cfg = _cfg(max_iters=20, rse_tolerance=1e-32, zero_test_threshold=1e-150)
-        _, ta = solve_ashbm(sys_, FixedIdentity(), cfg, keep_iterates=True)
+        _, ta = solve_ashbm(sys_, materialize("identity", sys_.A), cfg, keep_iterates=True)
         _, tc = solve_cgne(sys_, cfg, keep_iterates=True)
         for xa, xc in zip(ta.iterates, tc.iterates):
             rel = np.linalg.norm(xa - xc) / np.linalg.norm(xc)
@@ -321,7 +318,7 @@ class TestScg:
     def test_initial_direction(self):
         # deterministic scheme pins the first direction to -A^T(Ax0 - b)
         sys_ = generate_gaussian_problem(20, 12, 12, 2.0, seed=3)
-        state, _ = solve_scg(sys_, FixedIdentity(), _cfg(max_iters=1))
+        state, _ = solve_scg(sys_, materialize("identity", sys_.A), _cfg(max_iters=1))
         p0 = sys_.A.rmatvec(sys_.b)  # -A^T(0 - b)
         delta = float(sys_.b @ sys_.b) / float(p0 @ p0)
         np.testing.assert_allclose(state.x, delta * p0, atol=1e-13)
@@ -355,7 +352,7 @@ class TestResidualStop:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((30, 10))
         sys_ = _system(A, A @ (scale * rng.standard_normal(10)))
-        args = (sys_,) if solver == "cgne" else (sys_, SingleRowWeighted())
+        args = (sys_,) if solver == "cgne" else (sys_, materialize("row", sys_.A))
         return SOLVER_IDS[solver](*args, _cfg(zero_test_threshold=1e6))[1]
 
     @pytest.mark.parametrize("solver", ["mbasic", "ashbm", "scg", "cgne"])
@@ -423,7 +420,7 @@ class TestMrabk:
     def test_requires_partition(self):
         sys_ = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
         with pytest.raises(TypeError):
-            solve_mrabk(sys_, SingleRowWeighted(), _cfg())
+            solve_mrabk(sys_, materialize("uniform:4", sys_.A), _cfg())
 
     def test_singleton_blocks_unit_step(self, rng):
         sys_ = generate_gaussian_problem(10, 5, 5, 2.0, seed=1)
