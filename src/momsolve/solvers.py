@@ -54,7 +54,7 @@ __all__ = [
 DEGENERACY_THRESHOLD = 1e-14
 
 # steps between exact recomputations of an updated residual: CGNE's
-# recurrence residual and the heavy-ball loop's carried R·[x; 1]
+# recurrence residual and the carried R·[x; 1] of the heavy-ball loop and SCG
 DRIFT_CHECK_INTERVAL = 1000
 
 # A diverging run overflows in its products a few steps before ``record``
@@ -489,20 +489,22 @@ def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
 def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
               *, keep_iterates: bool = False, diagnostics: bool = False):
     """Stochastic CG recursion; identical sample sequences make it
-    iterate-for-iterate equal to the momentum form."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
+    iterate-for-iterate equal to the momentum form. A carried residual
+    follows x' = x + delta·p through R·p' = eta·R·p − K·t."""
+    run = _Run(system, scheme, config, keep_iterates, diagnostics, carry_residual=True)
     if run.err0_sq == 0.0:
         return run.already_solved()
-    tol, n = config.rse_tolerance, run.n
+    tol, n, carry = config.rse_tolerance, run.n, run.carry_residual
     cur, nxt = run.states
 
     drawn = run.draw_nonzero(cur.xa)
     if drawn is None:
         return run.finish(cur.xa, True, "residual")
-    fwd, bwd, _, t, s_cur = drawn
+    fwd, bwd, K, t, s_cur = drawn
     g = bwd.dot(t)
     g[n] = 0.0
     p = -g
+    rp = -K.dot(t) if carry else None
 
     for k in range(1, config.max_iters + 1):
         t0 = run.clock()
@@ -515,6 +517,11 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         step = delta * p
         np.add(cur.xa, step, out=nxt.xa)
         np.add(cur.err, step, out=nxt.err)
+        if carry:
+            np.add(cur.rx, delta * rp, out=nxt.rx)
+            if k % DRIFT_CHECK_INTERVAL == 0:
+                system.residual_factor.dot(nxt.xa, out=nxt.rx)
+                rp = system.residual_factor.dot(p)
         cur, nxt = nxt, cur
         rse = run.record(cur, delta, 0.0, t0)
         if run.diag is not None:
@@ -526,7 +533,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         drawn = run.draw_nonzero(cur.xa)
         if drawn is None:
             return run.finish(cur.xa, True, "residual")
-        fwd_next, bwd_next, _, t_new, s_new = drawn
+        fwd_next, bwd_next, K, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
         g = bwd_next.dot(t_new)
@@ -536,6 +543,8 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             dn = float(np.linalg.norm(p) * np.linalg.norm(p_new))
             run.add_diag("direction_orth", float(p.dot(p_new)) / dn if dn else 0.0)
         p = p_new
+        if carry:
+            rp = eta * rp - K.dot(t_new)
         fwd, t, s_cur = fwd_next, t_new, s_new
     return run.finish(cur.xa, False, "max_iters")
 

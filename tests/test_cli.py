@@ -610,6 +610,27 @@ class TestBound:
         assert rc == 0
         assert _read_json(tmp_path / "b" / "bound.json")["per_iter_factor"] < 1.0
 
+    def test_csr_lanczos_report_repeats(self, tmp_path, monkeypatch):
+        # a CSR file sparse enough for the Lanczos extremes: fixed start
+        # vector, so two runs write the same bytes
+        import scipy.sparse.linalg
+
+        calls, eigsh = [], scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
+        rng = np.random.default_rng(5)
+        cols = np.array([rng.choice(600, size=4, replace=False) for _ in range(2400)])
+        mtx = tmp_path / "A.mtx"
+        scipy.io.mmwrite(str(mtx), sp.csr_matrix(
+            (rng.standard_normal(cols.size), cols.ravel(), np.arange(0, cols.size + 1, 4)),
+            shape=(2400, 600)))
+        for out in ("b1", "b2"):
+            assert main(["bound", "--matrix", str(mtx), "--sampling", "partition:8",
+                         "--out", str(tmp_path / out)]) == 0
+        assert calls == ["SA", "LA"] * 2
+        assert ((tmp_path / "b1" / "bound.json").read_bytes()
+                == (tmp_path / "b2" / "bound.json").read_bytes())
+
     @pytest.mark.parametrize("factor,max_iters,length", [
         (0.9999, 10 ** 6, 368_396), (0.5, 30, 30), (1.0 - 1e-7, 2 * 10 ** 6, 10 ** 6),
         (0.0, 10 ** 6, 1), (-0.5, 10 ** 6, 1), (1.0, 2 * 10 ** 6, 10 ** 6),

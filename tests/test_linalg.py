@@ -46,6 +46,34 @@ def _svd_route(A) -> SpectralSummary:
                            rank=int(nonzero.size), fro_norm=float(np.sqrt(A.fro_norm_sq)))
 
 
+def _gram_route(A) -> SpectralSummary:
+    """The spectral summary from the smaller Gram's ``eigvalsh``, the route
+    that ``spectral_quantities`` keeps for a dense, well-conditioned A."""
+    lam = linalg.gram_eigenvalues(A.data)
+    return SpectralSummary(sigma_max=float(np.sqrt(lam[-1])),
+                           sigma_min_nonzero=float(np.sqrt(lam[0])),
+                           rank=min(A.shape), fro_norm=float(np.sqrt(A.fro_norm_sq)))
+
+
+def _csr_rows(m, n, per_row, seed):
+    """A CSR m x n matrix whose every row holds ``per_row`` distinct columns
+    with standard normal values, like the benchmark's sparse file."""
+    rng = np.random.default_rng(seed)
+    cols = np.array([np.sort(rng.choice(n, size=per_row, replace=False)) for _ in range(m)])
+    return sp.csr_matrix((rng.standard_normal(m * per_row), cols.ravel(),
+                          np.arange(0, m * per_row + 1, per_row)), shape=(m, n))
+
+
+def _spy_eigsh(monkeypatch):
+    """Record every ARPACK call that ``spectral_quantities`` makes."""
+    import scipy.sparse.linalg
+
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
+    return calls
+
+
 class TestMatrix:
     def test_dense_shape_and_row_norms(self):
         A = Matrix.from_dense([[3.0, 0.0], [0.0, 1.0]])
@@ -197,6 +225,67 @@ class TestSpectralQuantities:
 
         monkeypatch.setattr(linalg, "gram_eigenvalues", no_gram)
         assert spectral_quantities(A) == _svd_route(A)
+
+    @staticmethod
+    def _well_conditioned_csr(wide=False):
+        # 2400 x 600 with 4 entries a row: sparse enough for Lanczos
+        M = _csr_rows(2400, 600, 4, seed=2)
+        return Matrix.from_scipy(M.T if wide else M)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_certified_lanczos_matches_svd(self, monkeypatch, wide):
+        A = self._well_conditioned_csr(wide)
+        svals = np.linalg.svd(A.toarray(), compute_uv=False)
+
+        def no_dense_spectrum(M):
+            raise AssertionError("certified Lanczos extremes need no eigvalsh or SVD")
+
+        monkeypatch.setattr(linalg, "gram_eigenvalues", no_dense_spectrum)
+        monkeypatch.setattr(linalg, "_singular_values", no_dense_spectrum)
+        calls = _spy_eigsh(monkeypatch)
+        s = spectral_quantities(A)
+        assert calls == ["SA", "LA"]
+        assert s.sigma_max == pytest.approx(svals[0], rel=1e-12)
+        assert s.sigma_min_nonzero == pytest.approx(svals[-1], rel=1e-10)
+        assert s.rank == 600
+        assert s.fro_norm == float(np.sqrt(A.fro_norm_sq))
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_singular_gram_fails_the_certificate(self, monkeypatch, wide):
+        # column 8 copies column 9, so the Gram is singular with no zero row
+        # or column. ARPACK's smallest Ritz value is the smallest nonzero
+        # eigenvalue; the Cholesky shifted by it breaks down, and the Gram
+        # and SVD routes decide as they do without Lanczos
+        M = _csr_rows(2400, 600, 4, seed=1).tolil()
+        M[:, 8] = M[:, 9]
+        A = Matrix.from_scipy(M.T if wide else M)
+        calls = _spy_eigsh(monkeypatch)
+        assert spectral_quantities(A) == _svd_route(A)
+        assert calls == ["SA", "LA"]
+
+    def test_arpack_no_convergence_takes_the_gram_route(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                          np.empty((0, 0)))
+
+        A = self._well_conditioned_csr()
+        expected = _gram_route(A)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        assert spectral_quantities(A) == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: Matrix.from_scipy(sp.random(50, 2, density=0.5, random_state=9) + sp.eye(50, 2)),
+        lambda: Matrix.from_scipy(sp.random(2, 50, density=0.5, random_state=9) + sp.eye(2, 50)),
+        lambda: Matrix.from_scipy(sp.random(40, 1, density=0.5, random_state=9) + sp.eye(40, 1)),
+        lambda: Matrix.from_dense(TestSpectralQuantities._well_conditioned_csr().toarray()),
+    ], ids=["csr-2-columns", "csr-2-rows", "csr-1-column", "dense"])
+    def test_dense_and_tiny_csr_keep_the_gram_route(self, monkeypatch, make):
+        A = make()
+        calls = _spy_eigsh(monkeypatch)
+        assert spectral_quantities(A) == _gram_route(A)
+        assert calls == []
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):

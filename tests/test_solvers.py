@@ -530,6 +530,21 @@ class TestResidualChannel:
         assert calls == [DRIFT_CHECK_INTERVAL - 1, 2 * DRIFT_CHECK_INTERVAL - 1]
         _assert_residuals_match(sys_, trace)
 
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_scg_carries_its_residual(self, monkeypatch, p):
+        # a tracked dense scg run follows R·xa through R·p, past one refresh,
+        # with no product with R on the records
+        def no_product(run, xa):
+            raise AssertionError("a carried residual needs no product with R")
+
+        monkeypatch.setattr(solvers._Run, "residual_norm", no_product)
+        sys_ = generate_gaussian_problem(400, 100, 100, 20.0, seed=9)
+        scheme = PartitionBlock.from_permutation(400, p, seed=9)
+        config = _cfg(max_iters=DRIFT_CHECK_INTERVAL + 100, rse_tolerance=0.0)
+        _, trace = solve_scg(sys_, scheme, config, keep_iterates=True)
+        assert len(trace) == DRIFT_CHECK_INTERVAL + 100
+        _assert_residuals_match(sys_, trace)
+
     def test_factor_only_when_tracking(self, monkeypatch):
         sys_ = generate_gaussian_problem(60, 20, 20, 3.0, seed=6)
         scheme = PartitionBlock.from_permutation(60, 6, seed=6)
@@ -547,8 +562,8 @@ class TestResidualChannel:
         assert calls == []
         solve_ashbm(sys_, scheme, _cfg(max_iters=50))
         assert calls == ["r"]
-        # the factor is the system's, so later tracked runs on it, carried
-        # (ashbm) or not (scg), factor nothing again
+        # the factor is the system's, so later tracked runs on it factor
+        # nothing again
         solve_ashbm(sys_, scheme, _cfg(max_iters=50, seed=4))
         solve_scg(sys_, scheme, _cfg(max_iters=50))
         assert calls == ["r"]
