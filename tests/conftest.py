@@ -35,6 +35,27 @@ def decode_block(block, A):
     return rows, row_norms / np.sqrt(A.row_norms_sq[rows])
 
 
+def csr_rows(m, n, per_row, seed):
+    """A CSR m x n matrix whose every row holds ``per_row`` distinct columns
+    with standard normal values, like the benchmark's sparse file."""
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(seed)
+    cols = np.array([np.sort(rng.choice(n, size=per_row, replace=False)) for _ in range(m)])
+    return sp.csr_matrix((rng.standard_normal(m * per_row), cols.ravel(),
+                          np.arange(0, m * per_row + 1, per_row)), shape=(m, n))
+
+
+def spy_eigsh(monkeypatch):
+    """The ``which`` of every ARPACK ``eigsh`` call made from now on."""
+    import scipy.sparse.linalg
+
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
+    return calls
+
+
 def materialize(spec: str, A, seed: int = 0):
     """The scheme that ``spec`` names, made for A as the CLI makes it."""
     return parse_scheme(spec).materialize(A, seed)

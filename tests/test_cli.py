@@ -11,7 +11,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from conftest import materialize
+from conftest import csr_rows, materialize, spy_eigsh
 from momsolve import cli, linalg, problems
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import (
@@ -613,17 +613,9 @@ class TestBound:
     def test_csr_lanczos_report_repeats(self, tmp_path, monkeypatch):
         # a CSR file sparse enough for the Lanczos extremes: fixed start
         # vector, so two runs write the same bytes
-        import scipy.sparse.linalg
-
-        calls, eigsh = [], scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
-        rng = np.random.default_rng(5)
-        cols = np.array([rng.choice(600, size=4, replace=False) for _ in range(2400)])
+        calls = spy_eigsh(monkeypatch)
         mtx = tmp_path / "A.mtx"
-        scipy.io.mmwrite(str(mtx), sp.csr_matrix(
-            (rng.standard_normal(cols.size), cols.ravel(), np.arange(0, cols.size + 1, 4)),
-            shape=(2400, 600)))
+        scipy.io.mmwrite(str(mtx), csr_rows(2400, 600, 4, seed=5))
         for out in ("b1", "b2"):
             assert main(["bound", "--matrix", str(mtx), "--sampling", "partition:8",
                          "--out", str(tmp_path / out)]) == 0

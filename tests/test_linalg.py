@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import csr_rows, spy_eigsh
 from momsolve.errors import InconsistentSystemError, ZeroMatrixError
 from momsolve import linalg
 from momsolve.linalg import Matrix, SpectralSummary, min_norm_solution, spectral_quantities
@@ -53,25 +54,6 @@ def _gram_route(A) -> SpectralSummary:
     return SpectralSummary(sigma_max=float(np.sqrt(lam[-1])),
                            sigma_min_nonzero=float(np.sqrt(lam[0])),
                            rank=min(A.shape), fro_norm=float(np.sqrt(A.fro_norm_sq)))
-
-
-def _csr_rows(m, n, per_row, seed):
-    """A CSR m x n matrix whose every row holds ``per_row`` distinct columns
-    with standard normal values, like the benchmark's sparse file."""
-    rng = np.random.default_rng(seed)
-    cols = np.array([np.sort(rng.choice(n, size=per_row, replace=False)) for _ in range(m)])
-    return sp.csr_matrix((rng.standard_normal(m * per_row), cols.ravel(),
-                          np.arange(0, m * per_row + 1, per_row)), shape=(m, n))
-
-
-def _spy_eigsh(monkeypatch):
-    """Record every ARPACK call that ``spectral_quantities`` makes."""
-    import scipy.sparse.linalg
-
-    calls, eigsh = [], scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
-    return calls
 
 
 class TestMatrix:
@@ -229,7 +211,7 @@ class TestSpectralQuantities:
     @staticmethod
     def _well_conditioned_csr(wide=False):
         # 2400 x 600 with 4 entries a row: sparse enough for Lanczos
-        M = _csr_rows(2400, 600, 4, seed=2)
+        M = csr_rows(2400, 600, 4, seed=2)
         return Matrix.from_scipy(M.T if wide else M)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
@@ -242,7 +224,7 @@ class TestSpectralQuantities:
 
         monkeypatch.setattr(linalg, "gram_eigenvalues", no_dense_spectrum)
         monkeypatch.setattr(linalg, "_singular_values", no_dense_spectrum)
-        calls = _spy_eigsh(monkeypatch)
+        calls = spy_eigsh(monkeypatch)
         s = spectral_quantities(A)
         assert calls == ["SA", "LA"]
         assert s.sigma_max == pytest.approx(svals[0], rel=1e-12)
@@ -256,10 +238,10 @@ class TestSpectralQuantities:
         # or column. ARPACK's smallest Ritz value is the smallest nonzero
         # eigenvalue; the Cholesky shifted by it breaks down, and the Gram
         # and SVD routes decide as they do without Lanczos
-        M = _csr_rows(2400, 600, 4, seed=1).tolil()
+        M = csr_rows(2400, 600, 4, seed=1).tolil()
         M[:, 8] = M[:, 9]
         A = Matrix.from_scipy(M.T if wide else M)
-        calls = _spy_eigsh(monkeypatch)
+        calls = spy_eigsh(monkeypatch)
         assert spectral_quantities(A) == _svd_route(A)
         assert calls == ["SA", "LA"]
 
@@ -283,7 +265,7 @@ class TestSpectralQuantities:
     ], ids=["csr-2-columns", "csr-2-rows", "csr-1-column", "dense"])
     def test_dense_and_tiny_csr_keep_the_gram_route(self, monkeypatch, make):
         A = make()
-        calls = _spy_eigsh(monkeypatch)
+        calls = spy_eigsh(monkeypatch)
         assert spectral_quantities(A) == _gram_route(A)
         assert calls == []
 
