@@ -26,11 +26,11 @@ from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
 from .sampling import BlockSampler, _check_block_size, parse_scheme
 from .seeds import trial_seed
-from .solvers import SOLVER_IDS, SolverConfig, Trace, solve_cgne
+from .solvers import SOLVER_IDS, SolverConfig, Trace, TraceRecord, solve_cgne
 
 __all__ = ["ExperimentConfig", "main", "run_trials", "summarize"]
 
-TRACE_HEADER = "k,rse,residual_norm,alpha,beta,wall_nanos,moved"
+TRACE_HEADER = ",".join(TraceRecord._fields)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_BREAKDOWN = 3
@@ -237,31 +237,22 @@ def _stats(values: np.ndarray) -> dict:
     }
 
 
-def _trace_rows(trace: Trace):
-    """The trace as rows of Python scalars, in TRACE_HEADER order."""
-    return zip(trace.k.tolist(), trace.rse.tolist(), trace.residual_norm.tolist(),
-               trace.alpha.tolist(), trace.beta.tolist(), trace.wall_nanos.tolist(),
-               trace.moved.astype(np.int64).tolist())
-
-
 def write_trace(path, trace: Trace, fmt: str) -> None:
     if fmt == "csv":
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            fh.write("".join([f"{k},{e!r},{rn!r},{a!r},{bt!r},{w},{mv}\n"
-                              for k, e, rn, a, bt, w, mv in _trace_rows(trace)]))
+        text = TRACE_HEADER + "\n" + "".join([f"{k},{e!r},{rn!r},{a!r},{bt!r},{w},{mv}\n"
+                                              for k, e, rn, a, bt, w, mv in trace.rows()])
     elif fmt == "json":
-        payload = {
+        text = json.dumps({
             "header": TRACE_HEADER.split(","),
-            "records": [list(row) for row in _trace_rows(trace)],
+            "records": [list(row) for row in trace.rows()],
             "converged": trace.converged,
             "reason": trace.reason,
             "fallback_steps": trace.fallback_steps,
-        }
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        }, sort_keys=True) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,20 @@ def augmented(A: Matrix, b: np.ndarray):
     return np.hstack([A.data, -b.reshape(-1, 1)])
 
 
+def check_scale(A: Matrix, b=()) -> None:
+    """Raise ValueError when the squares of the entries of A or b leave the
+    floating-point range: ||A||_F^2 or ||b||^2 overflows, or ||A||_F^2 is 0
+    for a nonzero A. A zero A is left to the routines that refuse it."""
+    with np.errstate(over="ignore"):
+        bn2 = float(np.dot(b, b))
+    if 0.0 < A.fro_norm_sq < np.inf and bn2 < np.inf:
+        return
+    amax = float(np.abs(A.data.data if A.is_sparse else A.data).max(initial=0.0))
+    if amax > 0.0 or bn2 == np.inf:
+        raise ValueError(f"badly scaled system: max|A_ij| = {amax:.3g}, ||A||_F^2 = "
+                         f"{A.fro_norm_sq:.3g} and ||b||^2 = {bn2:.3g}; rescale A and b")
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     sigma_max: float
@@ -191,7 +205,8 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
     Lanczos to beat the tridiagonal reduction takes ``_lanczos_extremes``;
     every other A, and one whose extremes are not settled, takes the Gram's
     ``eigvalsh``. A zero row (m <= n) or column (m > n) makes that Gram
-    singular, so such an A goes straight to the SVD."""
+    singular, and an overflowing ||A||_F^2 would overflow it, so such an A
+    goes straight to the SVD."""
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("spectral_quantities: zero matrix")
     full = A.row_norms_sq.all() if A.rows <= A.cols else (A.data != 0).sum(axis=0).all()
@@ -199,12 +214,11 @@ def spectral_quantities(A: Matrix) -> SpectralSummary:
     # 0.1 ns·q³ by which eigvalsh outlasts the Cholesky (1 BLAS thread)
     lanczos = A.is_sparse and 1e4 * (A.data.nnz + 1e4) < min(A.shape) ** 3
     lam = np.zeros(1)
-    if full:
-        with np.errstate(over="ignore"):
-            lam = _lanczos_extremes(A) if lanczos else None
-            if lam is None:
-                lam = gram_eigenvalues(A.data)
-    # a Gram that overflowed (NaN eigenvalues) or underflowed fails the test
+    if full and A.fro_norm_sq < np.inf:
+        lam = _lanczos_extremes(A) if lanczos else None
+        if lam is None:
+            lam = gram_eigenvalues(A.data)
+    # a Gram that underflowed fails the test
     if lam[0] > max(gram_cut(A) * lam[-1], np.finfo(np.float64).tiny):
         sigma_min, sigma_max, rank = *np.sqrt(lam[[0, -1]]).tolist(), min(A.shape)
     else:

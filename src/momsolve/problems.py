@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidRankError, MatrixMarketParseError, UnsupportedError
-from .linalg import Matrix, augmented, min_norm_solution
+from .linalg import Matrix, augmented, check_scale, min_norm_solution
 
 __all__ = [
     "LinearSystem",
@@ -31,6 +31,7 @@ class LinearSystem:
     def __post_init__(self):
         if not np.isfinite(self.b).all():
             raise ValueError("right-hand side has non-finite entries")
+        check_scale(self.A, self.b)
 
     # cached_property writes the instance dict, which frozen=True leaves open
 

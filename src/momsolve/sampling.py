@@ -160,16 +160,16 @@ class BlockSampler:
     A draw is ``(block, block^T, K)``. A run that carries its residual gets
     ``K_J = R[:, :n]·(s·A_J)^T`` as K, R being the system's
     ``residual_factor``, so that ``R·[A^T S t; 0] = K_J·t`` follows a step
-    without a product with R; ``residual_maps`` builds them on the first
-    such run. ``can_carry`` says whether every block has fewer rows than R,
-    where ``K_J·t`` is the cheaper product; otherwise K is None.
+    without a product with R; ``residual_maps`` builds them, scaled once, on
+    the first such run. ``can_carry`` says whether every block has fewer
+    rows than R, where ``K_J·t`` is the cheaper product; otherwise K is None.
 
     A partition (``row`` and ``identity`` included) draws its uniforms in
     chunks with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its
-    rows, and scales a gather of ``A·R[:, :n]^T`` for its K, on every draw.
-    Rejection gives up after ``len(attempts)`` draws: 100 per support
-    element, or one for a partition of one block, which a redraw cannot
-    change.
+    rows of the scaled ``[A | −b]``, and of the scaled ``A·R[:, :n]^T`` for
+    its K, on every draw. Rejection gives up after ``len(attempts)`` draws:
+    100 per support element, or one for a partition of one block, which a
+    redraw cannot change.
     """
 
     def __init__(self, scheme, system: LinearSystem):
@@ -196,6 +196,14 @@ class BlockSampler:
         self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
+    @classmethod
+    def bind(cls, scheme, system: LinearSystem) -> "BlockSampler":
+        """A bare scheme bound to ``system``, or a sampler already bound to it."""
+        sampler = scheme if isinstance(scheme, cls) else cls(scheme, system)
+        if sampler.system is not system:
+            raise ValueError("the sampler is bound to another system")
+        return sampler
+
     def describe(self) -> str:
         return self.scheme.describe()
 
@@ -216,11 +224,12 @@ class BlockSampler:
 
     @functools.cached_property
     def residual_maps(self):
-        """The blocks with their K_J; for ``uniform:<p>``, ``A·R[:, :n]^T``."""
+        """The blocks with their K_J; for ``uniform:<p>``, ``s·A·R[:, :n]^T``."""
         A = self.system.A
         # row i of the table is R[:, :n]·A_i, so K_J = (s·table[J])^T
         table = A.data.dot(self.system.residual_factor[:, :A.cols].T)
         if self.blocks is None:
+            table *= self.scale
             return table
         maps = self._scaled_blocks(table)
         return [(fwd, bwd, K.T) for (fwd, bwd, _), K in zip(self.blocks, maps)]
@@ -231,8 +240,7 @@ class BlockSampler:
             table = self.residual_maps if carry else None
             while True:
                 rows = np.sort(rng.choice(self.aug.shape[0], size=self.scheme.p, replace=False))
-                yield (*_block_pair(self.aug[rows]),
-                       None if table is None else (table[rows] * self.scale).T)
+                yield *_block_pair(self.aug[rows]), None if table is None else table[rows].T
         blocks = self.residual_maps if carry else self.blocks
         last = len(blocks) - 1
         while True:

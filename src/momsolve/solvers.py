@@ -131,14 +131,14 @@ class Trace:
     def final_rse(self) -> float:
         return float(self.rse[-1]) if len(self.rse) else 0.0
 
+    def rows(self):
+        """The rows as Python scalars in ``TraceRecord`` order, ``moved`` 0 or 1."""
+        return zip(self.k.tolist(), self.rse.tolist(), self.residual_norm.tolist(),
+                   self.alpha.tolist(), self.beta.tolist(), self.wall_nanos.tolist(),
+                   self.moved.astype(np.int64).tolist())
+
     def records(self):
-        return [
-            TraceRecord(int(k), float(e), float(rn), float(a), float(bt), int(w), bool(mv))
-            for k, e, rn, a, bt, w, mv in zip(
-                self.k, self.rse, self.residual_norm, self.alpha,
-                self.beta, self.wall_nanos, self.moved,
-            )
-        ]
+        return [TraceRecord(*row[:-1], bool(row[-1])) for row in self.rows()]
 
 
 def ashbm_parameters(dn2: float, gd: float, gn2: float, s: float) -> tuple[float, float]:
@@ -172,7 +172,7 @@ class _State:
     ``[x'; err'; d'] = C·[x; err; d; g]`` with ``d' = beta d − alpha g``,
     so the iterate, the error and the step are updated together.
 
-    When the run carries its residual (see ``_Run.carry_residual``), V holds
+    When the run carries its residual (see ``_Run``), V holds
     the same rows mapped through the factor R of ``[A | −b]``, V = W·R^T,
     and the same C advances it; ``||V[0]|| = ||R·xa|| = ||Ax − b||``.
     """
@@ -196,11 +196,12 @@ class _Run:
     """State shared by the solver loops: the run's draws, the two working
     buffers (see ``_State``), the step weights and the trace columns. The
     loops swap the buffers on every step, so the one not in use holds the
-    previous iterate.
+    previous iterate. A sampled run carries R·[x; 1] (``carry_residual``)
+    whenever it tracks the residual and its sampler's blocks allow it.
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
-                 keep_iterates: bool, diagnostics: bool, carry_residual: bool = False):
+                 keep_iterates: bool, diagnostics: bool):
         config.validate()
         if system.min_norm is None:
             raise ValueError("system.min_norm is required; call attach_min_norm first")
@@ -219,13 +220,10 @@ class _Run:
         self.err0_sq = float(W[1].dot(W[1]))
         self.carry_residual = False
         if scheme is not None:
-            sampler = scheme if isinstance(scheme, BlockSampler) else BlockSampler(scheme, system)
-            if sampler.system is not system:
-                raise ValueError("the sampler is bound to another system")
-            # the loop that asked to carry R·xa does so when the blocks allow it
-            self.carry_residual = carry_residual and config.track_residual and sampler.can_carry
+            sampler = BlockSampler.bind(scheme, system)
+            self.carry_residual = config.track_residual and sampler.can_carry
             rng = np.random.default_rng(config.seed)
-            self.draw = sampler.draws(rng, self.carry_residual).__next__
+            self.next_block = sampler.draws(rng, self.carry_residual).__next__
             self.attempts = sampler.attempts
         if self.carry_residual:
             for state in self.states:
@@ -245,28 +243,20 @@ class _Run:
 
     # -- draws -----------------------------------------------------------
 
-    def draw_once(self, xa):
-        """One draw; returns (block, block^T, K, t, ||t||^2) with
-        t = S^T (Ax − b) and K the block's residual map (see BlockSampler)."""
-        fwd, bwd, K = self.draw()
-        self.draws += 1
-        t = fwd.dot(xa)
-        return fwd, bwd, K, t, float(t.dot(t))
-
-    def draw_nonzero(self, xa):
-        """Rejection-sample until ||S^T (Ax − b)|| is above the zero test.
-
-        Returns (block, block^T, K, t, ||t||^2) or None when the cap was
-        reached with a residual already below tolerance (i.e. solved).
-        """
-        thr2, draw = self.threshold_sq, self.draw
-        for _ in self.attempts:
-            fwd, bwd, K = draw()
+    def draw(self, xa, g, resample=True):
+        """Draw once, or with ``resample`` until ||S^T (Ax − b)|| passes the
+        zero test; write the pullback [A^T S t; 0] into g and return (block,
+        K, t, ||t||^2), t = S^T (Ax − b) and K the block's residual map (see
+        BlockSampler). None when the cap is reached on a solved residual."""
+        for _ in self.attempts:  # never empty
+            fwd, bwd, K = self.next_block()
             self.draws += 1
             t = fwd.dot(xa)
             tn2 = float(t.dot(t))
-            if tn2 > thr2:
-                return fwd, bwd, K, t, tn2
+            if tn2 > self.threshold_sq or not resample:
+                bwd.dot(t, out=g)
+                g[-1] = 0.0
+                return fwd, K, t, tn2
         if self.solved(self.A.matvec(xa[:self.n]) - self.b):
             return None
         raise StalledSamplingError(
@@ -377,30 +367,28 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
     advance V = W·R^T next to W; W and its arithmetic are the same either
     way, so tracking never changes the trajectory.
     """
-    run = _Run(system, scheme, config, keep_iterates, diagnostics, carry_residual=True)
+    run = _Run(system, scheme, config, keep_iterates, diagnostics)
     if run.err0_sq == 0.0:
         return run.already_solved()
-    draw = run.draw_nonzero if draw_mode == "resample" else run.draw_once
+    draw, resample = run.draw, draw_mode == "resample"
     # a sketch at or below this counts as zero and leaves x unmoved
     skip_below = run.threshold_sq if draw_mode == "skip" else -1.0
     rule = rule_for(run)
     observe = observer_for(run) if observer_for is not None and run.diag is not None else None
-    tol, n, clock, C = config.rse_tolerance, run.n, run.clock, run.C
+    tol, clock, C = config.rse_tolerance, run.clock, run.C
     beta_col, minus_alpha = C[:, 2], C[:, 3]
     carry = run.carry_residual
     cur, nxt = run.states
     for k in range(1, config.max_iters + 1):
         t0 = clock()
-        drawn = draw(cur.xa)
+        drawn = draw(cur.xa, cur.g, resample)
         if drawn is None:
             return run.finish(cur.xa, True, "residual")
-        fwd, bwd, K, t, tn2 = drawn
+        fwd, K, t, tn2 = drawn
         if tn2 <= skip_below:
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
                 return run.finish(cur.xa, True, "rse")
             continue
-        g = bwd.dot(t, out=cur.g)
-        g[n] = 0.0
         alpha, beta = rule(k, tn2, cur)
         minus_alpha.fill(-alpha)
         beta_col.fill(beta)
@@ -491,18 +479,17 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
     """Stochastic CG recursion; identical sample sequences make it
     iterate-for-iterate equal to the momentum form. A carried residual
     follows x' = x + delta·p through R·p' = eta·R·p − K·t."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics, carry_residual=True)
+    run = _Run(system, scheme, config, keep_iterates, diagnostics)
     if run.err0_sq == 0.0:
         return run.already_solved()
     tol, n, carry = config.rse_tolerance, run.n, run.carry_residual
     cur, nxt = run.states
+    g = np.empty(n + 1)  # the pullback of each draw
 
-    drawn = run.draw_nonzero(cur.xa)
+    drawn = run.draw(cur.xa, g)
     if drawn is None:
         return run.finish(cur.xa, True, "residual")
-    fwd, bwd, K, t, s_cur = drawn
-    g = bwd.dot(t)
-    g[n] = 0.0
+    fwd, K, t, s_cur = drawn
     p = -g
     rp = -K.dot(t) if carry else None
 
@@ -530,14 +517,12 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             run.add_diag("sketch_resid_orth", float(t_next_same.dot(t)) / dn if dn else 0.0)
         if rse <= tol:
             return run.finish(cur.xa, True, "rse")
-        drawn = run.draw_nonzero(cur.xa)
+        drawn = run.draw(cur.xa, g)
         if drawn is None:
             return run.finish(cur.xa, True, "residual")
-        fwd_next, bwd_next, K, t_new, s_new = drawn
+        fwd_next, K, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
-        g = bwd_next.dot(t_new)
-        g[n] = 0.0
         p_new = eta * p - g
         if run.diag is not None:
             dn = float(np.linalg.norm(p) * np.linalg.norm(p_new))
@@ -598,7 +583,7 @@ def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
     partition = scheme.scheme if isinstance(scheme, BlockSampler) else scheme
     if not isinstance(partition, PartitionBlock):
         raise TypeError("the fixed-parameter baseline requires partition sampling")
-    sampler = scheme if partition is not scheme else BlockSampler(partition, system)
+    sampler = BlockSampler.bind(scheme, system)
 
     def fixed_rule(run):
         step = (1.0 / (sampler.tau * run.A.fro_norm_sq), config.momentum_beta)

@@ -46,6 +46,16 @@ def csr_rows(m, n, per_row, seed):
                           np.arange(0, m * per_row + 1, per_row)), shape=(m, n))
 
 
+def scaled_sparse(scale):
+    """A 2000 x 600 CSR matrix of full rank (σ from 0.597 to 3.64) times
+    ``scale``: at 1e160 the squares of its entries overflow, at 1e-170
+    they underflow to 0."""
+    import scipy.sparse as sp
+
+    M = sp.random(2000, 600, density=0.004, random_state=3) + sp.eye(2000, 600)
+    return M.tocsr() * scale
+
+
 def spy_eigsh(monkeypatch):
     """The ``which`` of every ARPACK ``eigsh`` call made from now on."""
     import scipy.sparse.linalg

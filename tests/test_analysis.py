@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_sketch, materialize
+from conftest import dense_sketch, materialize, scaled_sparse
 from momsolve.analysis import (
     BOUND_SLACK,
     BoundReport,
@@ -53,6 +53,13 @@ class TestConvergenceFactor:
 
 
 class TestTheoreticalBound:
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_badly_scaled_matrix_refused(self, scale):
+        # not a NaN factor from an overflowed ||A||_F^2, nor a zero matrix
+        A = Matrix.from_scipy(scaled_sparse(scale))
+        with pytest.raises(ValueError, match="badly scaled system"):
+            theoretical_bound(materialize("partition:8", A), A)
+
     def test_orthonormal_rows_single_row(self):
         A = Matrix.from_dense(np.eye(10))
         rep = theoretical_bound(materialize("row", A), A, zeta=1.0)

@@ -11,7 +11,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from conftest import csr_rows, materialize, spy_eigsh
+from conftest import csr_rows, materialize, scaled_sparse, spy_eigsh
 from momsolve import cli, linalg, problems
 from momsolve.cli import ExperimentConfig, main
 from momsolve.errors import (
@@ -665,6 +665,21 @@ class TestExitCodes:
         assert "block size p=30 must satisfy 1 <= p <= m=20" in capsys.readouterr().err
         # rejected before any trial runs
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    @pytest.mark.parametrize("command", [["bound"], ["solve", "--solver", "ashbm"]],
+                             ids=["bound", "solve"])
+    def test_badly_scaled_matrix(self, tmp_path, capfd, scale, command):
+        # squares of the entries overflow or underflow: exit 2 with the
+        # scale named, not a LAPACK failure, a breakdown or "zero matrix"
+        mtx = tmp_path / "A.mtx"
+        scipy.io.mmwrite(str(mtx), scaled_sparse(scale))
+        rc = main([*command, "--matrix", str(mtx), "--sampling", "partition:8",
+                   "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        captured = capfd.readouterr()
+        assert "config error: badly scaled system: max|A_ij| = 1.46e" in captured.err
+        assert "DLASCL" not in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("flags", [["--trials", "-2", "--workers", "0"],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import csr_rows, spy_eigsh
+from conftest import csr_rows, scaled_sparse, spy_eigsh
 from momsolve.errors import InconsistentSystemError, ZeroMatrixError
 from momsolve import linalg
 from momsolve.linalg import Matrix, SpectralSummary, min_norm_solution, spectral_quantities
@@ -183,6 +183,17 @@ class TestSpectralQuantities:
         monkeypatch.setattr(linalg, "_singular_values", lambda A: calls.append(A) or svd(A))
         assert spectral_quantities(A) == _svd_route(A)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_overflowing_frobenius_norm_takes_the_svd(self, capfd, kind):
+        # ||A||_F^2 is inf, and the Gram would overflow: no eigvalsh, ARPACK
+        # or Cholesky sees it, and LAPACK's SVD scales A itself
+        M = scaled_sparse(1e160)
+        A = Matrix.from_scipy(M) if kind == "csr" else Matrix.from_dense(M.toarray())
+        s = spectral_quantities(A)
+        assert s == _svd_route(A) and s.rank == 600
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
 
     @staticmethod
     def _csr_with_stored_zero_column():

@@ -13,8 +13,9 @@ from momsolve.errors import (
     InvalidRankError,
     MatrixMarketParseError,
     UnsupportedError,
+    ZeroMatrixError,
 )
-from momsolve.linalg import min_norm_solution, spectral_quantities
+from momsolve.linalg import Matrix, min_norm_solution, spectral_quantities
 from momsolve.problems import (
     LinearSystem,
     attach_min_norm,
@@ -93,6 +94,23 @@ class TestAttachMinNorm:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             LinearSystem(A=gen.A, b=bad)
+
+    @pytest.mark.parametrize("A,b", [
+        ([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 2.0]),
+        ([[1e-170, 0.0], [0.0, 3e-171], [1e-170, 0.0]], [1.0, 1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1e160, 1.0, 1e160]),
+    ], ids=["A-overflow", "A-underflow", "b-overflow"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_badly_scaled_system_rejected(self, A, b, sparse):
+        A = Matrix.from_scipy(scipy.sparse.csr_matrix(A)) if sparse else Matrix.from_dense(A)
+        with pytest.raises(ValueError, match="badly scaled system: max"):
+            LinearSystem(A=A, b=np.array(b))
+
+    def test_zero_matrix_is_not_badly_scaled(self):
+        # a zero A is refused where it is used, as a ZeroMatrixError
+        system = LinearSystem(A=Matrix.from_dense(np.zeros((3, 2))), b=np.zeros(3))
+        with pytest.raises(ZeroMatrixError):
+            attach_min_norm(system)
 
     def test_inconsistent_rhs_rejected(self):
         gen = generate_gaussian_problem(50, 100, 30, 5.0, seed=6)

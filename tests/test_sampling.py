@@ -348,6 +348,32 @@ class TestOnePassBinding:
             if table is not None:
                 assert np.array_equal(K.dot(t), (table[blk] * s).T.dot(t))
 
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_uniform_residual_map_matches_scaled_gather(self, p):
+        # a uniform:<p> draw's K is (s·table[J])^T with table = A·R[:, :n]^T:
+        # the scale multiplies the product, never A or R ahead of it
+        system, _ = _zero_block_system("dense", 8)
+        A = system.A
+        table = A.data.dot(system.residual_factor[:, :A.cols].T)
+        s = np.sqrt(A.rows / p / A.fro_norm_sq)
+        aug = augmented(A, system.b)
+        draws = BlockSampler(UniformBlock(p=p), system).draws(np.random.default_rng(2), True)
+        replay, rng = np.random.default_rng(2), np.random.default_rng(3)
+        for _ in range(20):
+            fwd, _, K = next(draws)
+            rows = np.sort(replay.choice(A.rows, size=p, replace=False))
+            assert np.array_equal(fwd, aug[rows] * s)
+            t = rng.standard_normal(p)
+            assert np.array_equal(K.dot(t), (table[rows] * s).T.dot(t))
+
+    def test_bind_keeps_a_sampler_of_the_same_system(self):
+        system, part = _zero_block_system("dense", 8)
+        sampler = BlockSampler.bind(part, system)
+        assert sampler.scheme is part and BlockSampler.bind(sampler, system) is sampler
+        other, _ = _zero_block_system("dense", 8)
+        with pytest.raises(ValueError, match="bound to another system"):
+            BlockSampler.bind(sampler, other)
+
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     @pytest.mark.parametrize("p", [8, 16])
     def test_lambda_max_matches_per_block_loop(self, kind, p):
