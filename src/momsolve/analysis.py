@@ -52,6 +52,7 @@ def theoretical_bound(scheme, A: Matrix, zeta: float = 1.0) -> BoundReport:
     # H = I/||A||_F^2 needs sketches scaled by 1/||A_J||_F; the identity's is S = I
     if isinstance(scheme, PartitionBlock) and scheme.unit_scale:
         raise UnsupportedError("deterministic scheme: contraction bound degenerate")
+    scheme.check(A.rows)
     check_scale(A)
     spec = spectral_quantities(A)
     sigma_min_sq_HA = spec.sigma_min_nonzero ** 2 / A.fro_norm_sq  # H = I/||A||_F^2

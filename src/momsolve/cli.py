@@ -24,7 +24,7 @@ from . import analysis
 from .errors import BreakdownError, InconsistentSystemError, MomsolveError, UnsupportedError
 from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
-from .sampling import BlockSampler, _check_block_size, parse_scheme
+from .sampling import BlockSampler, SchemeSpec, parse_scheme
 from .seeds import trial_seed
 from .solvers import SOLVER_IDS, SolverConfig, Trace, TraceRecord, solve_cgne
 
@@ -336,23 +336,23 @@ def cmd_sweep(args) -> int:
     # a given --solver list overrides the config's one solver
     cfg = _config_from_args(args, args.solver and args.solver.split(",")[0])
     solvers = args.solver.split(",") if args.solver else [cfg.solver]
-    base = cfg.scheme.split(":")[0]
-    if base not in ("uniform", "partition"):
+    variant = parse_scheme(cfg.scheme).variant
+    if variant not in ("uniform", "partition"):
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
-    p_list = [int(p) for p in args.p_list.split(",")]
-    cells = [dataclasses.replace(cfg, scheme=f"{base}:{p}", solver=solver)
-             for p in p_list for solver in solvers]
+    specs = [SchemeSpec(variant, int(p)) for p in args.p_list.split(",")]
+    cells = [dataclasses.replace(cfg, scheme=str(spec), solver=solver)
+             for spec in specs for solver in solvers]
     system = build_system(cfg)
     m = system.A.rows
-    for p in p_list:  # p <= m needs the system; check it before any cell runs
-        _check_block_size(p, m)
+    for spec in specs:  # p <= m needs the system; check it before any cell runs
+        spec.materialize(system.A, cfg.seed)
     rows, failures = [], []
     for sub, results in zip(cells, run_trials(system, cells, cfg.workers)):
         p = parse_scheme(sub.scheme).p
         traces = [t for t in results if isinstance(t, Trace)]
         failures += [e for e in results if not isinstance(e, Trace)]
         iters = np.array([t.iterations for t in traces], dtype=float)
-        finals = np.array([max(t.final_rse, 0.0) for t in traces])
+        finals = np.array([t.final_rse for t in traces])
         # no step, or the error grew: no contraction factor
         factors = [analysis.convergence_factor(t.final_rse, t.iterations)
                    for t in traces if t.iterations > 0 and t.final_rse <= 1.0]

@@ -49,6 +49,10 @@ class UniformBlock:
 
     p: int
 
+    def check(self, m: int) -> None:
+        """Raise InvalidBlockSizeError unless 1 <= p <= m."""
+        _check_block_size(self.p, m)
+
     def describe(self) -> str:
         return f"uniform:{self.p}"
 
@@ -74,10 +78,11 @@ class PartitionBlock:
     def from_permutation(cls, m: int, p: int, seed: int) -> "PartitionBlock":
         return cls(blocks=build_partition(m, p, seed))
 
-    def check_covers(self, m: int) -> None:
-        """Raise ValueError unless the blocks cover rows 0..m-1 exactly once."""
-        union = np.concatenate(self.blocks)
-        if len(union) != m or not np.array_equal(np.sort(union), np.arange(m)):
+    def check(self, m: int) -> None:
+        """Raise ValueError unless integer blocks cover rows 0..m-1 exactly once."""
+        union = np.concatenate(self.blocks) if self.blocks else np.empty(0)
+        if (union.dtype.kind not in "iu" or len(union) != m
+                or not np.array_equal(np.sort(union), np.arange(m))):
             raise ValueError("partition does not cover the matrix rows exactly once")
 
     def describe(self) -> str:
@@ -177,10 +182,7 @@ class BlockSampler:
         self.scheme, self.system = scheme, system
         if not isinstance(scheme, (UniformBlock, PartitionBlock)):
             raise TypeError(f"unsupported scheme {scheme!r}")
-        if isinstance(scheme, UniformBlock):
-            _check_block_size(scheme.p, A.rows)
-        else:
-            scheme.check_covers(A.rows)
+        scheme.check(A.rows)
         aug = augmented(A, system.b)
         # R has min(m, n + 1) rows
         self.can_carry = not A.is_sparse and scheme.p < min(A.rows, A.cols + 1)
@@ -291,6 +293,9 @@ def _csr_blocks(A: Matrix, blocks):
 
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     """sup over the scheme's support of lambda_max(A^T S S^T A)."""
+    if not isinstance(scheme, (UniformBlock, PartitionBlock)):
+        raise UnsupportedError(f"lambda_max_sup not defined for {scheme!r}")
+    scheme.check(A.rows)
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("lambda_max_sup: zero matrix")
     if isinstance(scheme, PartitionBlock):
@@ -304,17 +309,14 @@ def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
         worst = max((next(lam) if len(blk) > 1 else wj) / dj
                     for blk, wj, dj in zip(scheme.blocks, w, inv_sq) if wj > 0)
         return LambdaMaxResult(float(worst))
-    if isinstance(scheme, UniformBlock):
-        m, p = A.rows, scheme.p
-        _check_block_size(p, m)
-        factor = (m / p) / A.fro_norm_sq
-        exact = math.comb(m, p) <= _ENUMERATION_LIMIT
-        rng = np.random.default_rng(0)
-        subsets = (itertools.combinations(range(m), p) if exact else
-                   (np.sort(rng.choice(m, size=p, replace=False)) for _ in range(_ESTIMATE_DRAWS)))
-        worst = max(block_spectral_norm_sq(A, np.array(J)) for J in subsets)
-        return LambdaMaxResult(factor * worst, is_estimate=not exact)
-    raise UnsupportedError(f"lambda_max_sup not defined for {scheme!r}")
+    m, p = A.rows, scheme.p
+    factor = (m / p) / A.fro_norm_sq
+    exact = math.comb(m, p) <= _ENUMERATION_LIMIT
+    rng = np.random.default_rng(0)
+    subsets = (itertools.combinations(range(m), p) if exact else
+               (np.sort(rng.choice(m, size=p, replace=False)) for _ in range(_ESTIMATE_DRAWS)))
+    worst = max(block_spectral_norm_sq(A, np.array(J)) for J in subsets)
+    return LambdaMaxResult(factor * worst, is_estimate=not exact)
 
 
 def compute_tau(partition: PartitionBlock, A: Matrix) -> float:
@@ -343,8 +345,9 @@ class SchemeSpec:
                 return PartitionBlock(blocks=tuple(rows.reshape(-1, 1)), label="row")
             return PartitionBlock(blocks=(rows,), label="identity", unit_scale=True)
         if self.variant == "uniform":
-            _check_block_size(self.p, A.rows)
-            return UniformBlock(p=self.p)
+            scheme = UniformBlock(p=self.p)
+            scheme.check(A.rows)
+            return scheme
         if self.variant == "partition":
             return PartitionBlock.from_permutation(A.rows, self.p, seed)
         raise UnsupportedError(f"unknown scheme variant {self.variant!r}")

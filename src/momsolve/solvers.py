@@ -163,6 +163,12 @@ def _no_clock() -> int:
     return 0
 
 
+def _cosine(u, v) -> float:
+    """u·v / (||u||·||v||), or 0 when either vector is zero."""
+    denom = float(np.linalg.norm(u) * np.linalg.norm(v))
+    return float(u.dot(v)) / denom if denom else 0.0
+
+
 class _State:
     """One buffer of the working rows W = [xa; err; d; g] of a run.
 
@@ -201,7 +207,7 @@ class _Run:
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
-                 keep_iterates: bool, diagnostics: bool):
+                 keep_iterates: bool, diagnostics: bool = False):
         config.validate()
         if system.min_norm is None:
             raise ValueError("system.min_norm is required; call attach_min_norm first")
@@ -316,7 +322,8 @@ class _Run:
         if self.diag is not None:
             self.diag.setdefault(key, []).append(value)
 
-    def finish(self, xa, converged, reason) -> tuple[SolverState, Trace]:
+    def finish(self, xa, reason) -> tuple[SolverState, Trace]:
+        """The final state and trace; converged unless ``reason`` is "max_iters"."""
         n, k = self.n, len(self.rse_col)
         x = xa[:n].copy()
         state = SolverState(x=x, r=self.A.matvec(x) - self.b, k=k)
@@ -332,7 +339,7 @@ class _Run:
             wall_nanos=(np.array(self.wall_col, dtype=np.int64)
                         if self.wall_col else np.zeros(k, dtype=np.int64)),
             moved=moved,
-            converged=converged,
+            converged=reason != "max_iters",
             reason=reason,
             fallback_steps=self.fallbacks,
             sample_draws=self.draws,
@@ -344,7 +351,7 @@ class _Run:
 
     def already_solved(self):
         """The trivial run when x0 = 0 is already the min-norm solution."""
-        return self.finish(self.states[0].xa, True, "already_solved")
+        return self.finish(self.states[0].xa, "already_solved")
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +390,11 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
         t0 = clock()
         drawn = draw(cur.xa, cur.g, resample)
         if drawn is None:
-            return run.finish(cur.xa, True, "residual")
-        fwd, K, t, tn2 = drawn
+            return run.finish(cur.xa, "residual")
+        _, K, t, tn2 = drawn
         if tn2 <= skip_below:
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
-                return run.finish(cur.xa, True, "rse")
+                return run.finish(cur.xa, "rse")
             continue
         alpha, beta = rule(k, tn2, cur)
         minus_alpha.fill(-alpha)
@@ -400,10 +407,10 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
                 run.refresh_residual(nxt)
         cur, nxt = nxt, cur
         if observe is not None:
-            observe(k, cur, nxt, fwd, t, tn2)
+            observe(k, cur, nxt, tn2)
         if run.record(cur, alpha, beta, t0) <= tol:
-            return run.finish(cur.xa, True, "rse")
-    return run.finish(cur.xa, False, "max_iters")
+            return run.finish(cur.xa, "rse")
+    return run.finish(cur.xa, "max_iters")
 
 
 def _polyak_rule(run):
@@ -430,21 +437,17 @@ def _ashbm_rule(run):
 
 
 def _ashbm_observer(run):
-    """Records the Pythagorean and orthogonality identities of each step
-    after the first. ``prev`` still holds the step's err, d and g."""
+    """Records the Pythagorean identity and the step orthogonality of each
+    step after the first. ``prev`` still holds the step's err, d and g."""
     add = run.add_diag
 
-    def observe(k, cur, prev, fwd, t, tn2):
+    def observe(k, cur, prev, tn2):
         if k == 1:
             return
         gn2 = prev.dg.dot(prev.dg_t)[1, 1]
         add("pythagorean_rhs", float(np.linalg.norm(prev.err - (tn2 / gn2) * prev.g)))
         add("pythagorean_lhs", float(np.linalg.norm(cur.err)))
-        denom = float(np.linalg.norm(cur.d) * np.linalg.norm(prev.d))
-        add("step_orth", float(cur.d.dot(prev.d)) / denom if denom else 0.0)
-        t_next = fwd.dot(cur.xa)
-        dn = float(np.linalg.norm(t_next) * np.sqrt(tn2))
-        add("sketch_resid_orth", float(t_next.dot(t)) / dn if dn else 0.0)
+        add("step_orth", _cosine(cur.d, prev.d))
     return observe
 
 
@@ -488,7 +491,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
 
     drawn = run.draw(cur.xa, g)
     if drawn is None:
-        return run.finish(cur.xa, True, "residual")
+        return run.finish(cur.xa, "residual")
     fwd, K, t, s_cur = drawn
     p = -g
     rp = -K.dot(t) if carry else None
@@ -498,7 +501,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
             if run.solved(run.A.matvec(cur.xa[:n]) - run.b):
-                return run.finish(cur.xa, True, "residual")
+                return run.finish(cur.xa, "residual")
             raise DegenerateDirectionError("search direction vanished with large residual")
         delta = s_cur / pn2
         step = delta * p
@@ -512,49 +515,45 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         cur, nxt = nxt, cur
         rse = run.record(cur, delta, 0.0, t0)
         if run.diag is not None:
-            t_next_same = fwd.dot(cur.xa)  # S_k^T r^{k+1}
-            dn = float(np.linalg.norm(t_next_same) * np.sqrt(s_cur))
-            run.add_diag("sketch_resid_orth", float(t_next_same.dot(t)) / dn if dn else 0.0)
+            # S_k^T r^{k+1} against S_k^T r^k
+            run.add_diag("sketch_resid_orth", _cosine(fwd.dot(cur.xa), t))
         if rse <= tol:
-            return run.finish(cur.xa, True, "rse")
+            return run.finish(cur.xa, "rse")
         drawn = run.draw(cur.xa, g)
         if drawn is None:
-            return run.finish(cur.xa, True, "residual")
+            return run.finish(cur.xa, "residual")
         fwd_next, K, t_new, s_new = drawn
         t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t_new.dot(t_old))) / s_cur
         p_new = eta * p - g
         if run.diag is not None:
-            dn = float(np.linalg.norm(p) * np.linalg.norm(p_new))
-            run.add_diag("direction_orth", float(p.dot(p_new)) / dn if dn else 0.0)
+            run.add_diag("direction_orth", _cosine(p, p_new))
         p = p_new
         if carry:
             rp = eta * rp - K.dot(t_new)
         fwd, t, s_cur = fwd_next, t_new, s_new
-    return run.finish(cur.xa, False, "max_iters")
+    return run.finish(cur.xa, "max_iters")
 
 
 @_quiet_overflow
-def solve_cgne(system: LinearSystem, config: SolverConfig,
-               *, keep_iterates: bool = False, diagnostics: bool = False):
+def solve_cgne(system: LinearSystem, config: SolverConfig, *, keep_iterates: bool = False):
     """Conjugate gradient on A A^T y = b with x = A^T y; finite termination
     on full-rank consistent systems."""
-    run = _Run(system, None, config, keep_iterates, diagnostics)
+    run = _Run(system, None, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
-    cfg = config
     A, b = run.A, run.b
     state = run.states[0]
     x, err = state.xa[:run.n], state.err[:run.n]  # updated in place
     r = A.matvec(x) - b
     p = -A.rmatvec(r)
     rn2 = float(r @ r)
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, config.max_iters + 1):
         t0 = run.clock()
         pn2 = float(p @ p)
         if pn2 <= run.threshold_sq:
             if run.solved(r):
-                return run.finish(x, True, "residual")
+                return run.finish(x, "residual")
             raise BreakdownError("CG direction vanished with large residual")
         mu = rn2 / pn2
         x += mu * p
@@ -564,15 +563,11 @@ def solve_cgne(system: LinearSystem, config: SolverConfig,
             r = A.matvec(x) - b  # bound incremental drift
         rn2_new = float(r @ r)
         rse = run.record(state, mu, 0.0, t0, resnorm=float(np.sqrt(rn2_new)))
-        if rse <= cfg.rse_tolerance or run.solved(r):
-            return run.finish(x, True, "rse" if rse <= cfg.rse_tolerance else "residual")
-        p_new = -A.rmatvec(r) + (rn2_new / rn2) * p
-        if run.diag is not None:
-            dn = float(np.linalg.norm(p) * np.linalg.norm(p_new))
-            run.add_diag("direction_orth", float(p @ p_new) / dn if dn else 0.0)
-        p = p_new
+        if rse <= config.rse_tolerance or run.solved(r):
+            return run.finish(x, "rse" if rse <= config.rse_tolerance else "residual")
+        p = -A.rmatvec(r) + (rn2_new / rn2) * p
         rn2 = rn2_new
-    return run.finish(x, False, "max_iters")
+    return run.finish(x, "max_iters")
 
 
 def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import dense_sketch, materialize, scaled_sparse
+from momsolve import analysis
 from momsolve.analysis import (
     BOUND_SLACK,
     BoundReport,
@@ -14,10 +16,16 @@ from momsolve.analysis import (
     median_rse_curve,
     theoretical_bound,
 )
-from momsolve.errors import UnsupportedError
+from momsolve.errors import InvalidBlockSizeError, UnsupportedError
 from momsolve.linalg import Matrix
-from momsolve.problems import generate_gaussian_problem
-from momsolve.sampling import PartitionBlock, UniformBlock
+from momsolve.problems import LinearSystem, generate_gaussian_problem
+from momsolve.sampling import (
+    BlockSampler,
+    PartitionBlock,
+    UniformBlock,
+    compute_tau,
+    lambda_max_sup,
+)
 from momsolve.solvers import SolverConfig, Trace, solve_modified_basic
 
 
@@ -117,6 +125,54 @@ class TestTheoreticalBound:
         _, trace = solve_modified_basic(sys_, materialize("row", sys_.A), cfg)
         rho = convergence_factor(trace.final_rse, trace.iterations)
         assert rho < rep.per_iter_factor
+
+
+# partitions of 40 rows that the sampler refuses: they overlap, leave rows
+# out, name a row past the last, hold no block, or hold float indices
+_UNFIT = {
+    "overlapping": (np.arange(0, 20), np.arange(10, 40)),
+    "gapped": (np.arange(0, 20),),
+    "out_of_range": (np.arange(0, 20), np.arange(20, 45)),
+    "no_blocks": (),
+    "float_rows": (np.arange(0.0, 20.0), np.arange(20.0, 40.0)),
+}
+
+
+def _fit_system(kind):
+    system = generate_gaussian_problem(40, 10, 10, 3.0, seed=0)
+    if kind == "dense":
+        return system
+    return LinearSystem(Matrix.from_scipy(sp.csr_matrix(system.A.toarray())), system.b)
+
+
+def _no_spectral(A):
+    raise AssertionError("spectral_quantities ran")
+
+
+class TestOneFitRule:
+    """The bound, tau and lambda_max refuse every scheme that the sampler
+    refuses, with the sampler's error; the bound before any spectral work."""
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    @pytest.mark.parametrize("name", sorted(_UNFIT))
+    def test_unfit_partition_refused_like_the_sampler(self, monkeypatch, kind, name):
+        monkeypatch.setattr(analysis, "spectral_quantities", _no_spectral)
+        system = _fit_system(kind)
+        scheme = PartitionBlock(blocks=_UNFIT[name])
+        with pytest.raises(ValueError) as refused:
+            BlockSampler(scheme, system)
+        assert str(refused.value) == "partition does not cover the matrix rows exactly once"
+        for quantity in (lambda_max_sup, compute_tau, theoretical_bound):
+            with pytest.raises(ValueError) as exc:
+                quantity(scheme, system.A)
+            assert type(exc.value) is type(refused.value)
+            assert str(exc.value) == str(refused.value)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_bound_refuses_uniform_above_m_before_spectral_work(self, monkeypatch, kind):
+        monkeypatch.setattr(analysis, "spectral_quantities", _no_spectral)
+        with pytest.raises(InvalidBlockSizeError, match="p=41 must satisfy 1 <= p <= m=40"):
+            theoretical_bound(UniformBlock(p=41), _fit_system(kind).A)
 
 
 class TestMedianRseCurve:

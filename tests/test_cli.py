@@ -809,12 +809,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "run").exists()
 
-    def test_sweep_block_above_m_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["partition:8", "uniform:8"])
+    def test_sweep_block_above_m_runs_no_cell(self, tmp_path, capsys, monkeypatch, scheme):
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "run_trials", no_trials)
-        rc = main(["sweep", "--m", "40", "--n", "10", "--r", "10", "--sampling", "partition:8",
+        rc = main(["sweep", "--m", "40", "--n", "10", "--r", "10", "--sampling", scheme,
                    "--p-list", "8,50", "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == ("config error: block size p=50 must satisfy "

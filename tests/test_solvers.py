@@ -342,6 +342,28 @@ class TestScg:
         assert np.max(np.abs(trace.diagnostics["sketch_resid_orth"])) <= 1e-8
 
 
+class TestDiagnostics:
+    # the keys each solver records under diagnostics=True: the identities
+    # that the acceptance criteria read, and nothing else
+    KEYS = {"basic": set(), "mbasic": set(), "mrabk": set(),
+            "ashbm": {"step_orth", "pythagorean_lhs", "pythagorean_rhs"},
+            "scg": {"direction_orth", "sketch_resid_orth"}}
+
+    @pytest.mark.parametrize("solver", sorted(KEYS))
+    def test_keys(self, solver):
+        sys_ = generate_gaussian_problem(40, 10, 10, 2.0, seed=3)
+        scheme = PartitionBlock.from_permutation(40, 5, seed=3)
+        for diagnostics, keys in ((True, self.KEYS[solver]), (False, set())):
+            _, trace = SOLVER_IDS[solver](sys_, scheme, _cfg(max_iters=20),
+                                          diagnostics=diagnostics)
+            assert set(trace.diagnostics) == keys
+
+    def test_cgne_takes_no_diagnostics(self):
+        sys_ = generate_gaussian_problem(40, 10, 10, 2.0, seed=3)
+        with pytest.raises(TypeError):
+            solve_cgne(sys_, _cfg(), diagnostics=True)
+
+
 class TestResidualStop:
     """With every sketch below the zero test, a run ends before its first
     step: reason "residual" when max|b| is below the tolerance, an error
