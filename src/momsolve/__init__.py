@@ -24,6 +24,7 @@ from .sampling import (
     PartitionBlock,
     UniformBlock,
     build_partition,
+    compute_tau,
     lambda_max_sup,
     parse_scheme,
 )
@@ -33,7 +34,6 @@ from .solvers import (
     Trace,
     TraceRecord,
     ashbm_parameters,
-    compute_tau,
     solve_ashbm,
     solve_basic,
     solve_cgne,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .linalg import Matrix, check_scale, spectral_quantities
-from .sampling import PartitionBlock, UniformBlock, lambda_max_sup
+from .sampling import PartitionBlock, lambda_max_sup
 
 __all__ = [
     "BoundReport",
@@ -47,16 +47,13 @@ def theoretical_bound(scheme, A: Matrix, zeta: float = 1.0) -> BoundReport:
     / lambda_max, specialized per scheme."""
     if not 0.0 < zeta < 2.0:
         raise ValueError("zeta must lie in (0, 2)")
-    if not isinstance(scheme, (UniformBlock, PartitionBlock)):
-        raise UnsupportedError(f"no bound specialization for {scheme!r}")
     # H = I/||A||_F^2 needs sketches scaled by 1/||A_J||_F; the identity's is S = I
     if isinstance(scheme, PartitionBlock) and scheme.unit_scale:
         raise UnsupportedError("deterministic scheme: contraction bound degenerate")
-    scheme.check(A.rows)
     check_scale(A)
+    lam = lambda_max_sup(scheme, A)  # checks the scheme's type and fit first
     spec = spectral_quantities(A)
     sigma_min_sq_HA = spec.sigma_min_nonzero ** 2 / A.fro_norm_sq  # H = I/||A||_F^2
-    lam = lambda_max_sup(scheme, A)
     factor = 1.0 - zeta * (2.0 - zeta) * sigma_min_sq_HA / lam.value
     return BoundReport(
         scheme=scheme.describe(),

@@ -95,6 +95,14 @@ class PartitionBlock:
         return w, np.ones_like(w) if self.unit_scale else w
 
 
+def _check_family(scheme, m: int) -> None:
+    """The one type-and-fit rule: UnsupportedError unless ``scheme`` is a
+    sketch family, then the family's own error unless it fits m rows."""
+    if not isinstance(scheme, (UniformBlock, PartitionBlock)):
+        raise UnsupportedError(f"unsupported scheme {scheme!r}")
+    scheme.check(m)
+
+
 def _check_block_size(p: int, m: int) -> None:
     if p < 1 or p > m:
         raise InvalidBlockSizeError(f"block size p={p} must satisfy 1 <= p <= m={m}")
@@ -180,9 +188,7 @@ class BlockSampler:
     def __init__(self, scheme, system: LinearSystem):
         A = system.A
         self.scheme, self.system = scheme, system
-        if not isinstance(scheme, (UniformBlock, PartitionBlock)):
-            raise TypeError(f"unsupported scheme {scheme!r}")
-        scheme.check(A.rows)
+        _check_family(scheme, A.rows)
         aug = augmented(A, system.b)
         # R has min(m, n + 1) rows
         self.can_carry = not A.is_sparse and scheme.p < min(A.rows, A.cols + 1)
@@ -293,9 +299,7 @@ def _csr_blocks(A: Matrix, blocks):
 
 def lambda_max_sup(scheme, A: Matrix) -> LambdaMaxResult:
     """sup over the scheme's support of lambda_max(A^T S S^T A)."""
-    if not isinstance(scheme, (UniformBlock, PartitionBlock)):
-        raise UnsupportedError(f"lambda_max_sup not defined for {scheme!r}")
-    scheme.check(A.rows)
+    _check_family(scheme, A.rows)
     if A.fro_norm_sq == 0.0:
         raise ZeroMatrixError("lambda_max_sup: zero matrix")
     if isinstance(scheme, PartitionBlock):

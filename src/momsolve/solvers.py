@@ -31,7 +31,7 @@ from .errors import (
     StalledSamplingError,
 )
 from .problems import LinearSystem
-from .sampling import BlockSampler, PartitionBlock, compute_tau
+from .sampling import BlockSampler, PartitionBlock
 
 __all__ = [
     "SolverConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "solve_scg",
     "solve_cgne",
     "solve_mrabk",
-    "compute_tau",
     "SOLVER_IDS",
 ]
 
@@ -118,7 +117,6 @@ class Trace:
     fallback_steps: int = 0
     sample_draws: int = 0
     iterates: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.k)
@@ -163,12 +161,6 @@ def _no_clock() -> int:
     return 0
 
 
-def _cosine(u, v) -> float:
-    """u·v / (||u||·||v||), or 0 when either vector is zero."""
-    denom = float(np.linalg.norm(u) * np.linalg.norm(v))
-    return float(u.dot(v)) / denom if denom else 0.0
-
-
 class _State:
     """One buffer of the working rows W = [xa; err; d; g] of a run.
 
@@ -207,7 +199,7 @@ class _Run:
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
-                 keep_iterates: bool, diagnostics: bool = False):
+                 keep_iterates: bool):
         config.validate()
         if system.min_norm is None:
             raise ValueError("system.min_norm is required; call attach_min_norm first")
@@ -243,7 +235,6 @@ class _Run:
         self.resnorm_col, self.wall_col = array("d"), array("q")
         self.unmoved = []
         self.iterates = [] if keep_iterates else None
-        self.diag = {} if diagnostics else None
         self.draws = 0
         self.fallbacks = 0
 
@@ -318,10 +309,6 @@ class _Run:
             self.iterates.append(state.xa[:self.n].copy())
         return rse
 
-    def add_diag(self, key, value):
-        if self.diag is not None:
-            self.diag.setdefault(key, []).append(value)
-
     def finish(self, xa, reason) -> tuple[SolverState, Trace]:
         """The final state and trace; converged unless ``reason`` is "max_iters"."""
         n, k = self.n, len(self.rse_col)
@@ -344,8 +331,6 @@ class _Run:
             fallback_steps=self.fallbacks,
             sample_draws=self.draws,
             iterates=self.iterates if self.iterates is not None else [],
-            diagnostics=({key: np.array(v) for key, v in self.diag.items()}
-                         if self.diag is not None else {}),
         )
         return state, trace
 
@@ -359,29 +344,27 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 @_quiet_overflow
-def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterates: bool,
-                diagnostics: bool, draw_mode: str, rule_for, observer_for=None):
+def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
+                keep_iterates: bool, draw_mode: str, rule_for):
     """The heavy-ball loop shared by basic, mbasic, ashbm and mrabk.
 
     ``draw_mode`` says what a zero sketch does: ``"resample"`` draws again
     (mbasic, ashbm), ``"skip"`` records it as an unmoved step (basic) and
     ``"plain"`` steps on it (mrabk). ``rule_for(run)`` returns the step
     rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
-    sampled gradient and its d the previous step. ``observer_for(run)``, if
-    given, returns a diagnostics hook called after every step.
+    sampled gradient and its d the previous step.
 
     When the run carries its residual, ``R·g = K·t`` and the step's C
     advance V = W·R^T next to W; W and its arithmetic are the same either
     way, so tracking never changes the trajectory.
     """
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
+    run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
     draw, resample = run.draw, draw_mode == "resample"
     # a sketch at or below this counts as zero and leaves x unmoved
     skip_below = run.threshold_sq if draw_mode == "skip" else -1.0
     rule = rule_for(run)
-    observe = observer_for(run) if observer_for is not None and run.diag is not None else None
     tol, clock, C = config.rse_tolerance, run.clock, run.C
     beta_col, minus_alpha = C[:, 2], C[:, 3]
     carry = run.carry_residual
@@ -406,8 +389,6 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig, keep_iterate
             if k % DRIFT_CHECK_INTERVAL == 0:
                 run.refresh_residual(nxt)
         cur, nxt = nxt, cur
-        if observe is not None:
-            observe(k, cur, nxt, tn2)
         if run.record(cur, alpha, beta, t0) <= tol:
             return run.finish(cur.xa, "rse")
     return run.finish(cur.xa, "max_iters")
@@ -436,53 +417,35 @@ def _ashbm_rule(run):
     return rule
 
 
-def _ashbm_observer(run):
-    """Records the Pythagorean identity and the step orthogonality of each
-    step after the first. ``prev`` still holds the step's err, d and g."""
-    add = run.add_diag
-
-    def observe(k, cur, prev, tn2):
-        if k == 1:
-            return
-        gn2 = prev.dg.dot(prev.dg_t)[1, 1]
-        add("pythagorean_rhs", float(np.linalg.norm(prev.err - (tn2 / gn2) * prev.g)))
-        add("pythagorean_lhs", float(np.linalg.norm(cur.err)))
-        add("step_orth", _cosine(cur.d, prev.d))
-    return observe
-
-
 def solve_basic(system: LinearSystem, scheme, config: SolverConfig,
-                *, keep_iterates: bool = False, diagnostics: bool = False):
+                *, keep_iterates: bool = False):
     """Algorithm with plain sampling: a zero sketch leaves the iterate
     unchanged (moved=False) instead of resampling."""
-    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
-                       "skip", _polyak_rule)
+    return _heavy_ball(system, scheme, config, keep_iterates, "skip", _polyak_rule)
 
 
 def solve_modified_basic(system: LinearSystem, scheme, config: SolverConfig,
-                         *, keep_iterates: bool = False, diagnostics: bool = False):
+                         *, keep_iterates: bool = False):
     """Rejection-samples until the sketched residual is nonzero, then takes
     a relaxed Polyak step; the error decreases strictly on every step."""
-    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
-                       "resample", _polyak_rule)
+    return _heavy_ball(system, scheme, config, keep_iterates, "resample", _polyak_rule)
 
 
 def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
-                *, keep_iterates: bool = False, diagnostics: bool = False):
+                *, keep_iterates: bool = False):
     """Adaptive heavy-ball momentum: the first step is a Polyak step, after
     which (alpha, beta) minimize the error over the gradient/previous-step
     plane in closed form."""
-    return _heavy_ball(system, scheme, config, keep_iterates, diagnostics,
-                       "resample", _ashbm_rule, _ashbm_observer)
+    return _heavy_ball(system, scheme, config, keep_iterates, "resample", _ashbm_rule)
 
 
 @_quiet_overflow
 def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
-              *, keep_iterates: bool = False, diagnostics: bool = False):
+              *, keep_iterates: bool = False):
     """Stochastic CG recursion; identical sample sequences make it
     iterate-for-iterate equal to the momentum form. A carried residual
     follows x' = x + delta·p through R·p' = eta·R·p − K·t."""
-    run = _Run(system, scheme, config, keep_iterates, diagnostics)
+    run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
     tol, n, carry = config.rse_tolerance, run.n, run.carry_residual
@@ -492,7 +455,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
     drawn = run.draw(cur.xa, g)
     if drawn is None:
         return run.finish(cur.xa, "residual")
-    fwd, K, t, s_cur = drawn
+    _, K, t, s_cur = drawn
     p = -g
     rp = -K.dot(t) if carry else None
 
@@ -513,25 +476,18 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
                 system.residual_factor.dot(nxt.xa, out=nxt.rx)
                 rp = system.residual_factor.dot(p)
         cur, nxt = nxt, cur
-        rse = run.record(cur, delta, 0.0, t0)
-        if run.diag is not None:
-            # S_k^T r^{k+1} against S_k^T r^k
-            run.add_diag("sketch_resid_orth", _cosine(fwd.dot(cur.xa), t))
-        if rse <= tol:
+        if run.record(cur, delta, 0.0, t0) <= tol:
             return run.finish(cur.xa, "rse")
         drawn = run.draw(cur.xa, g)
         if drawn is None:
             return run.finish(cur.xa, "residual")
-        fwd_next, K, t_new, s_new = drawn
-        t_old = fwd_next.dot(nxt.xa)  # S_{k+1}^T r^k
-        eta = (s_new - float(t_new.dot(t_old))) / s_cur
-        p_new = eta * p - g
-        if run.diag is not None:
-            run.add_diag("direction_orth", _cosine(p, p_new))
-        p = p_new
+        fwd, K, t, s_new = drawn
+        t_old = fwd.dot(nxt.xa)  # S_{k+1}^T r^k
+        eta = (s_new - float(t.dot(t_old))) / s_cur
+        p = eta * p - g
         if carry:
-            rp = eta * rp - K.dot(t_new)
-        fwd, t, s_cur = fwd_next, t_new, s_new
+            rp = eta * rp - K.dot(t)
+        s_cur = s_new
     return run.finish(cur.xa, "max_iters")
 
 
@@ -571,7 +527,7 @@ def solve_cgne(system: LinearSystem, config: SolverConfig, *, keep_iterates: boo
 
 
 def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
-                *, keep_iterates: bool = False, diagnostics: bool = False):
+                *, keep_iterates: bool = False):
     """Fixed-parameter momentum baseline on partition sampling: constant
     step 1 / (tau ||A||_F^2) plus constant momentum beta. A bound sampler
     computes tau once for all the runs it serves."""
@@ -584,8 +540,7 @@ def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
         step = (1.0 / (sampler.tau * run.A.fro_norm_sq), config.momentum_beta)
         return lambda k, tn2, cur: step
 
-    return _heavy_ball(system, sampler, config, keep_iterates, diagnostics,
-                       "plain", fixed_rule)
+    return _heavy_ball(system, sampler, config, keep_iterates, "plain", fixed_rule)
 
 
 SOLVER_IDS = {

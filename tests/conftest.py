@@ -1,6 +1,7 @@
 """Shared helpers: a dense sketch-matrix oracle used to cross-check the
-sampler's scaled row blocks, and a right-hand side that lets a test read
-back which rows a drawn block holds."""
+sampler's scaled row blocks, a right-hand side that lets a test read
+back which rows a drawn block holds, and the paper's identities computed
+from a run's returned iterates and drawn blocks."""
 
 import numpy as np
 import pytest
@@ -64,6 +65,46 @@ def spy_eigsh(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
     return calls
+
+
+def record_draws(sampler):
+    """The list that every block a run draws from ``sampler`` is appended
+    to, in draw order, from now on: ``sampler.draws`` is wrapped."""
+    drawn, draws = [], sampler.draws
+
+    def recording(rng, carry=False):
+        for draw in draws(rng, carry):
+            drawn.append(draw[0])
+            yield draw
+    sampler.draws = recording
+    return drawn
+
+
+def augmented_iterates(trace):
+    """Rows [x^k; 1], k = 0..K, of a ``keep_iterates`` run from x^0 = 0."""
+    X = np.ones((len(trace.iterates) + 1, len(trace.iterates[0]) + 1))
+    X[0, :-1] = 0.0
+    X[1:, :-1] = trace.iterates
+    return X
+
+
+def _cosine(u, v):
+    return float(u @ v) / float(np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def step_cosines(X):
+    """cos(d_k, d_{k+1}) of consecutive steps d_k = x^k − x^{k−1}, from the
+    rows of ``augmented_iterates``. A heavy-ball step is such a difference,
+    and each ``scg`` direction is parallel to one."""
+    D = np.diff(X[:, :-1], axis=0)
+    return np.array([_cosine(d, d_next) for d, d_next in zip(D, D[1:])])
+
+
+def sketched_residual_cosines(blocks, X):
+    """cos(S_k^T r^k, S_k^T r^{k−1}) for step k's dense drawn block
+    [s·A_J | −s·b_J] = blocks[k − 1]: the sketched residual after step k
+    against the one the step was taken from."""
+    return np.array([_cosine(B @ X[k + 1], B @ X[k]) for k, B in enumerate(blocks)])
 
 
 def materialize(spec: str, A, seed: int = 0):

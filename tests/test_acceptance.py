@@ -12,7 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import decode_block, materialize, row_coded_rhs
+from conftest import (
+    augmented_iterates,
+    decode_block,
+    materialize,
+    record_draws,
+    row_coded_rhs,
+    sketched_residual_cosines,
+    step_cosines,
+)
 from momsolve import cli
 from momsolve.analysis import (
     contraction_check,
@@ -121,17 +129,24 @@ def test_criterion_2_scg_equivalence():
 
 
 def test_criterion_3_orthogonality():
+    # the identities of n steps, from the iterates and the blocks drawn:
+    # each scg direction is parallel to its step x^k − x^{k−1}
     t0 = time.perf_counter()
     system = generate_gaussian_problem(2000, 500, 500, 20.0, seed=5)
     scheme = PartitionBlock.from_permutation(2000, 32, seed=5)
-    cfg = _cfg(seed=5)
-    _, tm = solve_ashbm(system, scheme, cfg, diagnostics=True)
-    _, ts = solve_scg(system, scheme, cfg, diagnostics=True)
     n = 10 ** 4
-    assert tm.iterations >= n and ts.iterations >= n
-    worst_dir = float(np.max(np.abs(ts.diagnostics["direction_orth"][:n])))
-    worst_sketch = float(np.max(np.abs(ts.diagnostics["sketch_resid_orth"][:n])))
-    worst_step = float(np.max(np.abs(tm.diagnostics["step_orth"][:n])))
+    cfg = _cfg(seed=5, max_iters=n + 1)
+    _, tm = solve_ashbm(system, scheme, cfg, keep_iterates=True)
+    sampler = BlockSampler(scheme, system)
+    blocks = record_draws(sampler)
+    _, ts = solve_scg(system, sampler, cfg, keep_iterates=True)
+    assert tm.iterations == ts.iterations == n + 1
+    # no draw was rejected, so blocks[k − 1] is step k's sketch
+    assert len(blocks) == n + 2
+    Xs = augmented_iterates(ts)
+    worst_dir = float(np.max(np.abs(step_cosines(Xs))))
+    worst_sketch = float(np.max(np.abs(sketched_residual_cosines(blocks[:n], Xs))))
+    worst_step = float(np.max(np.abs(step_cosines(augmented_iterates(tm)))))
     ok = max(worst_dir, worst_sketch, worst_step) <= 1e-8
     elapsed = time.perf_counter() - t0
     _report(3, f"conjugacy/orthogonality over {n} steps (directions "
@@ -148,9 +163,22 @@ def test_criterion_4_monotonicity_and_pythagorean():
     _, tp = solve_modified_basic(system, scheme, _cfg(seed=6))
     assert tp.iterations >= n
     monotone = bool(np.all(np.diff(tp.rse[:n]) < 0))
-    _, tm = solve_ashbm(system, scheme, _cfg(seed=6), diagnostics=True)
-    lhs = tm.diagnostics["pythagorean_lhs"][:n]
-    rhs = tm.diagnostics["pythagorean_rhs"][:n]
+    # steps 2..n + 1 of ashbm against one Polyak step (zeta = 1) on the
+    # same sketch: ||e^k|| <= ||e^{k−1} − (||t||^2 / ||g||^2)·g||, with
+    # t = S_k^T r^{k−1} and g = A^T S_k t
+    sampler = BlockSampler(scheme, system)
+    blocks = record_draws(sampler)
+    _, tm = solve_ashbm(system, sampler, _cfg(seed=6, max_iters=n + 1), keep_iterates=True)
+    assert tm.iterations == len(blocks) == n + 1  # no draw was rejected
+    X = augmented_iterates(tm)
+    err = X[:, :-1] - system.min_norm
+    lhs = np.linalg.norm(err[2:], axis=1)
+    rhs = np.empty(n)
+    for k in range(2, n + 2):
+        B = blocks[k - 1]
+        t = B @ X[k - 1]
+        g = B[:, :-1].T @ t
+        rhs[k - 2] = np.linalg.norm(err[k - 1] - (t @ t) / (g @ g) * g)
     worst_gap = float(np.max(lhs - rhs))
     dominated = worst_gap <= 1e-10
     elapsed = time.perf_counter() - t0

@@ -26,7 +26,7 @@ from momsolve.sampling import (
     compute_tau,
     lambda_max_sup,
 )
-from momsolve.solvers import SolverConfig, Trace, solve_modified_basic
+from momsolve.solvers import SolverConfig, Trace, solve_ashbm, solve_modified_basic
 
 
 def _trace_from_rse(values):
@@ -173,6 +173,21 @@ class TestOneFitRule:
         monkeypatch.setattr(analysis, "spectral_quantities", _no_spectral)
         with pytest.raises(InvalidBlockSizeError, match="p=41 must satisfy 1 <= p <= m=40"):
             theoretical_bound(UniformBlock(p=41), _fit_system(kind).A)
+
+
+class TestOneTypeRule:
+    def test_non_family_refused_with_one_error(self, monkeypatch):
+        # a scheme spec string is not a sketch family: every user of a
+        # scheme refuses it as UnsupportedError (exit 2), the bound before
+        # any spectral work
+        monkeypatch.setattr(analysis, "spectral_quantities", _no_spectral)
+        system = _fit_system("dense")
+        for call in (lambda: BlockSampler("row", system),
+                     lambda: solve_ashbm(system, "row", SolverConfig()),
+                     lambda: lambda_max_sup("row", system.A),
+                     lambda: theoretical_bound("row", system.A)):
+            with pytest.raises(UnsupportedError, match="unsupported scheme 'row'"):
+                call()
 
 
 class TestMedianRseCurve:

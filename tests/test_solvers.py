@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_sketch, materialize
+from conftest import (
+    augmented_iterates,
+    dense_sketch,
+    materialize,
+    record_draws,
+    sketched_residual_cosines,
+    step_cosines,
+)
 from momsolve import sampling, solvers
 from momsolve.errors import (
     BreakdownError,
@@ -19,6 +26,7 @@ from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_p
 from momsolve.sampling import (
     BlockSampler,
     PartitionBlock,
+    compute_tau,
     parse_scheme,
 )
 from momsolve.solvers import (
@@ -26,7 +34,6 @@ from momsolve.solvers import (
     SOLVER_IDS,
     SolverConfig,
     ashbm_parameters,
-    compute_tau,
     solve_ashbm,
     solve_basic,
     solve_cgne,
@@ -301,8 +308,8 @@ class TestAshbm:
     def test_step_orthogonality(self):
         sys_ = generate_gaussian_problem(100, 50, 50, 5.0, seed=7)
         scheme = PartitionBlock.from_permutation(100, 10, seed=7)
-        _, trace = solve_ashbm(sys_, scheme, _cfg(), diagnostics=True)
-        assert np.max(np.abs(trace.diagnostics["step_orth"])) <= 1e-8
+        _, trace = solve_ashbm(sys_, scheme, _cfg(), keep_iterates=True)
+        assert np.max(np.abs(step_cosines(augmented_iterates(trace)))) <= 1e-8
 
     def test_identity_scheme_matches_cgne(self):
         sys_ = generate_gaussian_problem(40, 25, 25, 8.0, seed=9)
@@ -337,31 +344,24 @@ class TestScg:
     def test_direction_orthogonality(self):
         sys_ = generate_gaussian_problem(100, 50, 50, 5.0, seed=7)
         scheme = PartitionBlock.from_permutation(100, 10, seed=7)
-        _, trace = solve_scg(sys_, scheme, _cfg(), diagnostics=True)
-        assert np.max(np.abs(trace.diagnostics["direction_orth"])) <= 1e-8
-        assert np.max(np.abs(trace.diagnostics["sketch_resid_orth"])) <= 1e-8
+        sampler = BlockSampler(scheme, sys_)
+        blocks = record_draws(sampler)
+        _, trace = solve_scg(sys_, sampler, _cfg(), keep_iterates=True)
+        # no draw was rejected, so blocks[k − 1] is step k's sketch
+        assert trace.reason == "rse" and len(blocks) == trace.iterations
+        X = augmented_iterates(trace)
+        assert np.max(np.abs(step_cosines(X))) <= 1e-8
+        assert np.max(np.abs(sketched_residual_cosines(blocks, X))) <= 1e-8
 
 
 class TestDiagnostics:
-    # the keys each solver records under diagnostics=True: the identities
-    # that the acceptance criteria read, and nothing else
-    KEYS = {"basic": set(), "mbasic": set(), "mrabk": set(),
-            "ashbm": {"step_orth", "pythagorean_lhs", "pythagorean_rhs"},
-            "scg": {"direction_orth", "sketch_resid_orth"}}
-
-    @pytest.mark.parametrize("solver", sorted(KEYS))
-    def test_keys(self, solver):
+    # the identities are checked on returned iterates, not recorded by a run
+    @pytest.mark.parametrize("solver", sorted(SOLVER_IDS))
+    def test_takes_no_diagnostics(self, solver):
         sys_ = generate_gaussian_problem(40, 10, 10, 2.0, seed=3)
-        scheme = PartitionBlock.from_permutation(40, 5, seed=3)
-        for diagnostics, keys in ((True, self.KEYS[solver]), (False, set())):
-            _, trace = SOLVER_IDS[solver](sys_, scheme, _cfg(max_iters=20),
-                                          diagnostics=diagnostics)
-            assert set(trace.diagnostics) == keys
-
-    def test_cgne_takes_no_diagnostics(self):
-        sys_ = generate_gaussian_problem(40, 10, 10, 2.0, seed=3)
-        with pytest.raises(TypeError):
-            solve_cgne(sys_, _cfg(), diagnostics=True)
+        scheme = () if solver == "cgne" else (PartitionBlock.from_permutation(40, 5, seed=3),)
+        with pytest.raises(TypeError, match="diagnostics"):
+            SOLVER_IDS[solver](sys_, *scheme, _cfg(), diagnostics=True)
 
 
 class TestResidualStop:
