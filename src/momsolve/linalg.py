@@ -6,14 +6,19 @@ the error metrics. A CSR matrix gets LSQR started from 0 (Paige & Saunders
 through ``np.linalg.lstsq``) serves dense matrices and every CSR system on
 which LSQR does not stop at machine precision. Neither shares code with the
 iterative solvers.
+
+Importing the module loads numpy only. ``scipy.sparse`` is imported by the
+first sparse input (``Matrix.from_scipy`` and the CSR branch of
+``augmented``), ``scipy.linalg`` by the SVD fallback and the Lanczos
+certificate, and ``scipy.sparse.linalg`` by LSQR and Lanczos.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InconsistentSystemError, ZeroMatrixError
 
@@ -37,7 +42,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "is_sparse", "row_norms_sq", "fro_norm_sq")
 
     def __init__(self, data):
-        self.is_sparse = sp.issparse(data)
+        # a scipy sparse matrix can exist only once scipy.sparse is imported
+        sparse = sys.modules.get("scipy.sparse")
+        self.is_sparse = sparse is not None and sparse.issparse(data)
         if self.is_sparse:
             data = data.tocsr().astype(np.float64)
             data.sum_duplicates()
@@ -64,6 +71,8 @@ class Matrix:
 
     @classmethod
     def from_scipy(cls, matrix) -> "Matrix":
+        import scipy.sparse as sp
+
         return cls(sp.csr_matrix(matrix))
 
     # -- storage views -------------------------------------------------
@@ -104,6 +113,8 @@ class Matrix:
 def augmented(A: Matrix, b: np.ndarray):
     """[A | −b] in A's own storage: an ndarray, or CSR for a sparse A."""
     if A.is_sparse:
+        import scipy.sparse as sp
+
         return sp.hstack([A.data, sp.csr_matrix(-b.reshape(-1, 1))], format="csr")
     return np.hstack([A.data, -b.reshape(-1, 1)])
 
@@ -145,7 +156,7 @@ def gram_eigenvalues(M) -> np.ndarray:
     is densified."""
     q, n = M.shape
     gram = M @ M.T if q <= n else M.T @ M
-    if sp.issparse(gram):
+    if not isinstance(gram, np.ndarray):
         gram = gram.toarray()  # and free the sparse Gram before LAPACK's copy
     return np.linalg.eigvalsh(gram)
 

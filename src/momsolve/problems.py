@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidRankError, MatrixMarketParseError, UnsupportedError
 from .linalg import Matrix, augmented, check_scale, min_norm_solution
@@ -152,6 +151,8 @@ def _read_entries(fh, dtype) -> np.ndarray:
 
 
 def _read_coordinate(fh, m, n, nnz, field, symmetry) -> Matrix:
+    import scipy.sparse as sp
+
     fields = [("i", np.int64), ("j", np.int64)]
     if field != "pattern":
         fields.append(("v", np.float64))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidBlockSizeError, UnsupportedError, ZeroMatrixError
 from .linalg import Matrix, augmented, gram_eigenvalues
@@ -224,10 +223,10 @@ class BlockSampler:
         """s·M_J for every block J: slices of one row-permuted copy of M."""
         P, offsets = _partition_rows(M, self.scheme.blocks)
         scale = np.repeat(self.scales, np.diff(offsets))
-        if sp.issparse(P):
-            P.data *= np.repeat(scale, np.diff(P.indptr))
-        else:
+        if isinstance(P, np.ndarray):
             P *= scale[:, None]
+        else:
+            P.data *= np.repeat(scale, np.diff(P.indptr))
         return [P[a:b] for a, b in itertools.pairwise(offsets)]
 
     @functools.cached_property

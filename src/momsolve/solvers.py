@@ -29,6 +29,7 @@ from .errors import (
     DegenerateDirectionError,
     DivergedError,
     StalledSamplingError,
+    UnsupportedError,
 )
 from .problems import LinearSystem
 from .sampling import BlockSampler, PartitionBlock
@@ -531,10 +532,9 @@ def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
     """Fixed-parameter momentum baseline on partition sampling: constant
     step 1 / (tau ||A||_F^2) plus constant momentum beta. A bound sampler
     computes tau once for all the runs it serves."""
-    partition = scheme.scheme if isinstance(scheme, BlockSampler) else scheme
-    if not isinstance(partition, PartitionBlock):
-        raise TypeError("the fixed-parameter baseline requires partition sampling")
     sampler = BlockSampler.bind(scheme, system)
+    if not isinstance(sampler.scheme, PartitionBlock):
+        raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {sampler.describe()!r}")
 
     def fixed_rule(run):
         step = (1.0 / (sampler.tau * run.A.fro_norm_sq), config.momentum_beta)

@@ -26,7 +26,7 @@ from momsolve.sampling import (
     compute_tau,
     lambda_max_sup,
 )
-from momsolve.solvers import SolverConfig, Trace, solve_ashbm, solve_modified_basic
+from momsolve.solvers import SolverConfig, Trace, solve_ashbm, solve_modified_basic, solve_mrabk
 
 
 def _trace_from_rse(values):
@@ -184,6 +184,7 @@ class TestOneTypeRule:
         system = _fit_system("dense")
         for call in (lambda: BlockSampler("row", system),
                      lambda: solve_ashbm(system, "row", SolverConfig()),
+                     lambda: solve_mrabk(system, "row", SolverConfig()),
                      lambda: lambda_max_sup("row", system.A),
                      lambda: theoretical_bound("row", system.A)):
             with pytest.raises(UnsupportedError, match="unsupported scheme 'row'"):

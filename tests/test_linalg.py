@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from conftest import csr_rows, scaled_sparse, spy_eigsh
@@ -401,10 +402,11 @@ class TestMinNormSolution:
         assert np.linalg.norm(x - gelsd) <= 1e-12 * np.linalg.norm(gelsd)
 
     def test_import_leaves_scipy_solvers_unloaded(self):
-        # scipy.linalg and scipy.sparse.linalg are imported where they are
-        # used, so a run that needs neither does not pay their memory
+        # scipy.sparse, scipy.linalg and scipy.sparse.linalg are imported
+        # where they are used, so a run that needs none does not pay their
+        # memory
         code = ("import sys, momsolve.cli; "
-                "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+                "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg') "
                 "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
@@ -417,3 +419,45 @@ class TestMinNormSolution:
     def test_bad_rhs_length(self):
         with pytest.raises(ValueError):
             min_norm_solution(Matrix.from_dense(np.eye(2)), [1.0, 2.0, 3.0])
+
+
+# argv: out directory, coordinate .mtx file, and "dense" to run the dense
+# commands and report the loaded scipy modules before the file's solve
+_RUNS = """
+import sys
+from momsolve import cli
+
+out, mtx, *dense_first = sys.argv[1:]
+if dense_first:
+    dense = ["--m", "60", "--n", "20", "--r", "20", "--kappa", "2", "--seed", "3",
+             "--trials", "1", "--workers", "1", "--no-timing"]
+    assert cli.main(["solve", *dense, "--solver", "ashbm", "--sampling", "partition:8",
+                     "--out", out + "/solve"]) == 0
+    assert cli.main(["sweep", *dense, "--solver", "ashbm,mrabk", "--sampling", "partition:8",
+                     "--p-list", "4,8", "--out", out + "/sweep"]) == 0
+    assert cli.main(["bound", *dense, "--sampling", "partition:8", "--out", out + "/bound"]) == 0
+    print("loaded:", sorted(m for m in ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+                            if m in sys.modules))
+assert cli.main(["solve", "--matrix", mtx, "--solver", "ashbm", "--sampling", "partition:8",
+                 "--seed", "3", "--trials", "1", "--workers", "1", "--no-timing",
+                 "--out", out + "/mtx"]) == 0
+"""
+
+
+class TestScipyLoadedWhereUsed:
+    def test_dense_runs_leave_scipy_unloaded(self, tmp_path):
+        # a tracked dense solve, a sweep and a full-rank bound need no scipy
+        # module; the first coordinate file then loads scipy.sparse itself,
+        # with the same trace as a process that loaded it from the start
+        mtx = tmp_path / "A.mtx"
+        scipy.io.mmwrite(mtx, sp.random(80, 30, density=0.2, random_state=2) + sp.eye(80, 30))
+        loaded, traces = [], []
+        for args in (["dense"], []):
+            out = tmp_path / (args[0] if args else "fresh")
+            stdout = subprocess.run([sys.executable, "-c", _RUNS, str(out), str(mtx), *args],
+                                    capture_output=True, text=True, check=True,
+                                    env={**os.environ, "PYTHONPATH": SRC}).stdout
+            loaded += [line for line in stdout.splitlines() if line.startswith("loaded:")]
+            traces.append((out / "mtx" / "trace_000.csv").read_bytes())
+        assert loaded == ["loaded: []"]
+        assert traces[0] == traces[1]

@@ -20,6 +20,7 @@ from momsolve.errors import (
     DegenerateDirectionError,
     DivergedError,
     StalledSamplingError,
+    UnsupportedError,
 )
 from momsolve.linalg import Matrix, min_norm_solution
 from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_problem
@@ -441,7 +442,8 @@ class TestMrabk:
 
     def test_requires_partition(self):
         sys_ = generate_gaussian_problem(20, 10, 10, 2.0, seed=0)
-        with pytest.raises(TypeError):
+        with pytest.raises(UnsupportedError,
+                           match="mrabk requires partition:<p> sampling, got 'uniform:4'"):
             solve_mrabk(sys_, materialize("uniform:4", sys_.A), _cfg())
 
     def test_singleton_blocks_unit_step(self, rng):
