@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +174,8 @@ def run_trials(system, cells, workers: int):
     if workers == 1:
         done = _run_tasks(system, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_tasks, system, tasks[w::workers])
                        for w in range(workers)]

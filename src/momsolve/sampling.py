@@ -160,8 +160,8 @@ def _partition_rows(M, blocks):
 
 class BlockSampler:
     """A sampling scheme bound to one system, once per (system, scheme)
-    pair; ``draws(rng, carry)`` is one run's stream of draws from it. A
-    solver takes such a sampler, or a bare scheme that it binds for the run.
+    pair; ``draws(rng)`` is one run's stream of draws from it. A solver
+    takes such a sampler, or a bare scheme that it binds for the run.
 
     Each support element J is cached once as the scaled augmented block
     ``[s·A_J | −s·b_J]``. With the augmented iterate ``xa = [x; 1]`` the
@@ -169,19 +169,18 @@ class BlockSampler:
     ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
     the last entry, ``−s b_J·t``).
 
-    A draw is ``(block, block^T, K)``. A run that carries its residual gets
-    ``K_J = R[:, :n]·(s·A_J)^T`` as K, R being the system's
-    ``residual_factor``, so that ``R·[A^T S t; 0] = K_J·t`` follows a step
-    without a product with R; ``residual_maps`` builds them, scaled once, on
-    the first such run. ``can_carry`` says whether every block has fewer
-    rows than R, where ``K_J·t`` is the cheaper product; otherwise K is None.
+    A draw is ``(block, block^T, key)``: a partition's key is the index of
+    its block, a ``uniform:<p>`` key the sorted rows J. The key finds the
+    block's residual map in ``residual_maps``: K_J = R[:, :n]·(s·A_J)^T, R
+    being the system's ``residual_factor``, gives ``R·[A^T S t; 0] = K_J·t``
+    without a product with R. ``can_carry`` says whether every block has
+    fewer rows than R, where ``K_J·t`` is the cheaper product.
 
     A partition (``row`` and ``identity`` included) draws its uniforms in
     chunks with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its
-    rows of the scaled ``[A | −b]``, and of the scaled ``A·R[:, :n]^T`` for
-    its K, on every draw. Rejection gives up after ``len(attempts)`` draws:
-    100 per support element, or one for a partition of one block, which a
-    redraw cannot change.
+    rows of the scaled ``[A | −b]`` on every draw. Rejection gives up after
+    ``len(attempts)`` draws: 100 per support element, or one for a
+    partition of one block, which a redraw cannot change.
     """
 
     def __init__(self, scheme, system: LinearSystem):
@@ -199,7 +198,7 @@ class BlockSampler:
             return
         weights, inv_sq = scheme.norms_sq(A)
         self.scales = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in inv_sq]
-        self.blocks = [(*_block_pair(blk), None) for blk in self._scaled_blocks(aug)]
+        self.blocks = [(*_block_pair(blk), i) for i, blk in enumerate(self._scaled_blocks(aug))]
         self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
@@ -231,25 +230,24 @@ class BlockSampler:
 
     @functools.cached_property
     def residual_maps(self):
-        """The blocks with their K_J; for ``uniform:<p>``, ``s·A·R[:, :n]^T``."""
+        """K_J^T = s·table[J] of every block, table = A·R[:, :n]^T, as
+        C-ordered slices of one row-permuted copy of the table, made on the
+        first run that carries its residual; for ``uniform:<p>``, the table
+        scaled once, whose rows a key selects."""
         A = self.system.A
-        # row i of the table is R[:, :n]·A_i, so K_J = (s·table[J])^T
         table = A.data.dot(self.system.residual_factor[:, :A.cols].T)
         if self.blocks is None:
             table *= self.scale
             return table
-        maps = self._scaled_blocks(table)
-        return [(fwd, bwd, K.T) for (fwd, bwd, _), K in zip(self.blocks, maps)]
+        return self._scaled_blocks(table)
 
-    def draws(self, rng, carry=False):
+    def draws(self, rng):
         """One run's endless stream of draws, its randomness from ``rng``."""
         if self.blocks is None:
-            table = self.residual_maps if carry else None
             while True:
                 rows = np.sort(rng.choice(self.aug.shape[0], size=self.scheme.p, replace=False))
-                yield *_block_pair(self.aug[rows]), None if table is None else table[rows].T
-        blocks = self.residual_maps if carry else self.blocks
-        last = len(blocks) - 1
+                yield *_block_pair(self.aug[rows]), rows
+        blocks, last = self.blocks, len(self.blocks) - 1
         while True:
             idx = np.searchsorted(self.cum, rng.random(_DRAW_CHUNK), side="right")
             # cum[-1] may round to just below 1

@@ -57,6 +57,10 @@ DEGENERACY_THRESHOLD = 1e-14
 # recurrence residual and the carried R·[x; 1] of the heavy-ball loop and SCG
 DRIFT_CHECK_INTERVAL = 1000
 
+# steps per window of a carried residual (see ``_Window``); it divides
+# DRIFT_CHECK_INTERVAL, so every refresh falls on the end of a window
+RESIDUAL_WINDOW = 1000
+
 # A diverging run overflows in its products a few steps before ``record``
 # sees a non-finite RSE and raises DivergedError. Each solver runs under this
 # state (entered once per run, not per step), so numpy stays silent until then.
@@ -170,13 +174,9 @@ class _State:
     solver step is one small product written into the other buffer:
     ``[x'; err'; d'] = C·[x; err; d; g]`` with ``d' = beta d − alpha g``,
     so the iterate, the error and the step are updated together.
-
-    When the run carries its residual (see ``_Run``), V holds
-    the same rows mapped through the factor R of ``[A | −b]``, V = W·R^T,
-    and the same C advances it; ``||V[0]|| = ||R·xa|| = ||Ax − b||``.
     """
 
-    __slots__ = ("W", "xa", "err", "d", "g", "head", "dg", "dg_t", "V", "rx")
+    __slots__ = ("W", "xa", "err", "d", "g", "head", "dg", "dg_t")
 
     def __init__(self, W):
         self.W = W
@@ -184,19 +184,137 @@ class _State:
         self.head = W[:3]
         self.dg = W[2:]
         self.dg_t = self.dg.T
-        self.V = self.rx = None
 
-    def carry(self, R):
-        self.V = self.W.dot(R.T)
-        self.rx = self.V[0]
+
+# the log entry of a step that leaves x and d where they are
+_REPEAT = (-1, None, 1.0, 0.0, 0.0)
+
+# steps that a window runs per pass through its step buffer, which stays
+# small enough to be read back from cache for the norms
+_PASS = 50
+
+
+class _Window:
+    """The carried residual R·xa of a run, advanced one window of steps at
+    a time; R is the system's ``residual_factor``, so ||R·xa|| = ||Ax − b||.
+
+    A step only logs ``(key, t, c, e, w)``: the key of its drawn block
+    (see ``BlockSampler``), its sketch t, and its 2×3 step
+    ``[[1, w·c, w·e], [0, c, e]]`` on ``[R·xa; R·d; u]`` with u = K_J·t =
+    R·g, so that R·d becomes c·R·d + e·u and R·xa gains w times the new R·d.
+    ``flush`` forms the u of each partition block drawn in the window with
+    one product, plain for a block drawn once, then runs the steps
+    ``_PASS`` at a time and appends the norms of R·xa to the trace column
+    ``col``. A ``uniform:<p>`` key is a fresh set of rows, so its u is
+    formed in the pass, from one gather of p rows at a time.
+
+    Y holds a pass's rows [R·xa; R·d; u] step after step: rows 3i..3i+2 for
+    step i, whose product fills rows 3i+3 and 3i+4. Every buffer is made
+    once per run.
+    """
+
+    __slots__ = ("Y", "C", "U", "T", "G", "maps", "steps", "entries", "log", "col")
+
+    def __init__(self, sampler, R, col):
+        q = R.shape[0]
+        self.Y = Y = np.zeros((3 * _PASS + 2, q))
+        Y[0] = R[:, -1]  # R·[x0; 1] with x0 = 0, and R·d0 = 0
+        self.C = C = np.zeros((_PASS, 2, 3))
+        C[:, 0, 0] = 1.0
+        self.steps = [(C[i], Y[3 * i:3 * i + 3], Y[3 * i + 3:3 * i + 5]) for i in range(_PASS)]
+        self.maps = sampler.residual_maps
+        # a window's sketches and products, block by block; or the
+        # gathered rows of one uniform:<p> key
+        p, partition = sampler.scheme.p, sampler.blocks is not None
+        self.U = np.empty((RESIDUAL_WINDOW, q)) if partition else None
+        self.T = np.empty(RESIDUAL_WINDOW * p) if partition else None
+        self.G = None if partition else np.empty((p, q))
+        self.entries = []
+        self.log = self.entries.append
+        self.col = col
+
+    def flush(self) -> None:
+        """Run the logged steps and append one norm per step."""
+        n = len(self.entries)
+        if not n:
+            return
+        keys, ts, c, e, w = zip(*self.entries)
+        self.entries.clear()
+        c, e, w = np.array(c), np.array(e), np.array(w)
+        wc, we = w * c, w * e
+        where = None if self.U is None else self._block_products(keys, ts)
+        Y, C = self.Y, self.C
+        for a in range(0, n, _PASS):
+            m = min(_PASS, n - a)
+            u = Y[2:3 * m:3]
+            if where is None:
+                self._gathered_products(u, keys[a:a + m], ts[a:a + m])
+            else:
+                self.U.take(where[a:a + m], axis=0, out=u)
+            C[:m, 0, 1], C[:m, 0, 2] = wc[a:a + m], we[a:a + m]
+            C[:m, 1, 1], C[:m, 1, 2] = c[a:a + m], e[a:a + m]
+            for step, rows, out in self.steps[:m]:
+                step.dot(rows, out=out)
+            X = Y[3:3 * m + 1:3]
+            self.col.frombytes(np.sqrt(np.einsum("ij,ij->i", X, X)).tobytes())
+            Y[:2] = Y[3 * m:3 * m + 2]
+
+    def _block_products(self, keys, ts):
+        """u = K_J·t of every step into U, one product per block drawn,
+        block after block; returns the row of U that holds each step's u."""
+        n, U, maps = len(keys), self.U, self.maps
+        keys = np.array(keys)
+        order = np.argsort(keys, kind="stable")
+        where = np.empty(n, dtype=np.intp)
+        where[order] = np.arange(n)
+        keys = keys[order]
+        cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        keys, order = keys.tolist(), order.tolist()
+        # the sketches of the steps that moved (repeats sort first), block
+        # after block
+        moved = [ts[i] for i in order[keys.count(-1):]]
+        T = self.T[:sum(map(len, moved))]
+        if moved:
+            np.concatenate(moved, out=T)
+        start = 0
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            j = keys[a]
+            if j < 0:
+                U[a:b] = 0.0
+                continue
+            K = maps[j]
+            rows = T[start:start + (b - a) * len(K)]
+            start += len(rows)
+            if b - a == 1:
+                rows.dot(K, out=U[a])
+            else:  # as U^T = K_J·T^T, the faster order when K_J is not in cache
+                np.matmul(K.T, rows.reshape(b - a, len(K)).T, out=U[a:b].T)
+        return where
+
+    def _gathered_products(self, u, keys, ts):
+        """u = K_J·t of ``uniform:<p>`` steps, whose keys are their rows J."""
+        for ui, rows, t in zip(u, keys, ts):
+            if t is None:
+                ui.fill(0.0)
+            else:
+                t.dot(self.maps.take(rows, axis=0, out=self.G), out=ui)
+
+    def reset(self, R, state) -> None:
+        """Replace R·xa and R·d, after a flush, by exact products from
+        ``state``, and its step's norm by the exact one."""
+        rx = self.Y[0]
+        R.dot(state.xa, out=rx)
+        R.dot(state.d, out=self.Y[1])
+        self.col[-1] = math.sqrt(rx.dot(rx))
 
 
 class _Run:
     """State shared by the solver loops: the run's draws, the two working
     buffers (see ``_State``), the step weights and the trace columns. The
     loops swap the buffers on every step, so the one not in use holds the
-    previous iterate. A sampled run carries R·[x; 1] (``carry_residual``)
-    whenever it tracks the residual and its sampler's blocks allow it.
+    previous iterate. A sampled run carries R·[x; 1] in a ``_Window``
+    (``window``) whenever it tracks the residual and its sampler's blocks
+    allow it.
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
@@ -217,23 +335,21 @@ class _Run:
         W[1, :n] = -system.min_norm
         self.states = (_State(W), _State(W.copy()))
         self.err0_sq = float(W[1].dot(W[1]))
-        self.carry_residual = False
+        self.rse_col, self.alpha_col, self.beta_col = array("d"), array("d"), array("d")
+        self.resnorm_col, self.wall_col = array("d"), array("q")
+        self.window = None
         if scheme is not None:
             sampler = BlockSampler.bind(scheme, system)
-            self.carry_residual = config.track_residual and sampler.can_carry
             rng = np.random.default_rng(config.seed)
-            self.next_block = sampler.draws(rng, self.carry_residual).__next__
+            self.next_block = sampler.draws(rng).__next__
             self.attempts = sampler.attempts
-        if self.carry_residual:
-            for state in self.states:
-                state.carry(system.residual_factor)
+            if config.track_residual and sampler.can_carry:
+                self.window = _Window(sampler, system.residual_factor, self.resnorm_col)
         # step weights C: columns 2 and 3 take beta and -alpha
         self.C = np.zeros((3, 4))
         self.C[0, 0] = self.C[1, 1] = 1.0
         self.timing = config.record_timing
         self.clock = time.perf_counter_ns if self.timing else _no_clock
-        self.rse_col, self.alpha_col, self.beta_col = array("d"), array("d"), array("d")
-        self.resnorm_col, self.wall_col = array("d"), array("q")
         self.unmoved = []
         self.iterates = [] if keep_iterates else None
         self.draws = 0
@@ -244,17 +360,17 @@ class _Run:
     def draw(self, xa, g, resample=True):
         """Draw once, or with ``resample`` until ||S^T (Ax − b)|| passes the
         zero test; write the pullback [A^T S t; 0] into g and return (block,
-        K, t, ||t||^2), t = S^T (Ax − b) and K the block's residual map (see
+        key, t, ||t||^2), t = S^T (Ax − b) and key the block's key (see
         BlockSampler). None when the cap is reached on a solved residual."""
         for _ in self.attempts:  # never empty
-            fwd, bwd, K = self.next_block()
+            fwd, bwd, key = self.next_block()
             self.draws += 1
             t = fwd.dot(xa)
             tn2 = float(t.dot(t))
             if tn2 > self.threshold_sq or not resample:
                 bwd.dot(t, out=g)
                 g[-1] = 0.0
-                return fwd, K, t, tn2
+                return fwd, key, t, tn2
         if self.solved(self.A.matvec(xa[:self.n]) - self.b):
             return None
         raise StalledSamplingError(
@@ -280,13 +396,13 @@ class _Run:
     def refresh_residual(self, state: _State) -> None:
         """Replace the carried R·xa and R·d by exact products, which bounds
         the drift of the updated values."""
-        R = self.system.residual_factor
-        R.dot(state.xa, out=state.V[0])
-        R.dot(state.d, out=state.V[2])
+        self.window.reset(self.system.residual_factor, state)
 
     def record(self, state: _State, alpha, beta, t0, moved=True, resnorm=None) -> float:
         """Append one iteration to the trace; returns its RSE. The step's
-        wall time, counted from ``t0``, excludes this bookkeeping.
+        wall time, counted from ``t0``, excludes this bookkeeping and the
+        work of a carried residual's window, which ends here every
+        RESIDUAL_WINDOW steps and is refreshed every DRIFT_CHECK_INTERVAL.
 
         Raises DivergedError when the RSE is no longer finite."""
         if self.timing:
@@ -295,15 +411,19 @@ class _Run:
         rse = float(err.dot(err)) / self.err0_sq
         if not rse < math.inf:
             raise DivergedError(f"RSE {rse} at step {len(self.rse_col) + 1}")
+        if resnorm is not None:
+            self.resnorm_col.append(resnorm)
+        elif self.window is not None:
+            k = len(self.rse_col) + 1
+            if k % RESIDUAL_WINDOW == 0:
+                self.window.flush()
+                if k % DRIFT_CHECK_INTERVAL == 0:
+                    self.refresh_residual(state)
+        elif self.config.track_residual:
+            self.resnorm_col.append(self.residual_norm(state.xa))
         self.rse_col.append(rse)
         self.alpha_col.append(alpha)
         self.beta_col.append(beta)
-        if resnorm is not None:
-            self.resnorm_col.append(resnorm)
-        elif self.config.track_residual:
-            rx = state.rx
-            self.resnorm_col.append(math.sqrt(rx.dot(rx)) if rx is not None
-                                    else self.residual_norm(state.xa))
         if not moved:
             self.unmoved.append(len(self.rse_col) - 1)
         if self.iterates is not None:
@@ -312,6 +432,8 @@ class _Run:
 
     def finish(self, xa, reason) -> tuple[SolverState, Trace]:
         """The final state and trace; converged unless ``reason`` is "max_iters"."""
+        if self.window is not None:
+            self.window.flush()
         n, k = self.n, len(self.rse_col)
         x = xa[:n].copy()
         state = SolverState(x=x, r=self.A.matvec(x) - self.b, k=k)
@@ -355,9 +477,10 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
     sampled gradient and its d the previous step.
 
-    When the run carries its residual, ``R·g = K·t`` and the step's C
-    advance V = W·R^T next to W; W and its arithmetic are the same either
-    way, so tracking never changes the trajectory.
+    When the run carries its residual, each step logs its block, t,
+    beta and −alpha to the run's window (see ``_Window``); W and its
+    arithmetic are the same either way, so tracking never changes the
+    trajectory.
     """
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
@@ -368,15 +491,17 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     rule = rule_for(run)
     tol, clock, C = config.rse_tolerance, run.clock, run.C
     beta_col, minus_alpha = C[:, 2], C[:, 3]
-    carry = run.carry_residual
+    log = run.window.log if run.window is not None else None
     cur, nxt = run.states
     for k in range(1, config.max_iters + 1):
         t0 = clock()
         drawn = draw(cur.xa, cur.g, resample)
         if drawn is None:
             return run.finish(cur.xa, "residual")
-        _, K, t, tn2 = drawn
+        _, key, t, tn2 = drawn
         if tn2 <= skip_below:
+            if log is not None:
+                log(_REPEAT)
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
                 return run.finish(cur.xa, "rse")
             continue
@@ -384,11 +509,8 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
         minus_alpha.fill(-alpha)
         beta_col.fill(beta)
         C.dot(cur.W, out=nxt.head)
-        if carry:
-            K.dot(t, out=cur.V[3])
-            C.dot(cur.V, out=nxt.V[:3])
-            if k % DRIFT_CHECK_INTERVAL == 0:
-                run.refresh_residual(nxt)
+        if log is not None:
+            log((key, t, beta, -alpha, 1.0))
         cur, nxt = nxt, cur
         if run.record(cur, alpha, beta, t0) <= tol:
             return run.finish(cur.xa, "rse")
@@ -444,24 +566,29 @@ def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
 def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
               *, keep_iterates: bool = False):
     """Stochastic CG recursion; identical sample sequences make it
-    iterate-for-iterate equal to the momentum form. A carried residual
-    follows x' = x + delta·p through R·p' = eta·R·p − K·t."""
+    iterate-for-iterate equal to the momentum form. The search direction p
+    is the d row of the working buffers. A carried residual follows
+    x' = x + delta·p through R·p = eta·R·p_prev − K·t of the previous draw:
+    each step logs ``[[1, delta·eta, −delta], [0, eta, −1]]`` on
+    [R·xa; R·p_prev; K·t] (see ``_Window``)."""
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
-    tol, n, carry = config.rse_tolerance, run.n, run.carry_residual
+    tol, n = config.rse_tolerance, run.n
+    log = run.window.log if run.window is not None else None
     cur, nxt = run.states
     g = np.empty(n + 1)  # the pullback of each draw
 
     drawn = run.draw(cur.xa, g)
     if drawn is None:
         return run.finish(cur.xa, "residual")
-    _, K, t, s_cur = drawn
-    p = -g
-    rp = -K.dot(t) if carry else None
+    _, key, t, s_cur = drawn
+    eta = 0.0
+    np.negative(g, out=nxt.d)
 
     for k in range(1, config.max_iters + 1):
         t0 = run.clock()
+        p = nxt.d
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
             if run.solved(run.A.matvec(cur.xa[:n]) - run.b):
@@ -471,23 +598,19 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         step = delta * p
         np.add(cur.xa, step, out=nxt.xa)
         np.add(cur.err, step, out=nxt.err)
-        if carry:
-            np.add(cur.rx, delta * rp, out=nxt.rx)
-            if k % DRIFT_CHECK_INTERVAL == 0:
-                system.residual_factor.dot(nxt.xa, out=nxt.rx)
-                rp = system.residual_factor.dot(p)
+        if log is not None:
+            log((key, t, eta, -1.0, delta))
         cur, nxt = nxt, cur
         if run.record(cur, delta, 0.0, t0) <= tol:
             return run.finish(cur.xa, "rse")
         drawn = run.draw(cur.xa, g)
         if drawn is None:
             return run.finish(cur.xa, "residual")
-        fwd, K, t, s_new = drawn
+        fwd, key, t, s_new = drawn
         t_old = fwd.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t.dot(t_old))) / s_cur
-        p = eta * p - g
-        if carry:
-            rp = eta * rp - K.dot(t)
+        np.multiply(cur.d, eta, out=nxt.d)
+        nxt.d -= g
         s_cur = s_new
     return run.finish(cur.xa, "max_iters")
 

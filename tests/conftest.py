@@ -72,8 +72,8 @@ def record_draws(sampler):
     to, in draw order, from now on: ``sampler.draws`` is wrapped."""
     drawn, draws = [], sampler.draws
 
-    def recording(rng, carry=False):
-        for draw in draws(rng, carry):
+    def recording(rng):
+        for draw in draws(rng):
             drawn.append(draw[0])
             yield draw
     sampler.draws = recording

@@ -1,10 +1,14 @@
 """End-to-end CLI tests: generate/solve/sweep/bound, formats, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,9 +469,9 @@ class TestOneRunner:
         drawn = []
         draws = BlockSampler.draws
 
-        def recording_draws(sampler, rng, carry=False):
+        def recording_draws(sampler, rng):
             drawn.append([])
-            for block in draws(sampler, rng, carry):
+            for block in draws(sampler, rng):
                 drawn[-1].append(block[0])
                 yield block
 
@@ -510,9 +514,21 @@ class TestOneRunner:
                 tasks.append(fn)
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return pools, tasks
+
+    def test_one_worker_loads_no_pool(self, tmp_path):
+        # the process pool is imported where a pool starts, so a run that
+        # needs none does not pay for the module
+        code = ("import sys; from momsolve import cli; "
+                "rc = cli.main(sys.argv[1:]); "
+                "sys.exit(rc or int('concurrent.futures.process' in sys.modules))")
+        argv = ["solve", "--trials", "2", "--workers", "1",
+                "--out", str(tmp_path / "one")] + self.PROBLEM
+        src = str(Path(__file__).parent.parent / "src")
+        subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     @pytest.mark.parametrize("trials", ["1", "2"])
     def test_sweep_runs_in_one_pool(self, tmp_path, monkeypatch, trials):

@@ -333,38 +333,44 @@ class TestOnePassBinding:
         rows = scheme.blocks
         sampler = BlockSampler(scheme, system)
         # K_J needs the QR factor of the dense [A | -b]; a CSR run never carries
-        bound = sampler.residual_maps if kind == "dense" else sampler.blocks
+        maps = sampler.residual_maps if kind == "dense" else [None] * len(rows)
         aug = augmented(A, system.b)
         table = A.data.dot(system.residual_factor[:, :A.cols].T) if kind == "dense" else None
         rng = np.random.default_rng(1)
         weights = [A.row_norms_sq[blk].sum() for blk in rows]
-        assert len(bound) == len(rows) and 0.0 in weights
-        for (fwd, bwd, K), blk, w in zip(bound, rows, weights):
+        assert len(sampler.blocks) == len(maps) == len(rows) and 0.0 in weights
+        for i, ((fwd, bwd, key), K_t, blk, w) in enumerate(zip(sampler.blocks, maps, rows,
+                                                                weights)):
+            assert key == i
             s = 1.0 / np.sqrt(w) if w > 0 else 0.0
             old_fwd, old_bwd = _block_pair(aug[blk] * s)
             xa, t = rng.standard_normal(A.cols + 1), rng.standard_normal(len(blk))
             assert np.array_equal(fwd.dot(xa), old_fwd.dot(xa))
             assert np.array_equal(bwd.dot(t), old_bwd.dot(t))
             if table is not None:
-                assert np.array_equal(K.dot(t), (table[blk] * s).T.dot(t))
+                assert np.array_equal(K_t.T.dot(t), (table[blk] * s).T.dot(t))
 
     @pytest.mark.parametrize("p", [1, 3, 8])
     def test_uniform_residual_map_matches_scaled_gather(self, p):
-        # a uniform:<p> draw's K is (s·table[J])^T with table = A·R[:, :n]^T:
-        # the scale multiplies the product, never A or R ahead of it
+        # a uniform:<p> draw's key is its rows J, and K_J is (s·table[J])^T
+        # with table = A·R[:, :n]^T: the scale multiplies the product, never
+        # A or R ahead of it
         system, _ = _zero_block_system("dense", 8)
         A = system.A
         table = A.data.dot(system.residual_factor[:, :A.cols].T)
         s = np.sqrt(A.rows / p / A.fro_norm_sq)
         aug = augmented(A, system.b)
-        draws = BlockSampler(UniformBlock(p=p), system).draws(np.random.default_rng(2), True)
+        sampler = BlockSampler(UniformBlock(p=p), system)
+        draws = sampler.draws(np.random.default_rng(2))
         replay, rng = np.random.default_rng(2), np.random.default_rng(3)
         for _ in range(20):
-            fwd, _, K = next(draws)
+            fwd, _, key = next(draws)
             rows = np.sort(replay.choice(A.rows, size=p, replace=False))
+            assert np.array_equal(key, rows)
             assert np.array_equal(fwd, aug[rows] * s)
             t = rng.standard_normal(p)
-            assert np.array_equal(K.dot(t), (table[rows] * s).T.dot(t))
+            assert np.array_equal(sampler.residual_maps[key].T.dot(t),
+                                  (table[rows] * s).T.dot(t))
 
     def test_bind_keeps_a_sampler_of_the_same_system(self):
         system, part = _zero_block_system("dense", 8)

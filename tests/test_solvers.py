@@ -1,6 +1,7 @@
 """Solver steps (checked through one-step runs) and full solver runs."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from momsolve.sampling import (
 )
 from momsolve.solvers import (
     DRIFT_CHECK_INTERVAL,
+    RESIDUAL_WINDOW,
     SOLVER_IDS,
     SolverConfig,
     ashbm_parameters,
@@ -605,6 +607,92 @@ class TestResidualChannel:
         finally:
             gc.enable()
         assert alive == []
+
+
+def _split_system():
+    """A dense system whose last 20 rows are orthogonal to the first 40 and
+    have b = 0: steps on the first 40 rows never change their residual, so
+    ``basic`` leaves x unmoved whenever it draws one of their blocks."""
+    rng = np.random.default_rng(11)
+    dense = np.zeros((60, 20))
+    dense[:40, :15] = rng.standard_normal((40, 15))
+    dense[40:, 15:] = rng.standard_normal((20, 5))
+    b = np.zeros(60)
+    b[:40] = dense[:40] @ rng.standard_normal(20)
+    rows = np.arange(60)
+    rows.setflags(write=False)
+    return _system(dense, b), PartitionBlock(blocks=tuple(rows.reshape(15, 4)))
+
+
+class TestResidualWindow:
+    """A carried residual is advanced in windows of RESIDUAL_WINDOW logged
+    steps; every way a run can end inside or at the edge of one leaves one
+    norm per step, each within the channel's tolerance of ||A x_k − b||."""
+
+    @staticmethod
+    def _run(solve, steps, **kw):
+        sys_ = generate_gaussian_problem(200, 50, 50, 10.0, seed=7)
+        scheme = PartitionBlock.from_permutation(200, 4, seed=7)
+        config = _cfg(max_iters=steps, rse_tolerance=0.0, **kw)
+        return sys_, solve(sys_, scheme, config, keep_iterates=True)[1]
+
+    @pytest.mark.parametrize("steps", [RESIDUAL_WINDOW, RESIDUAL_WINDOW + 1,
+                                       RESIDUAL_WINDOW + RESIDUAL_WINDOW // 2 + 3],
+                             ids=["on_boundary", "one_past", "mid_window"])
+    @pytest.mark.parametrize("solve", [solve_ashbm, solve_scg], ids=["ashbm", "scg"])
+    def test_max_iters_at_the_edges(self, solve, steps):
+        sys_, trace = self._run(solve, steps)
+        assert len(trace) == steps and trace.reason == "max_iters"
+        _assert_residuals_match(sys_, trace)
+
+    def test_scg_past_two_refreshes(self):
+        sys_, trace = self._run(solve_scg, 2 * DRIFT_CHECK_INTERVAL + 7)
+        assert len(trace) == 2 * DRIFT_CHECK_INTERVAL + 7
+        _assert_residuals_match(sys_, trace)
+
+    def test_basic_repeats_unmoved_steps(self):
+        sys_, scheme = _split_system()
+        _, trace = solve_basic(sys_, scheme, _cfg(max_iters=RESIDUAL_WINDOW + 40,
+                                                  rse_tolerance=0.0), keep_iterates=True)
+        assert len(trace) == RESIDUAL_WINDOW + 40
+        # moved and unmoved steps mix inside the first window
+        assert 0 < trace.moved[:RESIDUAL_WINDOW].sum() < RESIDUAL_WINDOW
+        _assert_residuals_match(sys_, trace)
+
+    def test_divergence_mid_window_leaves_the_sampler_clean(self):
+        sys_ = generate_gaussian_problem(200, 50, 50, 5.0, seed=0)
+        scheme = PartitionBlock.from_permutation(200, 10, seed=0)
+        sampler = BlockSampler(scheme, sys_)
+        with pytest.raises(DivergedError, match=r"at step (\d+)") as caught:
+            solve_mrabk(sys_, sampler, _cfg(momentum_beta=0.999, max_iters=20000))
+        step = int(caught.value.args[0].rsplit(" ", 1)[-1])
+        assert step % RESIDUAL_WINDOW != 0
+        config = _cfg(max_iters=RESIDUAL_WINDOW + 30, rse_tolerance=0.0)
+        _, after = solve_mrabk(sys_, sampler, config, keep_iterates=True)
+        _, fresh = solve_mrabk(sys_, BlockSampler(scheme, sys_), config)
+        for column in ("k", "rse", "residual_norm", "alpha", "beta", "moved"):
+            assert getattr(after, column).tobytes() == getattr(fresh, column).tobytes()
+        _assert_residuals_match(sys_, after)
+
+    def test_uniform_holds_no_gathers(self):
+        # a uniform:<p> window logs the rows of each draw, never its
+        # p x (n+1) gather of the residual map: a tracked run's traced peak
+        # stays within one window of products of the untracked run's
+        sys_ = generate_gaussian_problem(600, 300, 300, 10.0, seed=2)
+        sampler = BlockSampler(materialize("uniform:32", sys_.A), sys_)
+        solve_ashbm(sys_, sampler, _cfg(max_iters=5))  # builds R and the table
+        peaks = {}
+        for track in (False, True):
+            config = _cfg(max_iters=2 * RESIDUAL_WINDOW, rse_tolerance=0.0,
+                          track_residual=track)
+            tracemalloc.start()
+            try:
+                solve_ashbm(sys_, sampler, config)
+                peaks[track] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        window_bytes = RESIDUAL_WINDOW * sys_.residual_factor.shape[0] * 8
+        assert peaks[True] - peaks[False] <= window_bytes
 
 
 class TestTrackingLeavesTheTrajectory:
