@@ -341,7 +341,10 @@ def cmd_sweep(args) -> int:
     if variant not in ("uniform", "partition"):
         raise UnsupportedError("sweep requires a block scheme (uniform/partition)")
     specs = [SchemeSpec(variant, int(p)) for p in args.p_list.split(",")]
-    cells = [dataclasses.replace(cfg, scheme=str(spec), solver=solver)
+    # sweep.csv reads only iterations and final RSEs, which neither the
+    # residual column nor the timing changes
+    cells = [dataclasses.replace(cfg, scheme=str(spec), solver=solver,
+                                 track_residual=False, record_timing=False)
              for spec in specs for solver in solvers]
     system = build_system(cfg)
     m = system.A.rows

@@ -42,4 +42,4 @@ class DegenerateDirectionError(BreakdownError):
 
 
 class DivergedError(BreakdownError):
-    """The iterate blew up: the relative solution error is no longer finite."""
+    """The iterate blew up: the relative solution error passed 1/eps² or is NaN."""

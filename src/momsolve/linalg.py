@@ -252,12 +252,12 @@ def _lsqr_solution(A: Matrix, b: np.ndarray, cut: float) -> np.ndarray | None:
     return x if istop in (0, 1, 2, 4, 5) else None
 
 
-def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
+def min_norm_solution(A: Matrix, b) -> np.ndarray:
     """Min-norm solution A^+ b of a consistent system: LSQR for a CSR A,
     SVD least squares (``gelsd``) for a dense A and as LSQR's fallback.
 
     Raises InconsistentSystemError when the residual of the pseudoinverse
-    solution exceeds ``tol`` (default 1e-8 * (1 + ||b||)).
+    solution exceeds 1e-8 * (1 + ||b||).
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.rows,):
@@ -270,8 +270,7 @@ def min_norm_solution(A: Matrix, b, *, tol: float | None = None) -> np.ndarray:
     if x is None:
         # gelsd zeroes sigma <= rcond * sigma_max: the cut of rank_tolerance
         x = np.linalg.lstsq(A.toarray(), b, rcond=cut)[0]
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(b)))
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(b)))
     residual = float(np.linalg.norm(A.matvec(x) - b))
     # written so that a NaN residual (non-finite b) fails the check too
     if not residual <= tol:

@@ -54,16 +54,14 @@ __all__ = [
 DEGENERACY_THRESHOLD = 1e-14
 
 # steps between exact recomputations of an updated residual: CGNE's
-# recurrence residual and the carried R·[x; 1] of the heavy-ball loop and SCG
-DRIFT_CHECK_INTERVAL = 1000
-
-# steps per window of a carried residual (see ``_Window``); it divides
-# DRIFT_CHECK_INTERVAL, so every refresh falls on the end of a window
+# recurrence residual, and the window of a carried R·[x; 1] (see ``_Window``)
 RESIDUAL_WINDOW = 1000
 
-# A diverging run overflows in its products a few steps before ``record``
-# sees a non-finite RSE and raises DivergedError. Each solver runs under this
-# state (entered once per run, not per step), so numpy stays silent until then.
+# An RSE past 1/eps² (||x − x*|| > ||x*||/eps) is a diverged run, and
+# ``record`` raises DivergedError; a run can overflow in its products before
+# that. Each solver runs under this state (entered once per run, not per
+# step), so numpy stays silent until then.
+_DIVERGED_RSE = 2.0 ** 104
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -186,9 +184,6 @@ class _State:
         self.dg_t = self.dg.T
 
 
-# the log entry of a step that leaves x and d where they are
-_REPEAT = (-1, None, 1.0, 0.0, 0.0)
-
 # steps that a window runs per pass through its step buffer, which stays
 # small enough to be read back from cache for the norms
 _PASS = 50
@@ -201,7 +196,8 @@ class _Window:
     A step only logs ``(key, t, c, e, w)``: the key of its drawn block
     (see ``BlockSampler``), its sketch t, and its 2×3 step
     ``[[1, w·c, w·e], [0, c, e]]`` on ``[R·xa; R·d; u]`` with u = K_J·t =
-    R·g, so that R·d becomes c·R·d + e·u and R·xa gains w times the new R·d.
+    R·g, so that R·d becomes c·R·d + e·u and R·xa gains w times the new R·d;
+    a step that leaves x and d where they are is (c, e, w) = (1, 0, 0).
     ``flush`` forms the u of each partition block drawn in the window with
     one product, plain for a block drawn once, then runs the steps
     ``_PASS`` at a time and appends the norms of R·xa to the trace column
@@ -213,9 +209,10 @@ class _Window:
     once per run.
     """
 
-    __slots__ = ("Y", "C", "U", "T", "G", "maps", "steps", "entries", "log", "col")
+    __slots__ = ("R", "Y", "C", "U", "T", "G", "maps", "steps", "entries", "log", "col")
 
     def __init__(self, sampler, R, col):
+        self.R = R
         q = R.shape[0]
         self.Y = Y = np.zeros((3 * _PASS + 2, q))
         Y[0] = R[:, -1]  # R·[x0; 1] with x0 = 0, and R·d0 = 0
@@ -233,8 +230,10 @@ class _Window:
         self.log = self.entries.append
         self.col = col
 
-    def flush(self) -> None:
-        """Run the logged steps and append one norm per step."""
+    def flush(self, state) -> None:
+        """Run the logged steps and append one norm per step; then replace
+        R·xa and R·d by exact products from ``state``, which bounds the
+        drift of the carried values, and the last norm by the exact one."""
         n = len(self.entries)
         if not n:
             return
@@ -258,6 +257,10 @@ class _Window:
             X = Y[3:3 * m + 1:3]
             self.col.frombytes(np.sqrt(np.einsum("ij,ij->i", X, X)).tobytes())
             Y[:2] = Y[3 * m:3 * m + 2]
+        rx = Y[0]
+        self.R.dot(state.xa, out=rx)
+        self.R.dot(state.d, out=Y[1])
+        self.col[-1] = math.sqrt(rx.dot(rx))
 
     def _block_products(self, keys, ts):
         """u = K_J·t of every step into U, one product per block drawn,
@@ -269,20 +272,12 @@ class _Window:
         where[order] = np.arange(n)
         keys = keys[order]
         cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-        keys, order = keys.tolist(), order.tolist()
-        # the sketches of the steps that moved (repeats sort first), block
-        # after block
-        moved = [ts[i] for i in order[keys.count(-1):]]
-        T = self.T[:sum(map(len, moved))]
-        if moved:
-            np.concatenate(moved, out=T)
+        # the sketches, block after block
+        T = self.T[:sum(map(len, ts))]
+        np.concatenate([ts[i] for i in order.tolist()], out=T)
         start = 0
         for a, b in zip([0, *cuts], [*cuts, n]):
-            j = keys[a]
-            if j < 0:
-                U[a:b] = 0.0
-                continue
-            K = maps[j]
+            K = maps[keys[a]]
             rows = T[start:start + (b - a) * len(K)]
             start += len(rows)
             if b - a == 1:
@@ -294,18 +289,7 @@ class _Window:
     def _gathered_products(self, u, keys, ts):
         """u = K_J·t of ``uniform:<p>`` steps, whose keys are their rows J."""
         for ui, rows, t in zip(u, keys, ts):
-            if t is None:
-                ui.fill(0.0)
-            else:
-                t.dot(self.maps.take(rows, axis=0, out=self.G), out=ui)
-
-    def reset(self, R, state) -> None:
-        """Replace R·xa and R·d, after a flush, by exact products from
-        ``state``, and its step's norm by the exact one."""
-        rx = self.Y[0]
-        R.dot(state.xa, out=rx)
-        R.dot(state.d, out=self.Y[1])
-        self.col[-1] = math.sqrt(rx.dot(rx))
+            t.dot(self.maps.take(rows, axis=0, out=self.G), out=ui)
 
 
 class _Run:
@@ -393,32 +377,24 @@ class _Run:
         r = self.system.residual_factor.dot(xa)
         return math.sqrt(r.dot(r))
 
-    def refresh_residual(self, state: _State) -> None:
-        """Replace the carried R·xa and R·d by exact products, which bounds
-        the drift of the updated values."""
-        self.window.reset(self.system.residual_factor, state)
-
     def record(self, state: _State, alpha, beta, t0, moved=True, resnorm=None) -> float:
         """Append one iteration to the trace; returns its RSE. The step's
         wall time, counted from ``t0``, excludes this bookkeeping and the
         work of a carried residual's window, which ends here every
-        RESIDUAL_WINDOW steps and is refreshed every DRIFT_CHECK_INTERVAL.
+        RESIDUAL_WINDOW steps.
 
-        Raises DivergedError when the RSE is no longer finite."""
+        Raises DivergedError when the RSE passes _DIVERGED_RSE or is NaN."""
         if self.timing:
             self.wall_col.append(self.clock() - t0)
         err = state.err
         rse = float(err.dot(err)) / self.err0_sq
-        if not rse < math.inf:
+        if not rse <= _DIVERGED_RSE:
             raise DivergedError(f"RSE {rse} at step {len(self.rse_col) + 1}")
         if resnorm is not None:
             self.resnorm_col.append(resnorm)
         elif self.window is not None:
-            k = len(self.rse_col) + 1
-            if k % RESIDUAL_WINDOW == 0:
-                self.window.flush()
-                if k % DRIFT_CHECK_INTERVAL == 0:
-                    self.refresh_residual(state)
+            if (len(self.rse_col) + 1) % RESIDUAL_WINDOW == 0:
+                self.window.flush(state)
         elif self.config.track_residual:
             self.resnorm_col.append(self.residual_norm(state.xa))
         self.rse_col.append(rse)
@@ -430,13 +406,14 @@ class _Run:
             self.iterates.append(state.xa[:self.n].copy())
         return rse
 
-    def finish(self, xa, reason) -> tuple[SolverState, Trace]:
-        """The final state and trace; converged unless ``reason`` is "max_iters"."""
+    def finish(self, state: _State, reason) -> tuple[SolverState, Trace]:
+        """The final state and trace; converged unless ``reason`` is "max_iters".
+        A carried residual ends its last window here, on the exact norm."""
         if self.window is not None:
-            self.window.flush()
+            self.window.flush(state)
         n, k = self.n, len(self.rse_col)
-        x = xa[:n].copy()
-        state = SolverState(x=x, r=self.A.matvec(x) - self.b, k=k)
+        x = state.xa[:n].copy()
+        final = SolverState(x=x, r=self.A.matvec(x) - self.b, k=k)
         moved = np.ones(k, dtype=bool)
         moved[self.unmoved] = False
         trace = Trace(
@@ -455,11 +432,11 @@ class _Run:
             sample_draws=self.draws,
             iterates=self.iterates if self.iterates is not None else [],
         )
-        return state, trace
+        return final, trace
 
     def already_solved(self):
         """The trivial run when x0 = 0 is already the min-norm solution."""
-        return self.finish(self.states[0].xa, "already_solved")
+        return self.finish(self.states[0], "already_solved")
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +474,13 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
         t0 = clock()
         drawn = draw(cur.xa, cur.g, resample)
         if drawn is None:
-            return run.finish(cur.xa, "residual")
+            return run.finish(cur, "residual")
         _, key, t, tn2 = drawn
         if tn2 <= skip_below:
             if log is not None:
-                log(_REPEAT)
+                log((key, t, 1.0, 0.0, 0.0))
             if run.record(cur, 0.0, 0.0, t0, moved=False) <= tol:
-                return run.finish(cur.xa, "rse")
+                return run.finish(cur, "rse")
             continue
         alpha, beta = rule(k, tn2, cur)
         minus_alpha.fill(-alpha)
@@ -513,8 +490,8 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
             log((key, t, beta, -alpha, 1.0))
         cur, nxt = nxt, cur
         if run.record(cur, alpha, beta, t0) <= tol:
-            return run.finish(cur.xa, "rse")
-    return run.finish(cur.xa, "max_iters")
+            return run.finish(cur, "rse")
+    return run.finish(cur, "max_iters")
 
 
 def _polyak_rule(run):
@@ -581,7 +558,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
 
     drawn = run.draw(cur.xa, g)
     if drawn is None:
-        return run.finish(cur.xa, "residual")
+        return run.finish(cur, "residual")
     _, key, t, s_cur = drawn
     eta = 0.0
     np.negative(g, out=nxt.d)
@@ -592,7 +569,7 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         pn2 = float(p.dot(p))
         if pn2 <= run.threshold_sq:
             if run.solved(run.A.matvec(cur.xa[:n]) - run.b):
-                return run.finish(cur.xa, "residual")
+                return run.finish(cur, "residual")
             raise DegenerateDirectionError("search direction vanished with large residual")
         delta = s_cur / pn2
         step = delta * p
@@ -602,17 +579,17 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
             log((key, t, eta, -1.0, delta))
         cur, nxt = nxt, cur
         if run.record(cur, delta, 0.0, t0) <= tol:
-            return run.finish(cur.xa, "rse")
+            return run.finish(cur, "rse")
         drawn = run.draw(cur.xa, g)
         if drawn is None:
-            return run.finish(cur.xa, "residual")
+            return run.finish(cur, "residual")
         fwd, key, t, s_new = drawn
         t_old = fwd.dot(nxt.xa)  # S_{k+1}^T r^k
         eta = (s_new - float(t.dot(t_old))) / s_cur
         np.multiply(cur.d, eta, out=nxt.d)
         nxt.d -= g
         s_cur = s_new
-    return run.finish(cur.xa, "max_iters")
+    return run.finish(cur, "max_iters")
 
 
 @_quiet_overflow
@@ -633,21 +610,21 @@ def solve_cgne(system: LinearSystem, config: SolverConfig, *, keep_iterates: boo
         pn2 = float(p @ p)
         if pn2 <= run.threshold_sq:
             if run.solved(r):
-                return run.finish(x, "residual")
+                return run.finish(state, "residual")
             raise BreakdownError("CG direction vanished with large residual")
         mu = rn2 / pn2
         x += mu * p
         err += mu * p
         r = r + mu * A.matvec(p)
-        if k % DRIFT_CHECK_INTERVAL == 0:
+        if k % RESIDUAL_WINDOW == 0:
             r = A.matvec(x) - b  # bound incremental drift
         rn2_new = float(r @ r)
         rse = run.record(state, mu, 0.0, t0, resnorm=float(np.sqrt(rn2_new)))
         if rse <= config.rse_tolerance or run.solved(r):
-            return run.finish(x, "rse" if rse <= config.rse_tolerance else "residual")
+            return run.finish(state, "rse" if rse <= config.rse_tolerance else "residual")
         p = -A.rmatvec(r) + (rn2_new / rn2) * p
         rn2 = rn2_new
-    return run.finish(x, "max_iters")
+    return run.finish(state, "max_iters")
 
 
 def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,

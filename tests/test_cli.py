@@ -343,7 +343,7 @@ class TestSweep:
                    "--solver", "mrabk,ashbm", "--beta", "0.99", "--trials", "2",
                    "--max-iters", "20000", "--out", str(out)])
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
-        assert "RSE inf" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("solver breakdown: RSE ")
         header, *lines = (out / "sweep.csv").read_text().splitlines()
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert [(r["p"], r["solver"], r["trials"], r["failed"]) for r in rows] == [
@@ -399,8 +399,8 @@ class TestSweep:
 
 
 class TestSharedSetUp:
-    """One command factors ``[A | −b]`` once, however many trials and
-    cells it runs, and its runs equal runs on fresh systems."""
+    """A ``solve`` command factors ``[A | −b]`` once, however many trials it
+    runs, a ``sweep`` never, and their runs equal runs on fresh systems."""
 
     PROBLEM = ["--m", "60", "--n", "20", "--r", "20", "--kappa", "3", "--seed", "4",
                "--tol", "1e-10", "--no-timing"]
@@ -442,13 +442,13 @@ class TestSharedSetUp:
             assert ((tmp_path / "run" / f"trace_{i:03d}.csv").read_bytes()
                     == (tmp_path / "lib.csv").read_bytes())
 
-    def test_sweep_cells_factor_once(self, tmp_path, monkeypatch):
+    def test_sweep_cells_factor_no_residual(self, tmp_path, monkeypatch):
         calls = self._count_factors(monkeypatch)
         argv = ["sweep", "--solver", "mbasic,ashbm", "--sampling", "partition:4",
                 "--p-list", "4,8", "--trials", "2",
                 "--out", str(tmp_path / "sw")] + self.PROBLEM
         assert main(argv) == 0
-        assert calls.count("r") == 1
+        assert "r" not in calls
         header, *lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         for line in lines:
             row = dict(zip(header.split(","), line.split(",")))
@@ -456,6 +456,27 @@ class TestSharedSetUp:
             traces = [self._fresh_run(argv, row["solver"], spec, i) for i in range(2)]
             assert float(row["iters_median"]) == np.median([t.iterations for t in traces])
             assert float(row["final_rse_median"]) == np.median([t.final_rse for t in traces])
+
+
+def test_sweep_trials_neither_track_nor_time(tmp_path, monkeypatch):
+    # sweep.csv reads iterations and final RSEs only, so no trial records
+    # a residual or a wall time, whatever the flags or the config file say
+    configs = []
+
+    def spying(solve):
+        def run(*args):
+            configs.append(args[-1])
+            return solve(*args)
+        return run
+
+    for solver in ("mbasic", "ashbm"):
+        monkeypatch.setitem(cli.SOLVER_IDS, solver, spying(cli.SOLVER_IDS[solver]))
+    rc = main(["sweep", "--m", "60", "--n", "20", "--r", "20", "--kappa", "3",
+               "--solver", "mbasic,ashbm", "--sampling", "partition:4", "--p-list", "4,8",
+               "--trials", "2", "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    assert len(configs) == 8
+    assert all(not c.track_residual and not c.record_timing for c in configs)
 
 
 class TestOneRunner:
@@ -937,6 +958,17 @@ class TestExitCodes:
         assert (record["trial"], record["seed"]) == (0, trial_seed(0, 0))
         assert record["type"] == "DivergedError"
         assert record["message"].startswith("RSE ")
+
+    def test_run_whose_error_grows_finite_diverges(self, tmp_path):
+        # at the default beta the squared error passes ||x*||²/eps² long
+        # before it overflows; both trials stop there, not at --max-iters
+        out = tmp_path / "x"
+        rc = main(["solve", "--solver", "mrabk", "--sampling", "partition:10",
+                   "--m", "80", "--n", "200", "--r", "80", "--kappa", "10", "--seed", "2",
+                   "--max-iters", "6000", "--trials", "2", "--out", str(out)])
+        assert rc == cli.EXIT_SOLVER_BREAKDOWN
+        summary = _read_json(out / "summary.json")
+        assert [e["type"] for e in summary["errors"]] == ["DivergedError"] * 2
 
     def test_diverged_run_warns_nothing(self, tmp_path, capsys):
         # the overflow before the RSE check used to escape as a numpy

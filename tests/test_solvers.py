@@ -1,6 +1,7 @@
 """Solver steps (checked through one-step runs) and full solver runs."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,6 @@ from momsolve.sampling import (
     parse_scheme,
 )
 from momsolve.solvers import (
-    DRIFT_CHECK_INTERVAL,
     RESIDUAL_WINDOW,
     SOLVER_IDS,
     SolverConfig,
@@ -492,6 +492,18 @@ class TestMrabk:
         with pytest.raises(DivergedError):
             solve_mrabk(sys_, scheme, _cfg(momentum_beta=0.999, max_iters=20000))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_error_growing_without_overflow_diverges(self, seed):
+        # the default beta = 0.7 overshoots on this wide system: the error
+        # grows past ||x*||/eps long before it overflows, and the run stops
+        # there instead of spinning to max_iters
+        sys_ = generate_gaussian_problem(80, 200, 80, 10.0, seed=2)
+        scheme = PartitionBlock.from_permutation(80, 10, seed=2)
+        with pytest.raises(DivergedError, match=r"at step (\d+)") as caught:
+            solve_mrabk(sys_, scheme, _cfg(seed=seed, max_iters=6000))
+        rse = float(caught.value.args[0].split()[1])
+        assert 2.0 ** 104 < rse < math.inf
+
 
 def _sparse_system(m, n, seed):
     rng = np.random.default_rng(seed)
@@ -540,20 +552,20 @@ class TestResidualChannel:
 
     def test_matches_direct_product_past_a_refresh(self, monkeypatch):
         # long enough that the carried R·xa and R·d are replaced by exact
-        # products twice
-        refresh = solvers._Run.refresh_residual
-        calls = []
+        # products at two window ends, and at the run's end
+        flush = solvers._Window.flush
+        ends = []
 
-        def counting_refresh(run, state):
-            calls.append(len(run.rse_col))
-            refresh(run, state)
+        def counting_flush(window, state):
+            flush(window, state)
+            ends.append(len(window.col))
 
-        monkeypatch.setattr(solvers._Run, "refresh_residual", counting_refresh)
+        monkeypatch.setattr(solvers._Window, "flush", counting_flush)
         sys_ = generate_gaussian_problem(200, 50, 50, 10.0, seed=7)
         scheme = PartitionBlock.from_permutation(200, 4, seed=7)
-        config = _cfg(max_iters=2 * DRIFT_CHECK_INTERVAL + 50)
+        config = _cfg(max_iters=2 * RESIDUAL_WINDOW + 50)
         _, trace = solve_modified_basic(sys_, scheme, config, keep_iterates=True)
-        assert calls == [DRIFT_CHECK_INTERVAL - 1, 2 * DRIFT_CHECK_INTERVAL - 1]
+        assert ends == [RESIDUAL_WINDOW, 2 * RESIDUAL_WINDOW, 2 * RESIDUAL_WINDOW + 50]
         _assert_residuals_match(sys_, trace)
 
     @pytest.mark.parametrize("p", [8, 64])
@@ -566,9 +578,9 @@ class TestResidualChannel:
         monkeypatch.setattr(solvers._Run, "residual_norm", no_product)
         sys_ = generate_gaussian_problem(400, 100, 100, 20.0, seed=9)
         scheme = PartitionBlock.from_permutation(400, p, seed=9)
-        config = _cfg(max_iters=DRIFT_CHECK_INTERVAL + 100, rse_tolerance=0.0)
+        config = _cfg(max_iters=RESIDUAL_WINDOW + 100, rse_tolerance=0.0)
         _, trace = solve_scg(sys_, scheme, config, keep_iterates=True)
-        assert len(trace) == DRIFT_CHECK_INTERVAL + 100
+        assert len(trace) == RESIDUAL_WINDOW + 100
         _assert_residuals_match(sys_, trace)
 
     def test_factor_only_when_tracking(self, monkeypatch):
@@ -646,8 +658,8 @@ class TestResidualWindow:
         _assert_residuals_match(sys_, trace)
 
     def test_scg_past_two_refreshes(self):
-        sys_, trace = self._run(solve_scg, 2 * DRIFT_CHECK_INTERVAL + 7)
-        assert len(trace) == 2 * DRIFT_CHECK_INTERVAL + 7
+        sys_, trace = self._run(solve_scg, 2 * RESIDUAL_WINDOW + 7)
+        assert len(trace) == 2 * RESIDUAL_WINDOW + 7
         _assert_residuals_match(sys_, trace)
 
     def test_basic_repeats_unmoved_steps(self):
@@ -658,6 +670,27 @@ class TestResidualWindow:
         # moved and unmoved steps mix inside the first window
         assert 0 < trace.moved[:RESIDUAL_WINDOW].sum() < RESIDUAL_WINDOW
         _assert_residuals_match(sys_, trace)
+
+    @pytest.mark.parametrize("solve, spec", [(solve_ashbm, "partition:4"),
+                                             (solve_scg, "partition:4"),
+                                             (solve_basic, "split"),
+                                             (solve_ashbm, "uniform:10")],
+                             ids=["ashbm", "scg", "basic-unmoved", "ashbm-uniform10"])
+    def test_mid_window_end_records_the_exact_norm(self, solve, spec):
+        # the run's last window is cut short, and still closes on the
+        # exact ||R·[x_K; 1]||
+        if spec == "split":
+            sys_, scheme = _split_system()
+        else:
+            sys_ = generate_gaussian_problem(200, 50, 50, 10.0, seed=7)
+            scheme = materialize(spec, sys_.A, 7)
+        steps = RESIDUAL_WINDOW + 437
+        state, trace = solve(sys_, scheme, _cfg(max_iters=steps, rse_tolerance=0.0))
+        assert len(trace) == steps
+        r = sys_.residual_factor.dot(np.append(state.x, 1.0))
+        assert trace.residual_norm[-1] == math.sqrt(r.dot(r))
+        if spec == "split":
+            assert not trace.moved[RESIDUAL_WINDOW:].all()
 
     def test_divergence_mid_window_leaves_the_sampler_clean(self):
         sys_ = generate_gaussian_problem(200, 50, 50, 5.0, seed=0)
