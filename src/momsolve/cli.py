@@ -138,8 +138,7 @@ def _load_system(cfg: ExperimentConfig) -> LinearSystem:
 
 def write_vector(path, v) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for value in v:
-            fh.write(f"{float(value)!r}\n")
+        fh.writelines(f"{float(value)!r}\n" for value in v)
 
 
 def read_vector(path) -> np.ndarray:
@@ -154,9 +153,7 @@ def write_matrix_market(path, A: Matrix) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                fh.write(f"{float(dense[i, j])!r}\n")
+        fh.writelines(f"{float(value)!r}\n" for value in dense.T.flat)
 
 
 # ---------------------------------------------------------------------------

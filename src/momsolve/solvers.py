@@ -6,7 +6,9 @@ baseline.
 update, x_{k+1} = x_k − alpha_k·grad f_S(x_k) + beta_k·(x_k − x_{k−1}), run
 by one loop; each method supplies only its (alpha, beta) rule and how it
 treats a zero sketch. ``scg`` and ``cgne`` keep their own recursions: they
-are the references the momentum form is checked against.
+are the references the momentum form is checked against. A sampled step
+sees its draw only through ``_Run.draw``: the key of the drawn block (see
+``BlockSampler``), its sketch t and ||t||², one sketch product per draw.
 
 All solvers start from x0 = 0 (which lies in Range(A^T)) and converge to
 the min-norm solution; the relative solution error is tracked against
@@ -159,10 +161,6 @@ def ashbm_parameters(dn2: float, gd: float, gn2: float, s: float) -> tuple[float
 # ---------------------------------------------------------------------------
 # Shared run machinery
 # ---------------------------------------------------------------------------
-
-def _no_clock() -> int:
-    return 0
-
 
 class _State:
     """One buffer of the working rows W = [xa; err; d; g] of a run.
@@ -333,7 +331,7 @@ class _Run:
         self.C = np.zeros((3, 4))
         self.C[0, 0] = self.C[1, 1] = 1.0
         self.timing = config.record_timing
-        self.clock = time.perf_counter_ns if self.timing else _no_clock
+        self.clock = time.perf_counter_ns if self.timing else lambda: 0
         self.unmoved = []
         self.iterates = [] if keep_iterates else None
         self.draws = 0
@@ -343,9 +341,9 @@ class _Run:
 
     def draw(self, xa, g, resample=True):
         """Draw once, or with ``resample`` until ||S^T (Ax − b)|| passes the
-        zero test; write the pullback [A^T S t; 0] into g and return (block,
-        key, t, ||t||^2), t = S^T (Ax − b) and key the block's key (see
-        BlockSampler). None when the cap is reached on a solved residual."""
+        zero test; write the pullback [A^T S t; 0] into g and return (key, t,
+        ||t||^2), t = S^T (Ax − b), with one product with the block, which
+        stays here. None when the cap is reached on a solved residual."""
         for _ in self.attempts:  # never empty
             fwd, bwd, key = self.next_block()
             self.draws += 1
@@ -354,7 +352,7 @@ class _Run:
             if tn2 > self.threshold_sq or not resample:
                 bwd.dot(t, out=g)
                 g[-1] = 0.0
-                return fwd, key, t, tn2
+                return key, t, tn2
         if self.solved(self.A.matvec(xa[:self.n]) - self.b):
             return None
         raise StalledSamplingError(
@@ -454,7 +452,7 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
     sampled gradient and its d the previous step.
 
-    When the run carries its residual, each step logs its block, t,
+    When the run carries its residual, each step logs its block's key, t,
     beta and −alpha to the run's window (see ``_Window``); W and its
     arithmetic are the same either way, so tracking never changes the
     trajectory.
@@ -475,7 +473,7 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
         drawn = draw(cur.xa, cur.g, resample)
         if drawn is None:
             return run.finish(cur, "residual")
-        _, key, t, tn2 = drawn
+        key, t, tn2 = drawn
         if tn2 <= skip_below:
             if log is not None:
                 log((key, t, 1.0, 0.0, 0.0))
@@ -544,25 +542,24 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
               *, keep_iterates: bool = False):
     """Stochastic CG recursion; identical sample sequences make it
     iterate-for-iterate equal to the momentum form. The search direction p
-    is the d row of the working buffers. A carried residual follows
-    x' = x + delta·p through R·p = eta·R·p_prev − K·t of the previous draw:
-    each step logs ``[[1, delta·eta, −delta], [0, eta, −1]]`` on
-    [R·xa; R·p_prev; K·t] (see ``_Window``)."""
+    is the d row of the working buffers and each draw's pullback g their g
+    row. As r' = r + delta·A·p, the paper's eta = (s' − <t', S'^T r>)/s is
+    delta·<g', p>/s, so a draw makes one sketch product. A carried residual
+    follows x' = x + delta·p through R·p = eta·R·p_prev − K·t of the
+    previous draw: each step logs ``[[1, delta·eta, −delta], [0, eta, −1]]``
+    on [R·xa; R·p_prev; K·t] (see ``_Window``)."""
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
     tol, n = config.rse_tolerance, run.n
     log = run.window.log if run.window is not None else None
     cur, nxt = run.states
-    g = np.empty(n + 1)  # the pullback of each draw
-
-    drawn = run.draw(cur.xa, g)
+    drawn = run.draw(cur.xa, cur.g)
     if drawn is None:
         return run.finish(cur, "residual")
-    _, key, t, s_cur = drawn
+    key, t, s_cur = drawn
     eta = 0.0
-    np.negative(g, out=nxt.d)
-
+    np.negative(cur.g, out=nxt.d)
     for k in range(1, config.max_iters + 1):
         t0 = run.clock()
         p = nxt.d
@@ -580,14 +577,13 @@ def solve_scg(system: LinearSystem, scheme, config: SolverConfig,
         cur, nxt = nxt, cur
         if run.record(cur, delta, 0.0, t0) <= tol:
             return run.finish(cur, "rse")
-        drawn = run.draw(cur.xa, g)
+        drawn = run.draw(cur.xa, cur.g)
         if drawn is None:
             return run.finish(cur, "residual")
-        fwd, key, t, s_new = drawn
-        t_old = fwd.dot(nxt.xa)  # S_{k+1}^T r^k
-        eta = (s_new - float(t.dot(t_old))) / s_cur
+        key, t, s_new = drawn
+        eta = delta * float(cur.g.dot(cur.d)) / s_cur
         np.multiply(cur.d, eta, out=nxt.d)
-        nxt.d -= g
+        nxt.d -= cur.g
         s_cur = s_new
     return run.finish(cur, "max_iters")
 
@@ -636,11 +632,18 @@ def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
     if not isinstance(sampler.scheme, PartitionBlock):
         raise UnsupportedError(f"mrabk requires partition:<p> sampling, got {sampler.describe()!r}")
 
+    def fixed_step():
+        return 1.0 / (sampler.tau * system.A.fro_norm_sq), config.momentum_beta
+
     def fixed_rule(run):
-        step = (1.0 / (sampler.tau * run.A.fro_norm_sq), config.momentum_beta)
+        step = fixed_step()
         return lambda k, tn2, cur: step
 
-    return _heavy_ball(system, sampler, config, keep_iterates, "plain", fixed_rule)
+    try:
+        return _heavy_ball(system, sampler, config, keep_iterates, "plain", fixed_rule)
+    except DivergedError as exc:
+        raise DivergedError("{} under the fixed step 1/(tau ||A||_F^2) = {:.6g} and beta = "
+                            "{:g}; a lower beta may converge".format(exc, *fixed_step())) from exc
 
 
 SOLVER_IDS = {

@@ -959,9 +959,10 @@ class TestExitCodes:
         assert record["type"] == "DivergedError"
         assert record["message"].startswith("RSE ")
 
-    def test_run_whose_error_grows_finite_diverges(self, tmp_path):
+    def test_run_whose_error_grows_finite_diverges(self, tmp_path, capsys):
         # at the default beta the squared error passes ||x*||²/eps² long
-        # before it overflows; both trials stop there, not at --max-iters
+        # before it overflows; both trials stop there, not at --max-iters,
+        # and the message names the fixed step and the beta that diverged
         out = tmp_path / "x"
         rc = main(["solve", "--solver", "mrabk", "--sampling", "partition:10",
                    "--m", "80", "--n", "200", "--r", "80", "--kappa", "10", "--seed", "2",
@@ -969,6 +970,9 @@ class TestExitCodes:
         assert rc == cli.EXIT_SOLVER_BREAKDOWN
         summary = _read_json(out / "summary.json")
         assert [e["type"] for e in summary["errors"]] == ["DivergedError"] * 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver breakdown: RSE ") and " at step " in err
+        assert "fixed step 1/(tau ||A||_F^2) = " in err and "beta = 0.7;" in err
 
     def test_diverged_run_warns_nothing(self, tmp_path, capsys):
         # the overflow before the RSE check used to escape as a numpy

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -356,6 +357,30 @@ class TestScg:
         assert np.max(np.abs(step_cosines(X))) <= 1e-8
         assert np.max(np.abs(sketched_residual_cosines(blocks, X))) <= 1e-8
 
+    @pytest.mark.parametrize("make", [
+        lambda: generate_gaussian_problem(200, 50, 50, 10.0, seed=0),
+        lambda: _sparse_system(300, 80, seed=4),
+    ], ids=["dense", "csr"])
+    def test_one_forward_product_per_draw(self, make):
+        # eta comes from the pullback of the draw, so each drawn block is
+        # applied forward once: to the iterate it sketches
+        sys_ = make()
+        sampler = BlockSampler(materialize("partition:4", sys_.A), sys_)
+        calls = []
+
+        class Counted:
+            def __init__(self, block):
+                self.block = block
+
+            def dot(self, *args, **kw):
+                calls.append(1)
+                return self.block.dot(*args, **kw)
+
+        sampler.blocks = [(Counted(fwd), bwd, key) for fwd, bwd, key in sampler.blocks]
+        _, trace = solve_scg(sys_, sampler, _cfg(max_iters=300, rse_tolerance=0.0))
+        assert trace.iterations == 300 and trace.sample_draws >= 300
+        assert len(calls) == trace.sample_draws
+
 
 class TestDiagnostics:
     # the identities are checked on returned iterates, not recorded by a run
@@ -698,7 +723,7 @@ class TestResidualWindow:
         sampler = BlockSampler(scheme, sys_)
         with pytest.raises(DivergedError, match=r"at step (\d+)") as caught:
             solve_mrabk(sys_, sampler, _cfg(momentum_beta=0.999, max_iters=20000))
-        step = int(caught.value.args[0].rsplit(" ", 1)[-1])
+        step = int(re.search(r"at step (\d+)", str(caught.value)).group(1))
         assert step % RESIDUAL_WINDOW != 0
         config = _cfg(max_iters=RESIDUAL_WINDOW + 30, rse_tolerance=0.0)
         _, after = solve_mrabk(sys_, sampler, config, keep_iterates=True)
