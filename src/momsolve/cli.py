@@ -25,7 +25,7 @@ from .linalg import Matrix
 from .problems import LinearSystem, attach_min_norm, generate_gaussian_problem, load_matrix_market
 from .sampling import BlockSampler, SchemeSpec, parse_scheme
 from .seeds import trial_seed
-from .solvers import SOLVER_IDS, SolverConfig, Trace, TraceRecord, solve_cgne
+from .solvers import SOLVER_IDS, SolverConfig, Trace, TraceRecord, solve_cgne, step_engine
 
 __all__ = ["ExperimentConfig", "main", "run_trials", "summarize"]
 
@@ -320,6 +320,7 @@ def cmd_solve(args) -> int:
         if isinstance(res, Trace):
             write_trace(out / f"trace_{i:03d}.{cfg.fmt}", res, cfg.fmt)
     summary = summarize(results, cfg.seed)
+    summary["engine"] = step_engine(cfg.solver, parse_scheme(cfg.scheme).variant, system.A)
     summary["config"] = cfg.to_dict()
     with open(out / "summary.json", "w", encoding="ascii") as fh:
         fh.write(json.dumps(summary, sort_keys=True) + "\n")

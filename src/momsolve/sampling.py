@@ -198,7 +198,9 @@ class BlockSampler:
             return
         weights, inv_sq = scheme.norms_sq(A)
         self.scales = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in inv_sq]
-        self.blocks = [(*_block_pair(blk), i) for i, blk in enumerate(self._scaled_blocks(aug))]
+        self.rows, self.offsets = self._scaled_rows(aug)
+        self.blocks = [(*_block_pair(self.rows[a:b]), i)
+                       for i, (a, b) in enumerate(itertools.pairwise(self.offsets))]
         self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
@@ -218,15 +220,16 @@ class BlockSampler:
         """``compute_tau`` of the bound partition, made on first use."""
         return compute_tau(self.scheme, self.system.A)
 
-    def _scaled_blocks(self, M):
-        """s·M_J for every block J: slices of one row-permuted copy of M."""
+    def _scaled_rows(self, M):
+        """(P, offsets): s·M_J for every block J is P[offsets[J]:offsets[J + 1]],
+        P one row-permuted copy of M."""
         P, offsets = _partition_rows(M, self.scheme.blocks)
         scale = np.repeat(self.scales, np.diff(offsets))
         if isinstance(P, np.ndarray):
             P *= scale[:, None]
         else:
             P.data *= np.repeat(scale, np.diff(P.indptr))
-        return [P[a:b] for a, b in itertools.pairwise(offsets)]
+        return P, offsets
 
     @functools.cached_property
     def residual_maps(self):
@@ -239,7 +242,8 @@ class BlockSampler:
         if self.blocks is None:
             table *= self.scale
             return table
-        return self._scaled_blocks(table)
+        P, offsets = self._scaled_rows(table)
+        return [P[a:b] for a, b in itertools.pairwise(offsets)]
 
     def draws(self, rng):
         """One run's endless stream of draws, its randomness from ``rng``."""
@@ -247,12 +251,19 @@ class BlockSampler:
             while True:
                 rows = np.sort(rng.choice(self.aug.shape[0], size=self.scheme.p, replace=False))
                 yield *_block_pair(self.aug[rows]), rows
-        blocks, last = self.blocks, len(self.blocks) - 1
+        blocks = self.blocks
+        for keys in self.key_chunks(rng):
+            for i in keys.tolist():
+                yield blocks[i]
+
+    def key_chunks(self, rng):
+        """A partition's endless stream of drawn keys, the same as ``draws``
+        makes from ``rng``: int64 arrays of ``_DRAW_CHUNK`` keys."""
+        last = len(self.blocks) - 1
         while True:
             idx = np.searchsorted(self.cum, rng.random(_DRAW_CHUNK), side="right")
             # cum[-1] may round to just below 1
-            for i in np.minimum(idx, last).tolist():
-                yield blocks[i]
+            yield np.minimum(idx, last)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ baseline.
 ``basic``, ``mbasic``, ``ashbm`` and ``mrabk`` are one stochastic heavy-ball
 update, x_{k+1} = x_k − alpha_k·grad f_S(x_k) + beta_k·(x_k − x_{k−1}), run
 by one loop; each method supplies only its (alpha, beta) rule and how it
-treats a zero sketch. ``scg`` and ``cgne`` keep their own recursions: they
-are the references the momentum form is checked against. A sampled step
-sees its draw only through ``_Run.draw``: the key of the drawn block (see
+treats a zero sketch. On dense partition blocks that loop runs in the
+compiled kernel ``_heavy_ball.c`` (built by ``_native``), on other blocks
+in NumPy; ``step_engine`` says which, and both read one stream of draws.
+``scg`` and ``cgne`` keep their own recursions: they are the references
+the momentum form is checked against. A sampled step of a NumPy loop sees
+its draw only through ``_Run.draw``: the key of the drawn block (see
 ``BlockSampler``), its sketch t and ||t||², one sketch product per draw.
 
 All solvers start from x0 = 0 (which lies in Range(A^T)) and converge to
@@ -26,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .errors import (
     BreakdownError,
     DegenerateDirectionError,
@@ -49,6 +53,7 @@ __all__ = [
     "solve_cgne",
     "solve_mrabk",
     "SOLVER_IDS",
+    "step_engine",
 ]
 
 # numerically-zero test for the 2x2 system determinant in the momentum
@@ -207,7 +212,8 @@ class _Window:
     once per run.
     """
 
-    __slots__ = ("R", "Y", "C", "U", "T", "G", "maps", "steps", "entries", "log", "col")
+    __slots__ = ("R", "Y", "C", "U", "T", "G", "B", "sizes", "maps", "steps", "entries", "log",
+                 "source", "col")
 
     def __init__(self, sampler, R, col):
         self.R = R
@@ -223,31 +229,38 @@ class _Window:
         p, partition = sampler.scheme.p, sampler.blocks is not None
         self.U = np.empty((RESIDUAL_WINDOW, q)) if partition else None
         self.T = np.empty(RESIDUAL_WINDOW * p) if partition else None
+        self.B = np.empty((_PASS, q)) if partition else None
+        self.sizes = np.diff(sampler.offsets) if partition else None
         self.G = None if partition else np.empty((p, q))
         self.entries = []
         self.log = self.entries.append
+        self.source = None  # what the steps are logged to; None for ``entries``
         self.col = col
 
     def flush(self, state) -> None:
         """Run the logged steps and append one norm per step; then replace
         R·xa and R·d by exact products from ``state``, which bounds the
         drift of the carried values, and the last norm by the exact one."""
-        n = len(self.entries)
-        if not n:
+        logged = self._drain() if self.source is None else self.source.drain()
+        if logged is None:
             return
-        keys, ts, c, e, w = zip(*self.entries)
-        self.entries.clear()
-        c, e, w = np.array(c), np.array(e), np.array(w)
+        keys, ts, c, e, w = logged
+        n = len(c)
         wc, we = w * c, w * e
-        where = None if self.U is None else self._block_products(keys, ts)
+        if self.U is None:
+            def fill(u, a, m):
+                self._gathered_products(u, keys[a:a + m], ts[a:a + m])
+        else:
+            where, buf = self._block_products(keys, ts), self.B
+
+            def fill(u, a, m):
+                # a gather into a strided view is buffered; into B it is not
+                self.U.take(where[a:a + m], axis=0, out=buf[:m], mode="clip")
+                u[...] = buf[:m]
         Y, C = self.Y, self.C
         for a in range(0, n, _PASS):
             m = min(_PASS, n - a)
-            u = Y[2:3 * m:3]
-            if where is None:
-                self._gathered_products(u, keys[a:a + m], ts[a:a + m])
-            else:
-                self.U.take(where[a:a + m], axis=0, out=u)
+            fill(Y[2:3 * m:3], a, m)
             C[:m, 0, 1], C[:m, 0, 2] = wc[a:a + m], we[a:a + m]
             C[:m, 1, 1], C[:m, 1, 2] = c[a:a + m], e[a:a + m]
             for step, rows, out in self.steps[:m]:
@@ -260,19 +273,34 @@ class _Window:
         self.R.dot(state.d, out=Y[1])
         self.col[-1] = math.sqrt(rx.dot(rx))
 
+    def _drain(self):
+        """The steps logged to ``entries`` since the last flush, as
+        ``(keys, ts, c, e, w)``, or None: a partition's keys as an array and
+        its sketches one after another in one array."""
+        if not self.entries:
+            return None
+        keys, ts, c, e, w = zip(*self.entries)
+        self.entries.clear()
+        if self.U is not None:
+            keys, ts = np.array(keys), np.concatenate(ts)
+        return keys, ts, np.array(c), np.array(e), np.array(w)
+
     def _block_products(self, keys, ts):
         """u = K_J·t of every step into U, one product per block drawn,
-        block after block; returns the row of U that holds each step's u."""
+        block after block; returns the row of U that holds each step's u.
+        ``ts`` holds the steps' sketches one after another."""
         n, U, maps = len(keys), self.U, self.maps
-        keys = np.array(keys)
         order = np.argsort(keys, kind="stable")
         where = np.empty(n, dtype=np.intp)
         where[order] = np.arange(n)
+        # the sketches, block after block
+        sizes = self.sizes[keys]
+        starts, sizes = (np.cumsum(sizes) - sizes)[order], sizes[order]
+        T = self.T[:len(ts)]
+        np.take(ts, np.arange(len(ts)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes),
+                out=T)
         keys = keys[order]
         cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-        # the sketches, block after block
-        T = self.T[:sum(map(len, ts))]
-        np.concatenate([ts[i] for i in order.tolist()], out=T)
         start = 0
         for a, b in zip([0, *cuts], [*cuts, n]):
             K = maps[keys[a]]
@@ -287,7 +315,7 @@ class _Window:
     def _gathered_products(self, u, keys, ts):
         """u = K_J·t of ``uniform:<p>`` steps, whose keys are their rows J."""
         for ui, rows, t in zip(u, keys, ts):
-            t.dot(self.maps.take(rows, axis=0, out=self.G), out=ui)
+            t.dot(self.maps.take(rows, axis=0, out=self.G, mode="clip"), out=ui)
 
 
 class _Run:
@@ -319,10 +347,10 @@ class _Run:
         self.err0_sq = float(W[1].dot(W[1]))
         self.rse_col, self.alpha_col, self.beta_col = array("d"), array("d"), array("d")
         self.resnorm_col, self.wall_col = array("d"), array("q")
-        self.window = None
+        self.window = self.sampler = None
         if scheme is not None:
-            sampler = BlockSampler.bind(scheme, system)
-            rng = np.random.default_rng(config.seed)
+            self.sampler = sampler = BlockSampler.bind(scheme, system)
+            self.rng = rng = np.random.default_rng(config.seed)
             self.next_block = sampler.draws(rng).__next__
             self.attempts = sampler.attempts
             if config.track_residual and sampler.can_carry:
@@ -353,6 +381,11 @@ class _Run:
                 bwd.dot(t, out=g)
                 g[-1] = 0.0
                 return key, t, tn2
+        return self.capped(xa)
+
+    def capped(self, xa):
+        """None when a rejection loop that reached the cap at xa stopped on a
+        solved residual; else raises StalledSamplingError."""
         if self.solved(self.A.matvec(xa[:self.n]) - self.b):
             return None
         raise StalledSamplingError(
@@ -443,27 +476,32 @@ class _Run:
 
 @_quiet_overflow
 def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
-                keep_iterates: bool, draw_mode: str, rule_for):
+                keep_iterates: bool, draw_mode: str, rule: str, fixed_step=None):
     """The heavy-ball loop shared by basic, mbasic, ashbm and mrabk.
 
     ``draw_mode`` says what a zero sketch does: ``"resample"`` draws again
     (mbasic, ashbm), ``"skip"`` records it as an unmoved step (basic) and
-    ``"plain"`` steps on it (mrabk). ``rule_for(run)`` returns the step
-    rule ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g holds the
-    sampled gradient and its d the previous step.
+    ``"plain"`` steps on it (mrabk). ``rule`` names the step rule in
+    ``_RULES``, ``(k, ||t||^2, state) -> (alpha, beta)``; the state's g
+    holds the sampled gradient and its d the previous step. ``"fixed"``
+    steps with the (alpha, beta) that ``fixed_step()`` returns.
 
     When the run carries its residual, each step logs its block's key, t,
     beta and −alpha to the run's window (see ``_Window``); W and its
     arithmetic are the same either way, so tracking never changes the
-    trajectory.
+    trajectory. Dense partition blocks run in the compiled kernel (see
+    ``_native_loop``), other blocks in this loop.
     """
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
+    fixed = fixed_step() if rule == "fixed" else (0.0, 0.0)
+    if _numpy_reason(run.sampler.blocks is None, system.A) is None:
+        return _native_loop(run, draw_mode, rule, fixed)
     draw, resample = run.draw, draw_mode == "resample"
     # a sketch at or below this counts as zero and leaves x unmoved
     skip_below = run.threshold_sq if draw_mode == "skip" else -1.0
-    rule = rule_for(run)
+    rule = _RULES[rule](run, fixed)
     tol, clock, C = config.rse_tolerance, run.clock, run.C
     beta_col, minus_alpha = C[:, 2], C[:, 3]
     log = run.window.log if run.window is not None else None
@@ -492,13 +530,13 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     return run.finish(cur, "max_iters")
 
 
-def _polyak_rule(run):
+def _polyak_rule(run, fixed):
     """alpha = (2 − zeta)·||t||^2 / ||g||^2 and beta = 0."""
     w = 2.0 - run.config.zeta
     return lambda k, tn2, cur: (w * tn2 / float(cur.g.dot(cur.g)), 0.0)
 
 
-def _ashbm_rule(run):
+def _ashbm_rule(run, fixed):
     """A Polyak step first, then the closed-form (alpha, beta)."""
     def rule(k, tn2, cur):
         if k == 1:
@@ -515,18 +553,154 @@ def _ashbm_rule(run):
     return rule
 
 
+_RULES = {"polyak": _polyak_rule, "ashbm": _ashbm_rule, "fixed": lambda run, fixed: (
+    lambda k, tn2, cur: fixed)}
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernel
+# ---------------------------------------------------------------------------
+
+_KERNEL, _KERNEL_FAILURE = _native.load()
+# the kernel's codes for a draw mode, a rule, and how a call ended
+_MODES = {"resample": 0, "skip": 1, "plain": 2}
+_RULE_CODES = {"polyak": 0, "ashbm": 1, "fixed": 2}
+(_NEED_KEYS, _STOP_RSE, _STOP_MAX_ITERS, _STOP_CAP, _STOP_DIVERGED, _STOP_WINDOW,
+ _STOP_ZERO_DIVISION) = range(7)
+
+
+def _numpy_reason(uniform: bool, A) -> str | None:
+    """None when heavy-ball steps on A's blocks run in the compiled kernel,
+    else why NumPy runs them; ``uniform`` for ``uniform:<p>`` blocks."""
+    if uniform:
+        return "uniform:<p> gathers its blocks"
+    if A.is_sparse:
+        return "CSR blocks"
+    return _KERNEL_FAILURE if _KERNEL is None else None
+
+
+def step_engine(solver: str, variant: str, A) -> str:
+    """The engine that runs ``solver``'s steps on A under a scheme of
+    ``variant`` ("row", "partition", "identity" or "uniform"): "native",
+    or "numpy: " and why."""
+    if solver in ("scg", "cgne"):
+        reason = f"{solver} has no compiled loop"
+    else:
+        reason = _numpy_reason(variant == "uniform", A)
+    return "native" if reason is None else f"numpy: {reason}"
+
+
+def _pointer(a) -> int:
+    return a.ctypes.data if a is not None else 0
+
+
+class _NativeLog:
+    """A window's log written by the kernel: the key, t, c, e and w of each
+    step since the last flush (see ``_Window``), read by ``drain``."""
+
+    def __init__(self, r, p):
+        self.r = r
+        self.keys = np.empty(RESIDUAL_WINDOW, dtype=np.int64)
+        self.ts = np.empty(RESIDUAL_WINDOW * p)
+        self.cew = np.empty((3, RESIDUAL_WINDOW))
+        r.log_key, r.log_t = _pointer(self.keys), _pointer(self.ts)
+        r.log_c, r.log_e, r.log_w = (_pointer(row) for row in self.cew)
+        r.window = RESIDUAL_WINDOW
+
+    def drain(self):
+        r = self.r
+        n, length = r.log_n, r.log_len
+        if not n:
+            return None
+        r.log_n = r.log_len = 0
+        c, e, w = self.cew[:, :n].copy()
+        return self.keys[:n].copy(), self.ts[:length].copy(), c, e, w
+
+
+def _native_loop(run, draw_mode, rule, fixed):
+    """``_heavy_ball`` on dense partition blocks, one call of the compiled
+    kernel per chunk of the sampler's keys: the same draws, rules, stops and
+    trace columns (see ``_heavy_ball.c``)."""
+    sampler, config, n = run.sampler, run.config, run.n
+    # the kernel reads contiguous int64 keys, float64 rows and int64 offsets
+    chunks = (np.ascontiguousarray(keys, dtype=np.int64) for keys in sampler.key_chunks(run.rng))
+    keys, pos = next(chunks), 0
+    rows = len(keys)  # a call reads at most this many keys, and writes a row per step
+    r = _native.Run()
+    out = {name: np.empty(rows) for name in ("rse", "alpha", "beta")}
+    out["wall"] = np.zeros(rows, dtype=np.int64)
+    out["moved"] = np.empty(rows, dtype=np.int8)
+    if config.track_residual and run.window is None:  # a norm per step, from R
+        out["resnorm"] = np.empty(rows)
+        R = np.ascontiguousarray(run.system.residual_factor)
+        r.R, r.q = _pointer(R), R.shape[0]
+    iterates = np.empty((rows, n)) if run.iterates is not None else None
+    t = np.empty(int(np.diff(sampler.offsets).max()))
+    P = np.ascontiguousarray(sampler.rows, dtype=np.float64)
+    offsets = np.ascontiguousarray(sampler.offsets, dtype=np.int64)
+    r.P, r.offsets, r.t = _pointer(P), _pointer(offsets), _pointer(t)
+    r.W[0], r.W[1] = (_pointer(state.W) for state in run.states)
+    for name, a in out.items():
+        setattr(r, name, _pointer(a))
+    r.iterates, r.keep = _pointer(iterates), iterates is not None
+    if run.window is not None:
+        run.window.source = _NativeLog(r, len(t))
+    r.n1, r.mode, r.rule = n + 1, _MODES[draw_mode], _RULE_CODES[rule]
+    r.cap, r.max_iters, r.timing = len(run.attempts), config.max_iters, config.record_timing
+    r.threshold_sq, r.relax, r.tol, r.err0_sq = (run.threshold_sq, 2.0 - config.zeta,
+                                                 config.rse_tolerance, run.err0_sq)
+    r.fixed_alpha, r.fixed_beta = fixed
+    r.degeneracy, r.diverged = DEGENERACY_THRESHOLD, _DIVERGED_RSE
+    while True:
+        status = _KERNEL.momsolve_heavy_ball(r, keys.ctypes.data + keys.itemsize * pos,
+                                             min(len(keys) - pos, rows))
+        pos += r.used
+        if m := r.records:
+            base = len(run.rse_col)
+            run.rse_col.frombytes(out["rse"][:m].tobytes())
+            run.alpha_col.frombytes(out["alpha"][:m].tobytes())
+            run.beta_col.frombytes(out["beta"][:m].tobytes())
+            if run.timing:
+                run.wall_col.frombytes(out["wall"][:m].tobytes())
+            if "resnorm" in out:
+                run.resnorm_col.frombytes(out["resnorm"][:m].tobytes())
+            run.unmoved.extend((np.flatnonzero(out["moved"][:m] == 0) + base).tolist())
+            if iterates is not None:
+                run.iterates.extend(iterates[:m])
+                iterates = np.empty((rows, n))
+                r.iterates = _pointer(iterates)
+        run.draws, run.fallbacks = r.draws, r.fallbacks
+        state = run.states[r.cur]
+        if status == _NEED_KEYS:
+            if pos == len(keys):
+                keys, pos = next(chunks), 0
+        elif status == _STOP_WINDOW:
+            run.window.flush(state)
+        elif status == _STOP_RSE:
+            return run.finish(state, "rse")
+        elif status == _STOP_MAX_ITERS:
+            return run.finish(state, "max_iters")
+        elif status == _STOP_CAP:
+            run.capped(state.xa)  # raises unless the residual is solved
+            return run.finish(state, "residual")
+        elif status == _STOP_DIVERGED:
+            raise DivergedError(f"RSE {r.last_rse} at step {r.k}")
+        else:
+            raise ZeroDivisionError("float division by zero")
+
+
 def solve_basic(system: LinearSystem, scheme, config: SolverConfig,
                 *, keep_iterates: bool = False):
     """Algorithm with plain sampling: a zero sketch leaves the iterate
     unchanged (moved=False) instead of resampling."""
-    return _heavy_ball(system, scheme, config, keep_iterates, "skip", _polyak_rule)
+    return _heavy_ball(system, scheme, config, keep_iterates, "skip", "polyak")
 
 
 def solve_modified_basic(system: LinearSystem, scheme, config: SolverConfig,
                          *, keep_iterates: bool = False):
     """Rejection-samples until the sketched residual is nonzero, then takes
     a relaxed Polyak step; the error decreases strictly on every step."""
-    return _heavy_ball(system, scheme, config, keep_iterates, "resample", _polyak_rule)
+    return _heavy_ball(system, scheme, config, keep_iterates, "resample", "polyak")
 
 
 def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
@@ -534,7 +708,7 @@ def solve_ashbm(system: LinearSystem, scheme, config: SolverConfig,
     """Adaptive heavy-ball momentum: the first step is a Polyak step, after
     which (alpha, beta) minimize the error over the gradient/previous-step
     plane in closed form."""
-    return _heavy_ball(system, scheme, config, keep_iterates, "resample", _ashbm_rule)
+    return _heavy_ball(system, scheme, config, keep_iterates, "resample", "ashbm")
 
 
 @_quiet_overflow
@@ -635,12 +809,8 @@ def solve_mrabk(system: LinearSystem, scheme, config: SolverConfig,
     def fixed_step():
         return 1.0 / (sampler.tau * system.A.fro_norm_sq), config.momentum_beta
 
-    def fixed_rule(run):
-        step = fixed_step()
-        return lambda k, tn2, cur: step
-
     try:
-        return _heavy_ball(system, sampler, config, keep_iterates, "plain", fixed_rule)
+        return _heavy_ball(system, sampler, config, keep_iterates, "plain", "fixed", fixed_step)
     except DivergedError as exc:
         raise DivergedError("{} under the fixed step 1/(tau ||A||_F^2) = {:.6g} and beta = "
                             "{:g}; a lower beta may converge".format(exc, *fixed_step())) from exc

@@ -69,14 +69,17 @@ def spy_eigsh(monkeypatch):
 
 def record_draws(sampler):
     """The list that every block a run draws from ``sampler`` is appended
-    to, in draw order, from now on: ``sampler.draws`` is wrapped."""
-    drawn, draws = [], sampler.draws
+    to, in draw order, from now on. ``sampler.key_chunks``, the key stream
+    that both step engines read, is wrapped, so a whole chunk of keys is
+    appended as it is handed out: the run's draws are the first
+    ``trace.sample_draws`` entries."""
+    drawn, key_chunks = [], sampler.key_chunks
 
     def recording(rng):
-        for draw in draws(rng):
-            drawn.append(draw[0])
-            yield draw
-    sampler.draws = recording
+        for keys in key_chunks(rng):
+            drawn.extend(sampler.blocks[i][0] for i in keys.tolist())
+            yield keys
+    sampler.key_chunks = recording
     return drawn
 
 

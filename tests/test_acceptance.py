@@ -140,6 +140,7 @@ def test_criterion_3_orthogonality():
     sampler = BlockSampler(scheme, system)
     blocks = record_draws(sampler)
     _, ts = solve_scg(system, sampler, cfg, keep_iterates=True)
+    del blocks[ts.sample_draws:]
     assert tm.iterations == ts.iterations == n + 1
     # no draw was rejected, so blocks[k − 1] is step k's sketch
     assert len(blocks) == n + 2
@@ -169,6 +170,7 @@ def test_criterion_4_monotonicity_and_pythagorean():
     sampler = BlockSampler(scheme, system)
     blocks = record_draws(sampler)
     _, tm = solve_ashbm(system, sampler, _cfg(seed=6, max_iters=n + 1), keep_iterates=True)
+    del blocks[tm.sample_draws:]
     assert tm.iterations == len(blocks) == n + 1  # no draw was rejected
     X = augmented_iterates(tm)
     err = X[:, :-1] - system.min_norm

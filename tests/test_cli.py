@@ -487,16 +487,17 @@ class TestOneRunner:
                "--tol", "1e-10", "--no-timing"]
 
     def test_trials_of_a_cell_share_their_blocks(self, monkeypatch):
+        # every block each run's key stream hands out, chunk by chunk
         drawn = []
-        draws = BlockSampler.draws
+        key_chunks = BlockSampler.key_chunks
 
-        def recording_draws(sampler, rng):
+        def recording_chunks(sampler, rng):
             drawn.append([])
-            for block in draws(sampler, rng):
-                drawn[-1].append(block[0])
-                yield block
+            for keys in key_chunks(sampler, rng):
+                drawn[-1].extend(sampler.blocks[i][0] for i in keys.tolist())
+                yield keys
 
-        monkeypatch.setattr(BlockSampler, "draws", recording_draws)
+        monkeypatch.setattr(BlockSampler, "key_chunks", recording_chunks)
         cfg = ExperimentConfig(problem={"kind": "generate", "m": 60, "n": 20, "r": 20,
                                         "kappa": 3.0},
                                scheme="partition:30", solver="mbasic", trials=2,

@@ -351,6 +351,7 @@ class TestScg:
         sampler = BlockSampler(scheme, sys_)
         blocks = record_draws(sampler)
         _, trace = solve_scg(sys_, sampler, _cfg(), keep_iterates=True)
+        del blocks[trace.sample_draws:]
         # no draw was rejected, so blocks[k − 1] is step k's sketch
         assert trace.reason == "rse" and len(blocks) == trace.iterations
         X = augmented_iterates(trace)
