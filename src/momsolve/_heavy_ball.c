@@ -38,13 +38,15 @@ typedef struct {
     double *rse, *alpha, *beta, *resnorm, *iterates;
     int64_t *wall;
     int8_t *moved;
-    /* the window's log, one entry per step since the last flush */
+    /* the window's log, one entry per step since the last flush, filled to
+     * log_fill[0] steps and log_fill[1] sketch entries */
     int64_t *log_key;
     double *log_t, *log_c, *log_e, *log_w;
+    int64_t *log_fill;
     int64_t n1, q, mode, rule, cap, max_iters, timing, window, keep;
     double threshold_sq, relax, fixed_alpha, fixed_beta, degeneracy, diverged, tol, err0_sq;
     /* run state, and what the last call did */
-    int64_t k, cur, started, tries, t0, draws, fallbacks, log_n, log_len, records, used;
+    int64_t k, cur, started, tries, t0, draws, fallbacks, records, used;
     double last_rse;
 } Run;
 
@@ -239,10 +241,10 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
         }
         out++;
         if (r->window) {  /* the step [[1, w c, w e], [0, c, e]] of _Window */
-            int64_t i = r->log_n++;
+            int64_t i = r->log_fill[0]++;
             r->log_key[i] = key;
-            memcpy(r->log_t + r->log_len, r->t, (size_t)rows * sizeof(double));
-            r->log_len += rows;
+            memcpy(r->log_t + r->log_fill[1], r->t, (size_t)rows * sizeof(double));
+            r->log_fill[1] += rows;
             r->log_c[i] = moved ? beta : 1.0;
             r->log_e[i] = moved ? -alpha : 0.0;
             r->log_w[i] = moved ? 1.0 : 0.0;

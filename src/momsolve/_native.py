@@ -1,10 +1,13 @@
 """Build and load ``_heavy_ball.c``, the compiled heavy-ball step loop.
 
 ``load()`` compiles the source once per (source, compiler, flags, CPU) with
-``sysconfig``'s C compiler into a per-user cache directory (the temp
-directory when that is not writable), renames the library into place
-atomically, and loads it with ``ctypes``. Any failure leaves the NumPy loop
-in charge and says why; nothing selects the engine but whether this works.
+``sysconfig``'s C compiler into a per-user cache directory (a private
+directory in the temp directory when that fails), renames the library into
+place atomically, and loads it with ``ctypes``. A directory is used only if
+it is a real directory that this user owns and nobody else can write, so no
+other user can plant the library that is loaded. Any failure leaves the
+NumPy loop in charge and says why; nothing selects the engine but whether
+this works.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import ctypes
 import os
 import platform
 import shlex
+import stat
 import sysconfig
 import tempfile
 import zlib
@@ -32,10 +36,10 @@ class Run(ctypes.Structure):
 
     _fields_ = [(name, kind) for names, kind in (
         ("P offsets R", _P), ("W", _P * 2), ("t rse alpha beta resnorm iterates wall moved "
-                                             "log_key log_t log_c log_e log_w", _P),
+                                             "log_key log_t log_c log_e log_w log_fill", _P),
         ("n1 q mode rule cap max_iters timing window keep", _I),
         ("threshold_sq relax fixed_alpha fixed_beta degeneracy diverged tol err0_sq", _D),
-        ("k cur started tries t0 draws fallbacks log_n log_len records used", _I),
+        ("k cur started tries t0 draws fallbacks records used", _I),
         ("last_rse", _D),
     ) for name in names.split()]
 
@@ -51,18 +55,33 @@ def _cpu() -> str:
 
 
 def _cache_dirs():
+    """The user's cache directory, then one of this user's in the temp
+    directory; the second only where users have ids."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return (os.path.join(base, "momsolve"),
-            os.path.join(tempfile.gettempdir(), f"momsolve-{getattr(os, 'getuid', lambda: 'user')()}"))
+    dirs = [os.path.join(base, "momsolve")]
+    if hasattr(os, "getuid"):
+        dirs.append(os.path.join(tempfile.gettempdir(), f"momsolve-{os.getuid()}"))
+    return dirs
+
+
+def _private_dir(path: str) -> None:
+    """Make ``path`` a directory, or raise OSError unless it is a directory
+    (not a link to one) of this user's that no group or other user can
+    write: anything found in it was put there by this user."""
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.lstat(path)
+    if (not stat.S_ISDIR(st.st_mode) or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+            or (hasattr(os, "getuid") and st.st_uid != os.getuid())):
+        raise OSError(f"{path} is not a directory that only this user can write")
 
 
 def _compile(cc: str, out_dir: str, name: str) -> str:
+    _private_dir(out_dir)
     path = os.path.join(out_dir, name)
     if os.path.exists(path):
         return path
     import subprocess
 
-    os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=out_dir)
     os.close(fd)
     try:
@@ -77,16 +96,22 @@ def _compile(cc: str, out_dir: str, name: str) -> str:
     return path
 
 
+def _library_name(cc: str) -> str:
+    """The cached library's file name, keyed by the source, ``cc``, the flags
+    and the CPU."""
+    text = b"\0".join([SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), _cpu().encode()])
+    # zlib comes loaded with numpy; hashlib would load OpenSSL, 3.6 MB of RSS
+    return "heavy_ball-%08x.so" % zlib.crc32(text)
+
+
 def build() -> str:
     """The path of the compiled library, compiled now unless cached."""
     cc = sysconfig.get_config_var("CC") or "cc"
-    text = b"\0".join([SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), _cpu().encode()])
-    # zlib comes loaded with numpy; hashlib would load OpenSSL, 3.6 MB of RSS
-    key = "%08x" % zlib.crc32(text)
+    name = _library_name(cc)
     failures = []
     for out_dir in _cache_dirs():
         try:
-            return _compile(cc, out_dir, f"heavy_ball-{key}.so")
+            return _compile(cc, out_dir, name)
         except OSError as exc:
             failures.append(f"{out_dir}: {exc}")
     raise OSError("; ".join(failures))

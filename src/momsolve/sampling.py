@@ -198,9 +198,12 @@ class BlockSampler:
             return
         weights, inv_sq = scheme.norms_sq(A)
         self.scales = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in inv_sq]
-        self.rows, self.offsets = self._scaled_rows(aug)
-        self.blocks = [(*_block_pair(self.rows[a:b]), i)
+        P, self.offsets = self._scaled_rows(aug)
+        self.blocks = [(*_block_pair(P[a:b]), i)
                        for i, (a, b) in enumerate(itertools.pairwise(self.offsets))]
+        # the compiled loop reads dense blocks from P, whose views they are;
+        # CSR blocks are copies, so a CSR P is not kept
+        self.rows = P if isinstance(P, np.ndarray) else None
         self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 

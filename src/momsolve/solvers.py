@@ -53,6 +53,7 @@ __all__ = [
     "solve_cgne",
     "solve_mrabk",
     "SOLVER_IDS",
+    "HEAVY_BALL_IDS",
     "step_engine",
 ]
 
@@ -196,8 +197,8 @@ class _Window:
     """The carried residual R·xa of a run, advanced one window of steps at
     a time; R is the system's ``residual_factor``, so ||R·xa|| = ||Ax − b||.
 
-    A step only logs ``(key, t, c, e, w)``: the key of its drawn block
-    (see ``BlockSampler``), its sketch t, and its 2×3 step
+    A step only logs ``(key, t, c, e, w)`` with ``log``: the key of its
+    drawn block (see ``BlockSampler``), its sketch t, and its 2×3 step
     ``[[1, w·c, w·e], [0, c, e]]`` on ``[R·xa; R·d; u]`` with u = K_J·t =
     R·g, so that R·d becomes c·R·d + e·u and R·xa gains w times the new R·d;
     a step that leaves x and d where they are is (c, e, w) = (1, 0, 0).
@@ -207,13 +208,18 @@ class _Window:
     ``col``. A ``uniform:<p>`` key is a fresh set of rows, so its u is
     formed in the pass, from one gather of p rows at a time.
 
+    A partition's log is a window's worth of arrays: ``keys``, the sketches
+    one after another in ``ts``, and (c, e, w) in ``cew``, filled to
+    ``fill`` = (steps, sketch entries); the compiled loop writes them as
+    ``log`` does. A ``uniform:<p>`` step's entry is appended to ``entries``.
+
     Y holds a pass's rows [R·xa; R·d; u] step after step: rows 3i..3i+2 for
     step i, whose product fills rows 3i+3 and 3i+4. Every buffer is made
     once per run.
     """
 
-    __slots__ = ("R", "Y", "C", "U", "T", "G", "B", "sizes", "maps", "steps", "entries", "log",
-                 "source", "col")
+    __slots__ = ("R", "Y", "C", "U", "T", "G", "B", "sizes", "maps", "steps", "keys", "ts", "cew",
+                 "fill", "entries", "col")
 
     def __init__(self, sampler, R, col):
         self.R = R
@@ -232,16 +238,34 @@ class _Window:
         self.B = np.empty((_PASS, q)) if partition else None
         self.sizes = np.diff(sampler.offsets) if partition else None
         self.G = None if partition else np.empty((p, q))
-        self.entries = []
-        self.log = self.entries.append
-        self.source = None  # what the steps are logged to; None for ``entries``
+        self.keys = self.ts = self.cew = self.fill = self.entries = None
+        if partition:
+            self.keys = np.empty(RESIDUAL_WINDOW, dtype=np.int64)
+            self.ts = np.empty(RESIDUAL_WINDOW * p)
+            self.cew = np.empty((3, RESIDUAL_WINDOW))
+            self.fill = np.zeros(2, dtype=np.int64)
+        else:
+            self.entries = []
         self.col = col
+
+    def log(self, entry) -> None:
+        # a method, not a bound method kept on self: that would be a cycle,
+        # and hold every run's buffers until the cyclic collector ran
+        if self.entries is not None:
+            self.entries.append(entry)
+            return
+        key, t, c, e, w = entry
+        i, a = self.fill.tolist()
+        self.keys[i] = key
+        self.ts[a:a + len(t)] = t
+        self.cew[:, i] = c, e, w
+        self.fill[:] = i + 1, a + len(t)
 
     def flush(self, state) -> None:
         """Run the logged steps and append one norm per step; then replace
         R·xa and R·d by exact products from ``state``, which bounds the
         drift of the carried values, and the last norm by the exact one."""
-        logged = self._drain() if self.source is None else self.source.drain()
+        logged = self._drain()
         if logged is None:
             return
         keys, ts, c, e, w = logged
@@ -274,16 +298,21 @@ class _Window:
         self.col[-1] = math.sqrt(rx.dot(rx))
 
     def _drain(self):
-        """The steps logged to ``entries`` since the last flush, as
-        ``(keys, ts, c, e, w)``, or None: a partition's keys as an array and
-        its sketches one after another in one array."""
-        if not self.entries:
+        """The steps logged since the last flush, as ``(keys, ts, c, e, w)``,
+        or None: a partition's as views of its log, read before the next
+        step is logged; a ``uniform:<p>`` run's keys and sketches as tuples."""
+        if self.entries is not None:
+            if not self.entries:
+                return None
+            keys, ts, c, e, w = zip(*self.entries)
+            self.entries.clear()
+            return keys, ts, np.array(c), np.array(e), np.array(w)
+        n, length = self.fill.tolist()
+        if not n:
             return None
-        keys, ts, c, e, w = zip(*self.entries)
-        self.entries.clear()
-        if self.U is not None:
-            keys, ts = np.array(keys), np.concatenate(ts)
-        return keys, ts, np.array(c), np.array(e), np.array(w)
+        self.fill[:] = 0
+        c, e, w = self.cew[:, :n]
+        return self.keys[:n], self.ts[:length], c, e, w
 
     def _block_products(self, keys, ts):
         """u = K_J·t of every step into U, one product per block drawn,
@@ -583,7 +612,7 @@ def step_engine(solver: str, variant: str, A) -> str:
     """The engine that runs ``solver``'s steps on A under a scheme of
     ``variant`` ("row", "partition", "identity" or "uniform"): "native",
     or "numpy: " and why."""
-    if solver in ("scg", "cgne"):
+    if solver not in HEAVY_BALL_IDS:
         reason = f"{solver} has no compiled loop"
     else:
         reason = _numpy_reason(variant == "uniform", A)
@@ -592,29 +621,6 @@ def step_engine(solver: str, variant: str, A) -> str:
 
 def _pointer(a) -> int:
     return a.ctypes.data if a is not None else 0
-
-
-class _NativeLog:
-    """A window's log written by the kernel: the key, t, c, e and w of each
-    step since the last flush (see ``_Window``), read by ``drain``."""
-
-    def __init__(self, r, p):
-        self.r = r
-        self.keys = np.empty(RESIDUAL_WINDOW, dtype=np.int64)
-        self.ts = np.empty(RESIDUAL_WINDOW * p)
-        self.cew = np.empty((3, RESIDUAL_WINDOW))
-        r.log_key, r.log_t = _pointer(self.keys), _pointer(self.ts)
-        r.log_c, r.log_e, r.log_w = (_pointer(row) for row in self.cew)
-        r.window = RESIDUAL_WINDOW
-
-    def drain(self):
-        r = self.r
-        n, length = r.log_n, r.log_len
-        if not n:
-            return None
-        r.log_n = r.log_len = 0
-        c, e, w = self.cew[:, :n].copy()
-        return self.keys[:n].copy(), self.ts[:length].copy(), c, e, w
 
 
 def _native_loop(run, draw_mode, rule, fixed):
@@ -643,8 +649,10 @@ def _native_loop(run, draw_mode, rule, fixed):
     for name, a in out.items():
         setattr(r, name, _pointer(a))
     r.iterates, r.keep = _pointer(iterates), iterates is not None
-    if run.window is not None:
-        run.window.source = _NativeLog(r, len(t))
+    if (window := run.window) is not None:  # the kernel logs to the window's arrays
+        r.log_key, r.log_t, r.log_fill = map(_pointer, (window.keys, window.ts, window.fill))
+        r.log_c, r.log_e, r.log_w = map(_pointer, window.cew)
+        r.window = RESIDUAL_WINDOW
     r.n1, r.mode, r.rule = n + 1, _MODES[draw_mode], _RULE_CODES[rule]
     r.cap, r.max_iters, r.timing = len(run.attempts), config.max_iters, config.record_timing
     r.threshold_sq, r.relax, r.tol, r.err0_sq = (run.threshold_sq, 2.0 - config.zeta,
@@ -824,3 +832,6 @@ SOLVER_IDS = {
     "cgne": solve_cgne,
     "mrabk": solve_mrabk,
 }
+# the solvers that step in ``_heavy_ball``, and so in the kernel where
+# ``step_engine`` says it runs
+HEAVY_BALL_IDS = frozenset({"basic", "mbasic", "ashbm", "mrabk"})

@@ -2,7 +2,10 @@
 dense partition blocks: the same draws, stops and counts, and iterates equal
 to rounding."""
 
+import gc
 import json
+import os
+import stat
 import sysconfig
 
 import numpy as np
@@ -15,6 +18,7 @@ from momsolve.linalg import Matrix
 from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_problem
 from momsolve.sampling import BlockSampler, PartitionBlock
 from momsolve.solvers import (
+    SOLVER_IDS,
     SolverConfig,
     solve_ashbm,
     solve_basic,
@@ -216,6 +220,24 @@ class TestChunkEdges:
         assert _step_of(native) == _step_of(reference) == (DivergedError, str(step))
 
 
+@pytest.mark.parametrize("spec", ["partition:4", "uniform:4"])
+@pytest.mark.parametrize("engine", ["native", "numpy"])
+def test_tracked_run_leaves_no_cycles(monkeypatch, engine, spec):
+    # a run's window buffers are freed when it returns, not whenever the
+    # cyclic collector next runs: a window in a cycle kept tens of MB alive
+    system = _SYSTEMS["tall"]()
+    sampler = BlockSampler(materialize(spec, system.A), system)
+    if engine == "numpy":
+        _numpy_engine(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_ashbm(system, sampler, _cfg(track_residual=True))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestFallback:
     def test_failed_build_runs_numpy(self, monkeypatch, tmp_path):
         config_var = sysconfig.get_config_var
@@ -256,6 +278,21 @@ class TestFallback:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(native[1].iterates,
                                                               reference[1].iterates))
 
+    def test_csr_sampler_keeps_only_its_blocks(self):
+        scheme = PartitionBlock.from_permutation(90, 4, seed=1)
+        assert BlockSampler(scheme, _csr_system(90, 30)).rows is None
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_IDS))
+    def test_reported_engine_is_the_one_that_runs(self, monkeypatch, solver):
+        calls, loop = [], solvers._native_loop
+        monkeypatch.setattr(solvers, "_native_loop", lambda *a: calls.append(a) or loop(*a))
+        system, config = _SYSTEMS["tall"](), _cfg(max_iters=50)
+        if solver == "cgne":
+            SOLVER_IDS[solver](system, config)
+        else:
+            SOLVER_IDS[solver](system, PartitionBlock.from_permutation(120, 4, seed=1), config)
+        assert (step_engine(solver, "partition", system.A) == "native") == bool(calls)
+
     def test_summary_names_the_engine(self, monkeypatch, tmp_path, capsys):
         args = ["solve", "--m", "40", "--n", "10", "--r", "10", "--kappa", "2",
                 "--sampling", "partition:4", "--no-timing"]
@@ -268,3 +305,44 @@ class TestFallback:
         assert engine("scg", "scg") == "numpy: scg has no compiled loop"
         _numpy_engine(monkeypatch, "kernel build failed: no compiler")
         assert engine("ashbm", "numpy") == "numpy: kernel build failed: no compiler"
+
+
+class TestCache:
+    """The library is built into, and loaded from, only a directory that
+    this user owns and no one else can write."""
+
+    @staticmethod
+    def _temp_only(monkeypatch, tmp_path):
+        """The user cache cannot be made, so the build goes to the temp
+        directory; returns the directory it uses there."""
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(_native.tempfile, "tempdir", str(tmp_path / "tmp"))
+        return tmp_path / "tmp" / f"momsolve-{os.getuid()}"
+
+    def test_temp_fallback_is_private(self, monkeypatch, tmp_path):
+        private = self._temp_only(monkeypatch, tmp_path)
+        lib, reason = _native.load()
+        assert lib is not None and reason == ""
+        assert stat.S_IMODE(private.stat().st_mode) & 0o077 == 0
+        name = _native._library_name(sysconfig.get_config_var("CC") or "cc")
+        assert [path.name for path in private.iterdir()] == [name]
+
+    @pytest.mark.parametrize("plant", ["world_writable", "group_writable", "symlink"])
+    def test_planted_library_is_not_loaded(self, monkeypatch, tmp_path, plant):
+        # someone made the temp directory's cache first and put a file under
+        # the library's name in it: it is neither loaded nor built over
+        shared = self._temp_only(monkeypatch, tmp_path)
+        made = tmp_path / "elsewhere" if plant == "symlink" else shared
+        made.mkdir()
+        made.chmod({"world_writable": 0o777, "group_writable": 0o770, "symlink": 0o700}[plant])
+        if plant == "symlink":
+            shared.symlink_to(made)
+        planted = made / _native._library_name(sysconfig.get_config_var("CC") or "cc")
+        planted.write_bytes(b"planted")
+        lib, reason = _native.load()
+        assert lib is None and reason.startswith("kernel build failed")
+        assert f"{shared} is not a directory that only this user can write" in reason
+        assert [path.name for path in made.iterdir()] == [planted.name]
+        assert planted.read_bytes() == b"planted"
