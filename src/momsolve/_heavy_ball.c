@@ -1,8 +1,10 @@
 /* The heavy-ball loop of momsolve.solvers (basic, mbasic, ashbm, mrabk) on
- * dense partition blocks, one chunk of drawn block keys per call.
+ * dense blocks, one chunk of drawn keys per call: a partition's key is the
+ * index of its block, a uniform:<p> key its p sorted row ids.
  *
  * A step is the NumPy loop's: the sketch t = B·xa of the drawn block B (its
- * rows of the scaled [A | -b]), the zero test, the pullback g = [B^T t; 0],
+ * rows of the scaled [A | -b], read in place through a list of row
+ * pointers), the zero test, the pullback g = [B^T t; 0],
  * the (alpha, beta) rule, and [x'; err'; d'] = [x; err; 0] + (beta d -
  * alpha g) into the other buffer. Every dot product sums LANES interleaved
  * partial sums and adds them in one fixed order, and no other reduction
@@ -29,8 +31,10 @@ enum { POLYAK, ASHBM, FIXED };         /* the (alpha, beta) rule */
 /* Every field is 8 bytes, in the order of momsolve._native.Run. */
 typedef struct {
     /* the run: set once */
-    const double *P;         /* the blocks' rows in block order, n1 each */
-    const int64_t *offsets;  /* block b is rows offsets[b] .. offsets[b+1]-1 */
+    const double *P;         /* the scaled rows, n1 each: a partition's in block order */
+    const int64_t *offsets;  /* partition block b is rows offsets[b] .. offsets[b+1]-1;
+                                0 for uniform:<p>, whose key lists its rows of P */
+    const double **B;        /* the rows of the current draw, one pointer each */
     const double *R;         /* residual factor (q x n1) for per-step norms, or 0 */
     double *W[2];            /* the two buffers [xa; err; d; g], 4 x n1 each */
     double *t;               /* the sketch of the current draw */
@@ -39,11 +43,12 @@ typedef struct {
     int64_t *wall;
     int8_t *moved;
     /* the window's log, one entry per step since the last flush, filled to
-     * log_fill[0] steps and log_fill[1] sketch entries */
+     * log_fill[0] steps and log_fill[1] sketch entries; a step's key is
+     * width int64s */
     int64_t *log_key;
     double *log_t, *log_c, *log_e, *log_w;
     int64_t *log_fill;
-    int64_t n1, q, mode, rule, cap, max_iters, timing, window, keep;
+    int64_t n1, width, q, mode, rule, cap, max_iters, timing, window, keep;
     double threshold_sq, relax, fixed_alpha, fixed_beta, degeneracy, diverged, tol, err0_sq;
     /* run state, and what the last call did */
     int64_t k, cur, started, tries, t0, draws, fallbacks, records, used;
@@ -77,13 +82,14 @@ static double dot(const double *a, const double *b, int64_t n)
     return lanes_sum(&s, a, b, i, n);
 }
 
-/* t = B·xa for the rows of B, four rows at a time, each row summed as in
- * dot; returns ||t||^2 */
-static double sketch(const double *B, int64_t rows, int64_t n1, const double *xa, double *t)
+/* t = B·xa for the rows B[0..rows), four rows at a time, each row summed as
+ * in dot; returns ||t||^2 */
+static double sketch(const double *const *B, int64_t rows, int64_t n1, const double *xa,
+                     double *t)
 {
     int64_t j = 0;
     for (; j + 4 <= rows; j += 4) {
-        const double *b0 = B + j * n1, *b1 = b0 + n1, *b2 = b1 + n1, *b3 = b2 + n1;
+        const double *b0 = B[j], *b1 = B[j + 1], *b2 = B[j + 2], *b3 = B[j + 3];
         v8 s0 = {0}, s1 = {0}, s2 = {0}, s3 = {0};
         int64_t i = 0;
         for (; i + LANES <= n1; i += LANES) {
@@ -98,7 +104,7 @@ static double sketch(const double *B, int64_t rows, int64_t n1, const double *xa
         t[j + 2] = lanes_sum(&s2, b2, xa, i, n1);
         t[j + 3] = lanes_sum(&s3, b3, xa, i, n1);
     }
-    for (; j < rows; j++) t[j] = dot(B + j * n1, xa, n1);
+    for (; j < rows; j++) t[j] = dot(B[j], xa, n1);
     double tn2 = 0.0;
     for (j = 0; j < rows; j++) tn2 += t[j] * t[j];
     return tn2;
@@ -106,20 +112,20 @@ static double sketch(const double *B, int64_t rows, int64_t n1, const double *xa
 
 /* g = [B^T t; 0], summed over the rows in order, two rows a pass; then
  * ||g||^2 and, for ashbm, ||d||^2 and d.g in gram[0..2] */
-static void pullback(const double *B, int64_t rows, int64_t n1, const double *t,
+static void pullback(const double *const *B, int64_t rows, int64_t n1, const double *t,
                      double *g, const double *d, int with_d, double *gram)
 {
     int64_t n = n1 - 1, i, j = 1;
-    for (i = 0; i < n; i++) g[i] = B[i] * t[0];
+    for (i = 0; i < n; i++) g[i] = B[0][i] * t[0];
     for (; j + 2 <= rows; j += 2) {
-        const double *b0 = B + j * n1, *b1 = b0 + n1;
+        const double *b0 = B[j], *b1 = B[j + 1];
         double t0 = t[j], t1 = t[j + 1];
         for (i = 0; i + LANES <= n; i += LANES)
             V(g + i) = (V(g + i) + V(b0 + i) * t0) + V(b1 + i) * t1;
         for (; i < n; i++) g[i] = (g[i] + b0[i] * t0) + b1[i] * t1;
     }
     if (j < rows) {
-        const double *b0 = B + j * n1;
+        const double *b0 = B[j];
         for (i = 0; i < n; i++) g[i] += b0[i] * t[j];
     }
     g[n] = 0.0;
@@ -161,13 +167,28 @@ static double update(const double *W, double *out, int64_t n1, double alpha, dou
     return lanes_sum(&s, ev, ev, tail, n1);
 }
 
-/* Runs steps on keys[0..nkeys) until the keys run out (mid-step, if a
- * rejection loop is under way), the run ends, or a window of the carried
- * residual is full. Returns the status; r->records rows were written to the
- * outputs and r->used keys were read. */
+/* The rows of the block that key names into r->B; returns their number. */
+static int64_t block_rows(const Run *r, const int64_t *key)
+{
+    int64_t j, rows = r->width;
+    if (r->offsets) {
+        const double *first = r->P + r->offsets[*key] * r->n1;
+        rows = r->offsets[*key + 1] - r->offsets[*key];
+        for (j = 0; j < rows; j++) r->B[j] = first + j * r->n1;
+    } else {
+        for (j = 0; j < rows; j++) r->B[j] = r->P + key[j] * r->n1;
+    }
+    return rows;
+}
+
+/* Runs steps on the keys keys[0..nkeys·width) until the keys run out
+ * (mid-step, if a rejection loop is under way), the run ends, or a window of
+ * the carried residual is full. Returns the status; r->records rows were
+ * written to the outputs and r->used keys were read. */
 int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
 {
-    const int64_t n1 = r->n1, n = n1 - 1;
+    const int64_t n1 = r->n1, n = n1 - 1, width = r->width;
+    const double *const *B = r->B;
     int64_t pos = 0, out = 0, status;
     for (;;) {
         double *W = r->W[r->cur], *xa = W, *err = W + n1, *d = W + 2 * n1, *g = W + 3 * n1;
@@ -177,15 +198,14 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
             r->tries = 0;
             r->t0 = r->timing ? now_ns() : 0;
         }
-        const double *B;
-        int64_t key, rows;
+        const int64_t *key;
+        int64_t rows;
         double tn2;
         for (;;) {  /* draw until the sketch passes the zero test */
             if (pos == nkeys) { status = NEED_KEYS; goto done; }
-            key = keys[pos++];
+            key = keys + pos++ * width;
             r->draws++;
-            B = r->P + r->offsets[key] * n1;
-            rows = r->offsets[key + 1] - r->offsets[key];
+            rows = block_rows(r, key);
             tn2 = sketch(B, rows, n1, xa, r->t);
             if (tn2 > r->threshold_sq || r->mode != RESAMPLE) break;
             if (++r->tries == r->cap) { status = STOP_CAP; goto done; }
@@ -242,7 +262,7 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
         out++;
         if (r->window) {  /* the step [[1, w c, w e], [0, c, e]] of _Window */
             int64_t i = r->log_fill[0]++;
-            r->log_key[i] = key;
+            memcpy(r->log_key + i * width, key, (size_t)width * sizeof(int64_t));
             memcpy(r->log_t + r->log_fill[1], r->t, (size_t)rows * sizeof(double));
             r->log_fill[1] += rows;
             r->log_c[i] = moved ? beta : 1.0;

@@ -3,7 +3,8 @@
 ``load()`` compiles the source once per (source, compiler, flags, CPU) with
 ``sysconfig``'s C compiler into a per-user cache directory (a private
 directory in the temp directory when that fails), renames the library into
-place atomically, and loads it with ``ctypes``. A directory is used only if
+place atomically, deletes the libraries of earlier builds there, and loads
+it with ``ctypes``. A directory is used only if
 it is a real directory that this user owns and nobody else can write, so no
 other user can plant the library that is loaded. Any failure leaves the
 NumPy loop in charge and says why; nothing selects the engine but whether
@@ -35,9 +36,9 @@ class Run(ctypes.Structure):
     """The kernel's ``Run``, field for field."""
 
     _fields_ = [(name, kind) for names, kind in (
-        ("P offsets R", _P), ("W", _P * 2), ("t rse alpha beta resnorm iterates wall moved "
+        ("P offsets B R", _P), ("W", _P * 2), ("t rse alpha beta resnorm iterates wall moved "
                                              "log_key log_t log_c log_e log_w log_fill", _P),
-        ("n1 q mode rule cap max_iters timing window keep", _I),
+        ("n1 width q mode rule cap max_iters timing window keep", _I),
         ("threshold_sq relax fixed_alpha fixed_beta degeneracy diverged tol err0_sq", _D),
         ("k cur started tries t0 draws fallbacks records used", _I),
         ("last_rse", _D),
@@ -93,7 +94,20 @@ def _compile(cc: str, out_dir: str, name: str) -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(out_dir, name)
     return path
+
+
+def _prune(out_dir: str, keep: str) -> None:
+    """Delete the libraries of other sources, compilers, flags or CPUs from
+    ``out_dir``, a directory that passed ``_private_dir``; a loaded library
+    stays mapped in the processes that use it."""
+    for old in Path(out_dir).glob("heavy_ball-*.so"):
+        if old.name != keep:
+            try:
+                old.unlink()
+            except OSError:
+                pass
 
 
 def _library_name(cc: str) -> str:
@@ -120,7 +134,10 @@ def build() -> str:
 def load():
     """(the loaded kernel, "") or (None, why it could not be built or loaded)."""
     try:
-        lib = ctypes.CDLL(build())
+        try:
+            lib = ctypes.CDLL(build())
+        except OSError:  # a concurrent build of another source may have pruned it
+            lib = ctypes.CDLL(build())
     except OSError as exc:
         return None, f"kernel build failed: {exc}"
     lib.momsolve_run_size.restype = ctypes.c_int64

@@ -320,7 +320,7 @@ def cmd_solve(args) -> int:
         if isinstance(res, Trace):
             write_trace(out / f"trace_{i:03d}.{cfg.fmt}", res, cfg.fmt)
     summary = summarize(results, cfg.seed)
-    summary["engine"] = step_engine(cfg.solver, parse_scheme(cfg.scheme).variant, system.A)
+    summary["engine"] = step_engine(cfg.solver, system.A)
     summary["config"] = cfg.to_dict()
     with open(out / "summary.json", "w", encoding="ascii") as fh:
         fh.write(json.dumps(summary, sort_keys=True) + "\n")

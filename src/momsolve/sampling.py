@@ -26,6 +26,7 @@ __all__ = [
     "SchemeSpec",
     "parse_scheme",
     "build_partition",
+    "floyd_subsets",
     "compute_tau",
     "lambda_max_sup",
     "LambdaMaxResult",
@@ -125,8 +126,9 @@ def build_partition(m: int, p: int, seed: int) -> tuple:
 # The sampler: a scheme bound to one system, ready to draw
 # ---------------------------------------------------------------------------
 
-# uniforms drawn per call to the generator; Generator.random(n) yields the
-# same stream as n scalar calls, so the chunk size never changes a draw
+# keys drawn per call to the generator. A partition's chunk is 256 uniforms,
+# and Generator.random(n) yields the same stream as n scalar calls, so the
+# chunk size never changes its draws; a uniform:<p> chunk is 256 subsets
 _DRAW_CHUNK = 256
 
 
@@ -150,6 +152,39 @@ def _block_pair(aug):
     if isinstance(aug, np.ndarray):
         return aug, aug.T
     return _CsrDot(aug), _CsrDot(aug.T)
+
+
+def floyd_subsets(rng, m: int, p: int, count: int):
+    """``count`` uniform p-subsets of range(m), as an int64 (count, p) array
+    of sorted rows, each drawn by Floyd's algorithm (Bentley & Floyd, CACM
+    1987), all from one ``rng.integers`` call.
+
+    Step j of a row draws t_j uniform in [0, i_j], i_j = m − p + j, and takes
+    t_j, or i_j when t_j is taken already. A value below m − p is taken
+    before step j if and only if an earlier step drew it; i_l with l < j if
+    an earlier step drew it, or if step l took it. So step j takes i_j if
+    and only if, on the chain j → l = t_j − (m − p) → … (while l is below
+    the step it comes from), some step repeats an earlier draw of its row.
+    Pointer doubling follows every chain at once, in O(count·p) memory."""
+    t = rng.integers(0, np.arange(m - p + 1, m + 1), size=(count, p))
+    j, end = np.arange(p), count * p
+    # hit[r·p + j]: step j of row r repeats an earlier draw. Sorting t·p + j
+    # orders a row's draws by value, equal values by step.
+    ranked = np.sort(t * p + j, axis=1)
+    repeat = ranked[:, 1:] // p == ranked[:, :-1] // p
+    hit = np.zeros(end + 1, dtype=bool)  # entry ``end`` ends every chain
+    rows, cols = np.nonzero(repeat)
+    hit[rows * p + ranked[rows, cols + 1] % p] = True
+    # to[r·p + j]: the step of t_j's i_l, or ``end``
+    parent = t - (m - p)
+    node = np.flatnonzero((parent >= 0) & (parent < j))
+    to = np.full(end + 1, end)
+    to[node] = node - node % p + parent.ravel()[node]
+    while len(node):  # at most ceil(log2 p) rounds
+        hit[node] |= hit[to[node]]
+        to[node] = to[to[node]]
+        node = node[to[node] != end]
+    return np.sort(np.where(hit[:end].reshape(count, p), j + (m - p), t), axis=1)
 
 
 def _partition_rows(M, blocks):
@@ -176,11 +211,15 @@ class BlockSampler:
     without a product with R. ``can_carry`` says whether every block has
     fewer rows than R, where ``K_J·t`` is the cheaper product.
 
-    A partition (``row`` and ``identity`` included) draws its uniforms in
-    chunks with one ``searchsorted`` per chunk; ``uniform:<p>`` gathers its
-    rows of the scaled ``[A | −b]`` on every draw. Rejection gives up after
-    ``len(attempts)`` draws: 100 per support element, or one for a
-    partition of one block, which a redraw cannot change.
+    Both kinds draw their keys in chunks (``key_chunks``): a partition
+    (``row`` and ``identity`` included) with one ``searchsorted`` per chunk,
+    ``uniform:<p>`` with ``floyd_subsets``. ``rows`` holds what the compiled
+    loop reads in place: a dense partition's blocks in block order, cut at
+    ``offsets``, or the scaled ``[A | −b]`` whose rows a uniform key names
+    (``offsets`` None); a ``uniform:<p>`` draw of the NumPy loop gathers its
+    rows from it. Rejection gives up after ``len(attempts)`` draws: 100 per
+    support element, or one for a partition of one block, which a redraw
+    cannot change.
     """
 
     def __init__(self, scheme, system: LinearSystem):
@@ -193,7 +232,7 @@ class BlockSampler:
         if isinstance(scheme, UniformBlock):
             self.scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
             aug *= self.scale
-            self.aug, self.blocks = aug, None
+            self.rows, self.offsets, self.blocks = aug, None, None
             self.attempts = range(100 * UNIFORM_SUPPORT_CAP)
             return
         weights, inv_sq = scheme.norms_sq(A)
@@ -248,20 +287,38 @@ class BlockSampler:
         P, offsets = self._scaled_rows(table)
         return [P[a:b] for a, b in itertools.pairwise(offsets)]
 
-    def draws(self, rng):
-        """One run's endless stream of draws, its randomness from ``rng``."""
-        if self.blocks is None:
-            while True:
-                rows = np.sort(rng.choice(self.aug.shape[0], size=self.scheme.p, replace=False))
-                yield *_block_pair(self.aug[rows]), rows
-        blocks = self.blocks
-        for keys in self.key_chunks(rng):
-            for i in keys.tolist():
-                yield blocks[i]
+    def draws(self, rng, reuse: bool = False):
+        """One run's endless stream of draws, its randomness from ``rng``.
+        With ``reuse``, a dense ``uniform:<p>`` draw gathers its block into
+        one buffer of the stream, which the next draw overwrites."""
+        aug, chunks = self.rows, self.key_chunks(rng)
+        if self.blocks is not None:
+            blocks = self.blocks
+            for keys in chunks:
+                for i in keys.tolist():
+                    yield blocks[i]
+        elif reuse and isinstance(aug, np.ndarray):
+            buf = np.empty((self.scheme.p, aug.shape[1]))
+            pair = _block_pair(buf)
+            for keys in chunks:
+                for rows in keys:
+                    # a gather with mode="clip" writes into ``out`` unbuffered
+                    aug.take(rows, axis=0, out=buf, mode="clip")
+                    yield *pair, rows
+        else:
+            for keys in chunks:
+                for rows in keys:
+                    yield *_block_pair(aug[rows]), rows
 
     def key_chunks(self, rng):
-        """A partition's endless stream of drawn keys, the same as ``draws``
-        makes from ``rng``: int64 arrays of ``_DRAW_CHUNK`` keys."""
+        """The endless stream of drawn keys that ``draws`` makes from
+        ``rng``, ``_DRAW_CHUNK`` keys an array: a partition's int64 block
+        indices, or (``_DRAW_CHUNK``, p) int64 rows of a ``uniform:<p>``
+        key each, from ``floyd_subsets``."""
+        if self.blocks is None:
+            m, p = self.system.A.rows, self.scheme.p
+            while True:
+                yield floyd_subsets(rng, m, p, _DRAW_CHUNK)
         last = len(self.blocks) - 1
         while True:
             idx = np.searchsorted(self.cum, rng.random(_DRAW_CHUNK), side="right")

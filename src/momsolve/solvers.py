@@ -5,9 +5,9 @@ baseline.
 ``basic``, ``mbasic``, ``ashbm`` and ``mrabk`` are one stochastic heavy-ball
 update, x_{k+1} = x_k − alpha_k·grad f_S(x_k) + beta_k·(x_k − x_{k−1}), run
 by one loop; each method supplies only its (alpha, beta) rule and how it
-treats a zero sketch. On dense partition blocks that loop runs in the
-compiled kernel ``_heavy_ball.c`` (built by ``_native``), on other blocks
-in NumPy; ``step_engine`` says which, and both read one stream of draws.
+treats a zero sketch. On a dense A that loop runs in the compiled kernel
+``_heavy_ball.c`` (built by ``_native``), on CSR blocks in NumPy;
+``step_engine`` says which, and both read one stream of draws.
 ``scg`` and ``cgne`` keep their own recursions: they are the references
 the momentum form is checked against. A sampled step of a NumPy loop sees
 its draw only through ``_Run.draw``: the key of the drawn block (see
@@ -208,10 +208,11 @@ class _Window:
     ``col``. A ``uniform:<p>`` key is a fresh set of rows, so its u is
     formed in the pass, from one gather of p rows at a time.
 
-    A partition's log is a window's worth of arrays: ``keys``, the sketches
-    one after another in ``ts``, and (c, e, w) in ``cew``, filled to
-    ``fill`` = (steps, sketch entries); the compiled loop writes them as
-    ``log`` does. A ``uniform:<p>`` step's entry is appended to ``entries``.
+    The log is a window's worth of arrays: ``keys`` (a partition's block
+    index per step, or the p rows of a ``uniform:<p>`` step, a row of a
+    (RESIDUAL_WINDOW, p) array), the sketches one after another in ``ts``,
+    and (c, e, w) in ``cew``, filled to ``fill`` = (steps, sketch entries);
+    the compiled loop writes them as ``log`` does.
 
     Y holds a pass's rows [R·xa; R·d; u] step after step: rows 3i..3i+2 for
     step i, whose product fills rows 3i+3 and 3i+4. Every buffer is made
@@ -219,7 +220,7 @@ class _Window:
     """
 
     __slots__ = ("R", "Y", "C", "U", "T", "G", "B", "sizes", "maps", "steps", "keys", "ts", "cew",
-                 "fill", "entries", "col")
+                 "fill", "col")
 
     def __init__(self, sampler, R, col):
         self.R = R
@@ -238,22 +239,16 @@ class _Window:
         self.B = np.empty((_PASS, q)) if partition else None
         self.sizes = np.diff(sampler.offsets) if partition else None
         self.G = None if partition else np.empty((p, q))
-        self.keys = self.ts = self.cew = self.fill = self.entries = None
-        if partition:
-            self.keys = np.empty(RESIDUAL_WINDOW, dtype=np.int64)
-            self.ts = np.empty(RESIDUAL_WINDOW * p)
-            self.cew = np.empty((3, RESIDUAL_WINDOW))
-            self.fill = np.zeros(2, dtype=np.int64)
-        else:
-            self.entries = []
+        self.keys = np.empty(RESIDUAL_WINDOW if partition else (RESIDUAL_WINDOW, p),
+                             dtype=np.int64)
+        self.ts = np.empty(RESIDUAL_WINDOW * p)
+        self.cew = np.empty((3, RESIDUAL_WINDOW))
+        self.fill = np.zeros(2, dtype=np.int64)
         self.col = col
 
     def log(self, entry) -> None:
         # a method, not a bound method kept on self: that would be a cycle,
         # and hold every run's buffers until the cyclic collector ran
-        if self.entries is not None:
-            self.entries.append(entry)
-            return
         key, t, c, e, w = entry
         i, a = self.fill.tolist()
         self.keys[i] = key
@@ -264,14 +259,18 @@ class _Window:
     def flush(self, state) -> None:
         """Run the logged steps and append one norm per step; then replace
         R·xa and R·d by exact products from ``state``, which bounds the
-        drift of the carried values, and the last norm by the exact one."""
-        logged = self._drain()
-        if logged is None:
+        drift of the carried values, and the last norm by the exact one.
+        The log is read in place, so a window is flushed before the next
+        step is logged."""
+        n, length = self.fill.tolist()
+        if not n:
             return
-        keys, ts, c, e, w = logged
-        n = len(c)
+        self.fill[:] = 0
+        keys, ts, (c, e, w) = self.keys[:n], self.ts[:length], self.cew[:, :n]
         wc, we = w * c, w * e
         if self.U is None:
+            ts = ts.reshape(n, -1)
+
             def fill(u, a, m):
                 self._gathered_products(u, keys[a:a + m], ts[a:a + m])
         else:
@@ -296,23 +295,6 @@ class _Window:
         self.R.dot(state.xa, out=rx)
         self.R.dot(state.d, out=Y[1])
         self.col[-1] = math.sqrt(rx.dot(rx))
-
-    def _drain(self):
-        """The steps logged since the last flush, as ``(keys, ts, c, e, w)``,
-        or None: a partition's as views of its log, read before the next
-        step is logged; a ``uniform:<p>`` run's keys and sketches as tuples."""
-        if self.entries is not None:
-            if not self.entries:
-                return None
-            keys, ts, c, e, w = zip(*self.entries)
-            self.entries.clear()
-            return keys, ts, np.array(c), np.array(e), np.array(w)
-        n, length = self.fill.tolist()
-        if not n:
-            return None
-        self.fill[:] = 0
-        c, e, w = self.cew[:, :n]
-        return self.keys[:n], self.ts[:length], c, e, w
 
     def _block_products(self, keys, ts):
         """u = K_J·t of every step into U, one product per block drawn,
@@ -342,7 +324,8 @@ class _Window:
         return where
 
     def _gathered_products(self, u, keys, ts):
-        """u = K_J·t of ``uniform:<p>`` steps, whose keys are their rows J."""
+        """u = K_J·t of ``uniform:<p>`` steps, whose keys are their rows J
+        and ``ts`` their sketches, a row each."""
         for ui, rows, t in zip(u, keys, ts):
             t.dot(self.maps.take(rows, axis=0, out=self.G, mode="clip"), out=ui)
 
@@ -380,7 +363,8 @@ class _Run:
         if scheme is not None:
             self.sampler = sampler = BlockSampler.bind(scheme, system)
             self.rng = rng = np.random.default_rng(config.seed)
-            self.next_block = sampler.draws(rng).__next__
+            # a draw's block is read before the next draw
+            self.next_block = sampler.draws(rng, reuse=True).__next__
             self.attempts = sampler.attempts
             if config.track_residual and sampler.can_carry:
                 self.window = _Window(sampler, system.residual_factor, self.resnorm_col)
@@ -518,14 +502,14 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     When the run carries its residual, each step logs its block's key, t,
     beta and −alpha to the run's window (see ``_Window``); W and its
     arithmetic are the same either way, so tracking never changes the
-    trajectory. Dense partition blocks run in the compiled kernel (see
-    ``_native_loop``), other blocks in this loop.
+    trajectory. Dense blocks run in the compiled kernel (see
+    ``_native_loop``), CSR blocks in this loop.
     """
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
     fixed = fixed_step() if rule == "fixed" else (0.0, 0.0)
-    if _numpy_reason(run.sampler.blocks is None, system.A) is None:
+    if _numpy_reason(system.A) is None:
         return _native_loop(run, draw_mode, rule, fixed)
     draw, resample = run.draw, draw_mode == "resample"
     # a sketch at or below this counts as zero and leaves x unmoved
@@ -598,24 +582,21 @@ _RULE_CODES = {"polyak": 0, "ashbm": 1, "fixed": 2}
  _STOP_ZERO_DIVISION) = range(7)
 
 
-def _numpy_reason(uniform: bool, A) -> str | None:
+def _numpy_reason(A) -> str | None:
     """None when heavy-ball steps on A's blocks run in the compiled kernel,
-    else why NumPy runs them; ``uniform`` for ``uniform:<p>`` blocks."""
-    if uniform:
-        return "uniform:<p> gathers its blocks"
+    else why NumPy runs them."""
     if A.is_sparse:
         return "CSR blocks"
     return _KERNEL_FAILURE if _KERNEL is None else None
 
 
-def step_engine(solver: str, variant: str, A) -> str:
-    """The engine that runs ``solver``'s steps on A under a scheme of
-    ``variant`` ("row", "partition", "identity" or "uniform"): "native",
-    or "numpy: " and why."""
+def step_engine(solver: str, A) -> str:
+    """The engine that runs ``solver``'s steps on A, under any sketch
+    family: "native", or "numpy: " and why."""
     if solver not in HEAVY_BALL_IDS:
         reason = f"{solver} has no compiled loop"
     else:
-        reason = _numpy_reason(variant == "uniform", A)
+        reason = _numpy_reason(A)
     return "native" if reason is None else f"numpy: {reason}"
 
 
@@ -624,9 +605,10 @@ def _pointer(a) -> int:
 
 
 def _native_loop(run, draw_mode, rule, fixed):
-    """``_heavy_ball`` on dense partition blocks, one call of the compiled
-    kernel per chunk of the sampler's keys: the same draws, rules, stops and
-    trace columns (see ``_heavy_ball.c``)."""
+    """``_heavy_ball`` on dense blocks, one call of the compiled kernel per
+    chunk of the sampler's keys: the same draws, rules, stops and trace
+    columns (see ``_heavy_ball.c``). The kernel reads a block's rows in
+    place, through one list of row pointers per run."""
     sampler, config, n = run.sampler, run.config, run.n
     # the kernel reads contiguous int64 keys, float64 rows and int64 offsets
     chunks = (np.ascontiguousarray(keys, dtype=np.int64) for keys in sampler.key_chunks(run.rng))
@@ -641,10 +623,15 @@ def _native_loop(run, draw_mode, rule, fixed):
         R = np.ascontiguousarray(run.system.residual_factor)
         r.R, r.q = _pointer(R), R.shape[0]
     iterates = np.empty((rows, n)) if run.iterates is not None else None
-    t = np.empty(int(np.diff(sampler.offsets).max()))
+    # a block has at most p rows; a partition key is one int64, a uniform key p
+    p = sampler.scheme.p
+    t, B = np.empty(p), np.empty(p, dtype=np.uintp)
     P = np.ascontiguousarray(sampler.rows, dtype=np.float64)
-    offsets = np.ascontiguousarray(sampler.offsets, dtype=np.int64)
-    r.P, r.offsets, r.t = _pointer(P), _pointer(offsets), _pointer(t)
+    offsets = None
+    if sampler.offsets is not None:
+        offsets = np.ascontiguousarray(sampler.offsets, dtype=np.int64)
+    r.P, r.offsets, r.B, r.t = _pointer(P), _pointer(offsets), _pointer(B), _pointer(t)
+    r.width = 1 if offsets is not None else p
     r.W[0], r.W[1] = (_pointer(state.W) for state in run.states)
     for name, a in out.items():
         setattr(r, name, _pointer(a))
@@ -660,7 +647,7 @@ def _native_loop(run, draw_mode, rule, fixed):
     r.fixed_alpha, r.fixed_beta = fixed
     r.degeneracy, r.diverged = DEGENERACY_THRESHOLD, _DIVERGED_RSE
     while True:
-        status = _KERNEL.momsolve_heavy_ball(r, keys.ctypes.data + keys.itemsize * pos,
+        status = _KERNEL.momsolve_heavy_ball(r, keys.ctypes.data + keys.strides[0] * pos,
                                              min(len(keys) - pos, rows))
         pos += r.used
         if m := r.records:

@@ -1,6 +1,6 @@
 """The compiled heavy-ball kernel against the NumPy loop it replaces on
-dense partition blocks: the same draws, stops and counts, and iterates equal
-to rounding."""
+dense blocks, partition and ``uniform:<p>``: the same draws, stops and
+counts, and iterates equal to rounding."""
 
 import gc
 import json
@@ -16,7 +16,7 @@ from momsolve import _native, cli, solvers
 from momsolve.errors import DivergedError, MomsolveError, StalledSamplingError
 from momsolve.linalg import Matrix
 from momsolve.problems import LinearSystem, attach_min_norm, generate_gaussian_problem
-from momsolve.sampling import BlockSampler, PartitionBlock
+from momsolve.sampling import UNIFORM_SUPPORT_CAP, BlockSampler, PartitionBlock, UniformBlock
 from momsolve.solvers import (
     SOLVER_IDS,
     SolverConfig,
@@ -38,6 +38,8 @@ _SYSTEMS = {
 }
 _SOLVERS = {"basic": solve_basic, "mbasic": solve_modified_basic, "ashbm": solve_ashbm,
             "mrabk": solve_mrabk}
+# mrabk steps on partitions only
+_UNIFORM_SOLVERS = {name: _SOLVERS[name] for name in ("basic", "mbasic", "ashbm")}
 
 
 def _csr_system(m, n):
@@ -70,6 +72,19 @@ def _both(monkeypatch, solve, system, scheme, config, keep=False):
         _numpy_engine(patch)
         reference = _outcome(solve, system, scheme, config, keep)
     return native, reference
+
+
+def _window_keys(monkeypatch):
+    """The list that the keys logged in each window are appended to, one
+    array per flush, from now on."""
+    logged, flush = [], solvers._Window.flush
+
+    def recording(window, state):
+        logged.append(window.keys[:int(window.fill[0])].copy())
+        flush(window, state)
+
+    monkeypatch.setattr(solvers._Window, "flush", recording)
+    return logged
 
 
 def _numpy_distance_to_cgne(monkeypatch, system, sampler, config):
@@ -132,7 +147,7 @@ class TestEqualsTheNumpyLoop:
     def test_grid(self, monkeypatch, kind, solver, spec, track, timing, keep):
         system = _SYSTEMS[kind]()
         sampler = BlockSampler(materialize(spec, system.A, 5), system)
-        assert step_engine(solver, spec.split(":")[0], system.A) == "native"
+        assert step_engine(solver, system.A) == "native"
         config = _cfg(track_residual=track, record_timing=timing)
         native, reference = _both(monkeypatch, _SOLVERS[solver], system, sampler, config, keep)
         rel = 1e-12
@@ -144,14 +159,79 @@ class TestEqualsTheNumpyLoop:
         _assert_same_run(native, reference, system, config, keep, rel)
 
 
+class TestUniform:
+    """A ``uniform:<p>`` key is p rows of the scaled [A | −b], which the
+    kernel reads in place; both engines read one stream of keys, and both
+    log each step's p rows to the window."""
+
+    @staticmethod
+    def _compare(monkeypatch, solve, system, scheme, config, keep):
+        logged = _window_keys(monkeypatch)
+        native = _outcome(solve, system, scheme, config, keep)
+        native_keys = logged[:]
+        logged.clear()
+        with monkeypatch.context() as patch:
+            _numpy_engine(patch)
+            reference = _outcome(solve, system, scheme, config, keep)
+        _assert_same_run(native, reference, system, config, keep)
+        assert len(native_keys) == len(logged)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(native_keys, logged))
+        return native, native_keys
+
+    @pytest.mark.parametrize("track, keep", [(False, False), (True, False), (False, True),
+                                             (True, True)],
+                             ids=["bare", "tracked", "kept", "tracked-kept"])
+    @pytest.mark.parametrize("p", [4, 10])
+    @pytest.mark.parametrize("solver", list(_UNIFORM_SOLVERS))
+    @pytest.mark.parametrize("kind", list(_SYSTEMS))
+    def test_grid(self, monkeypatch, kind, solver, p, track, keep):
+        system = _SYSTEMS[kind]()
+        sampler = BlockSampler(UniformBlock(p=p), system)
+        assert step_engine(solver, system.A) == "native"
+        config = _cfg(track_residual=track)
+        native, keys = self._compare(monkeypatch, _UNIFORM_SOLVERS[solver], system, sampler,
+                                     config, keep)
+        # every system here carries its residual at these p: p rows a step
+        assert sum(map(len, keys)) == (len(native[1]) if track else 0)
+        assert all(k.shape[1:] == (p,) for k in keys)
+
+    @pytest.mark.parametrize("track", [False, True], ids=["bare", "tracked"])
+    @pytest.mark.parametrize("p", [1, 120], ids=["p=1", "p=m"])
+    @pytest.mark.parametrize("solver", list(_UNIFORM_SOLVERS))
+    def test_smallest_and_largest_p(self, monkeypatch, solver, p, track):
+        # p = m has one subset, and is too large to carry the residual: its
+        # tracked run takes a norm per step in the kernel
+        system = _SYSTEMS["tall"]()
+        config = _cfg(track_residual=track, max_iters=700)
+        native, keys = self._compare(monkeypatch, _UNIFORM_SOLVERS[solver], system,
+                                     UniformBlock(p=p), config, True)
+        assert bool(keys) == (track and p == 1)
+
+    def test_rejection_cap_across_chunks(self, monkeypatch):
+        # every sketch fails the zero test, so the first step's rejection
+        # loop reads all 10,000 keys its cap allows: 39 chunks and 16 keys
+        cap = 100 * UNIFORM_SUPPORT_CAP
+        assert cap % CHUNK
+        system = generate_gaussian_problem(60, 20, 20, 2.0, seed=0)
+        solved = _cfg(zero_test_threshold=1e6, rse_tolerance=10.0)
+        native, _ = self._compare(monkeypatch, solve_modified_basic, system, UniformBlock(p=3),
+                                  solved, False)
+        assert native[1].reason == "residual" and native[1].sample_draws == cap
+        stalled = _cfg(zero_test_threshold=1e6)
+        native, reference = _both(monkeypatch, solve_modified_basic, system, UniformBlock(p=3),
+                                  stalled)
+        assert native == reference and native[0] is StalledSamplingError
+
+
 class TestChunkEdges:
     """A call of the kernel reads one chunk of keys; a run that stops, or
     whose rejection loop ends, at the end of a chunk or just past it."""
 
+    @pytest.mark.parametrize("spec", ["partition:4", "uniform:4"])
     @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
-    def test_max_iters(self, monkeypatch, steps):
+    def test_max_iters(self, monkeypatch, steps, spec):
         system = _SYSTEMS["tall"]()
-        scheme = PartitionBlock.from_permutation(120, 4, seed=1)
+        scheme = materialize(spec, system.A, 1)
         config = _cfg(max_iters=steps, rse_tolerance=0.0)
         native, reference = _both(monkeypatch, solve_ashbm, system, scheme, config, True)
         _assert_same_run(native, reference, system, config, True)
@@ -251,21 +331,17 @@ class TestFallback:
         sampler = BlockSampler(PartitionBlock.from_permutation(120, 4, seed=1), system)
         native = solve_ashbm(system, sampler, _cfg())
         _numpy_engine(monkeypatch, reason)
-        assert step_engine("ashbm", "partition", system.A) == f"numpy: {reason}"
+        assert step_engine("ashbm", system.A) == f"numpy: {reason}"
         state, trace = solve_ashbm(system, sampler, _cfg())
         assert trace.converged and trace.final_rse <= 1e-12
         assert trace.iterations == native[1].iterations
         assert _close(state.x, native[0].x)
 
-    @pytest.mark.parametrize("make, spec, why", [
-        (_SYSTEMS["tall"], "uniform:4", "uniform:<p> gathers its blocks"),
-        (lambda: _csr_system(90, 30), "partition:4", "CSR blocks"),
-    ], ids=["uniform", "csr"])
-    def test_inputs_that_keep_numpy(self, make, spec, why):
-        system = make()
-        variant = spec.split(":")[0]
-        assert step_engine("ashbm", variant, system.A) == f"numpy: {why}"
-        assert step_engine("scg", variant, system.A) == "numpy: scg has no compiled loop"
+    @pytest.mark.parametrize("spec", ["partition:4", "uniform:4"])
+    def test_csr_keeps_numpy(self, spec):
+        system = _csr_system(90, 30)
+        assert step_engine("ashbm", system.A) == "numpy: CSR blocks"
+        assert step_engine("scg", system.A) == "numpy: scg has no compiled loop"
         # the NumPy loop runs it, and its result does not depend on the kernel
         sampler = BlockSampler(materialize(spec, system.A), system)
         config = _cfg(max_iters=300, rse_tolerance=0.0)
@@ -277,6 +353,21 @@ class TestFallback:
             assert getattr(native[1], name).tobytes() == getattr(reference[1], name).tobytes()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(native[1].iterates,
                                                               reference[1].iterates))
+
+    @pytest.mark.parametrize("solver", ["basic", "mbasic", "ashbm", "scg"])
+    def test_dense_uniform_runs_native(self, monkeypatch, tmp_path, solver):
+        # the heavy-ball solvers step on dense uniform:<p> blocks in the
+        # kernel, tracked runs too, and the summary says so
+        calls, loop = [], solvers._native_loop
+        monkeypatch.setattr(solvers, "_native_loop", lambda *a: calls.append(a) or loop(*a))
+        system = _SYSTEMS["tall"]()
+        SOLVER_IDS[solver](system, UniformBlock(p=4), _cfg(max_iters=50, track_residual=True))
+        engine = "native" if solver in solvers.HEAVY_BALL_IDS else "numpy: scg has no compiled loop"
+        assert step_engine(solver, system.A) == engine and bool(calls) == (engine == "native")
+        assert cli.main(["solve", "--m", "40", "--n", "10", "--r", "10", "--kappa", "2",
+                         "--sampling", "uniform:4", "--solver", solver, "--no-timing",
+                         "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["engine"] == engine
 
     def test_csr_sampler_keeps_only_its_blocks(self):
         scheme = PartitionBlock.from_permutation(90, 4, seed=1)
@@ -291,7 +382,7 @@ class TestFallback:
             SOLVER_IDS[solver](system, config)
         else:
             SOLVER_IDS[solver](system, PartitionBlock.from_permutation(120, 4, seed=1), config)
-        assert (step_engine(solver, "partition", system.A) == "native") == bool(calls)
+        assert (step_engine(solver, system.A) == "native") == bool(calls)
 
     def test_summary_names_the_engine(self, monkeypatch, tmp_path, capsys):
         args = ["solve", "--m", "40", "--n", "10", "--r", "10", "--kappa", "2",
@@ -346,3 +437,51 @@ class TestCache:
         assert f"{shared} is not a directory that only this user can write" in reason
         assert [path.name for path in made.iterdir()] == [planted.name]
         assert planted.read_bytes() == b"planted"
+
+    def test_a_build_prunes_earlier_builds(self, monkeypatch, tmp_path):
+        # a new library replaces the ones older builds left in its private
+        # directory; other files there stay
+        private = tmp_path / "cache" / "momsolve"
+        private.mkdir(parents=True, mode=0o700)
+        (private / "heavy_ball-00000000.so").write_bytes(b"stale")
+        (private / "notes.txt").write_text("kept")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        built = _native.build()
+        assert os.path.dirname(built) == str(private)
+        assert sorted(path.name for path in private.iterdir()) == sorted(
+            [os.path.basename(built), "notes.txt"])
+
+    def test_a_refused_directory_is_not_pruned(self, monkeypatch, tmp_path):
+        # the user cache is world-writable, so the build goes to the temp
+        # directory's private cache and prunes only there
+        shared = tmp_path / "cache" / "momsolve"
+        shared.mkdir(parents=True)
+        shared.chmod(0o777)
+        stale = shared / "heavy_ball-00000000.so"
+        stale.write_bytes(b"stale")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(_native.tempfile, "tempdir", str(tmp_path / "tmp"))
+        private = tmp_path / "tmp" / f"momsolve-{os.getuid()}"
+        private.mkdir(mode=0o700)
+        (private / stale.name).write_bytes(b"stale")
+        built = _native.build()
+        assert [path.name for path in private.iterdir()] == [os.path.basename(built)]
+        assert [path.name for path in shared.iterdir()] == [stale.name]
+        assert stale.read_bytes() == b"stale"
+
+    def test_a_library_pruned_before_it_loads_is_built_again(self, monkeypatch, tmp_path):
+        # another build pruned the library between its rename and its load
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        opened, real = [], _native.ctypes.CDLL
+
+        def open_after_prune(path):
+            if not opened:
+                os.unlink(path)
+            opened.append(path)
+            return real(path)
+
+        monkeypatch.setattr(_native.ctypes, "CDLL", open_after_prune)
+        lib, reason = _native.load()
+        assert lib is not None and reason == "" and len(opened) == 2
+        assert os.path.exists(opened[1])

@@ -23,6 +23,7 @@ from momsolve.sampling import (
     block_spectral_norm_sq,
     build_partition,
     compute_tau,
+    floyd_subsets,
     lambda_max_sup,
     parse_scheme,
 )
@@ -362,15 +363,22 @@ class TestOnePassBinding:
         aug = augmented(A, system.b)
         sampler = BlockSampler(UniformBlock(p=p), system)
         draws = sampler.draws(np.random.default_rng(2))
-        replay, rng = np.random.default_rng(2), np.random.default_rng(3)
-        for _ in range(20):
-            fwd, _, key = next(draws)
-            rows = np.sort(replay.choice(A.rows, size=p, replace=False))
-            assert np.array_equal(key, rows)
-            assert np.array_equal(fwd, aug[rows] * s)
+        reused = sampler.draws(np.random.default_rng(2), reuse=True)
+        replay, rng = next(sampler.key_chunks(np.random.default_rng(2))), np.random.default_rng(3)
+        for rows in replay[:20]:
+            (fwd, _, key), (again, _, same) = next(draws), next(reused)
+            assert np.array_equal(key, rows) and np.array_equal(same, rows)
+            assert np.array_equal(fwd, aug[rows] * s) and np.array_equal(again, fwd)
             t = rng.standard_normal(p)
             assert np.array_equal(sampler.residual_maps[key].T.dot(t),
                                   (table[rows] * s).T.dot(t))
+
+    def test_reused_draws_gather_into_one_buffer(self):
+        system, _ = _zero_block_system("dense", 8)
+        draws = BlockSampler(UniformBlock(p=3), system).draws(np.random.default_rng(0),
+                                                              reuse=True)
+        first, second = next(draws), next(draws)
+        assert first[0] is second[0] and first[1] is second[1]
 
     def test_bind_keeps_a_sampler_of_the_same_system(self):
         system, part = _zero_block_system("dense", 8)
@@ -434,6 +442,47 @@ class TestOnePassBinding:
         system, _ = _zero_block_system(kind, 8)
         with pytest.raises(UnsupportedError, match="deterministic scheme"):
             theoretical_bound(materialize("identity", system.A), system.A)
+
+
+def _floyd(t, m, p):
+    """Floyd's algorithm, step by step, on one row of draws t."""
+    taken = set()
+    for j, v in enumerate(t.tolist()):
+        taken.add(m - p + j if v in taken else v)
+    return sorted(taken)
+
+
+class TestUniformStream:
+    """``uniform:<p>`` keys come from ``floyd_subsets``, 256 a chunk."""
+
+    @pytest.mark.parametrize("m, p", [(6, 3), (40, 1), (40, 40), (50, 7), (40, 33), (2000, 32)])
+    def test_chunks_are_sorted_distinct_rows(self, m, p):
+        system = generate_gaussian_problem(m, 2, 2, 2.0, seed=0)
+        chunks = BlockSampler(UniformBlock(p=p), system).key_chunks(np.random.default_rng(1))
+        for _ in range(3):
+            keys = next(chunks)
+            assert keys.dtype == np.int64 and keys.shape == (256, p)
+            assert keys.min() >= 0 and keys.max() < m
+            assert (np.diff(keys, axis=1) > 0).all()
+
+    @pytest.mark.parametrize("m, p", [(6, 3), (40, 1), (40, 40), (50, 7), (40, 33), (9, 8)])
+    def test_vectorised_draws_are_floyds(self, m, p):
+        # the same generator calls as a step-by-step Floyd on each row
+        t = np.random.default_rng(5).integers(0, np.arange(m - p + 1, m + 1), size=(500, p))
+        expected = np.array([_floyd(row, m, p) for row in t])
+        assert np.array_equal(floyd_subsets(np.random.default_rng(5), m, p, 500), expected)
+
+    def test_every_subset_equally_likely(self):
+        # chi-square over the 20 subsets of 3 of 6 rows
+        from scipy.stats import chisquare
+
+        system = generate_gaussian_problem(6, 2, 2, 2.0, seed=0)
+        chunks = BlockSampler(UniformBlock(p=3), system).key_chunks(np.random.default_rng(7))
+        keys = np.concatenate([next(chunks) for _ in range(80)])
+        index = {J: i for i, J in enumerate(combinations(range(6), 3))}
+        counts = np.bincount([index[tuple(J)] for J in keys.tolist()], minlength=20)
+        assert len(counts) == 20 and counts.sum() == 80 * 256
+        assert chisquare(counts).pvalue > 1e-3
 
 
 class TestSchemeSpec:
