@@ -1,10 +1,11 @@
 /* The heavy-ball loop of momsolve.solvers (basic, mbasic, ashbm, mrabk) on
- * dense blocks, one chunk of drawn keys per call: a partition's key is the
- * index of its block, a uniform:<p> key its p sorted row ids.
+ * dense or CSR blocks, one chunk of drawn keys per call: a partition's key is
+ * the index of its block, a uniform:<p> key its p sorted row ids.
  *
  * A step is the NumPy loop's: the sketch t = B·xa of the drawn block B (its
- * rows of the scaled [A | -b], read in place through a list of row
- * pointers), the zero test, the pullback g = [B^T t; 0],
+ * rows of the scaled [A | -b], read in place: dense rows through a list of
+ * row pointers, CSR rows through a list of row ids), the zero test, the
+ * pullback g = [B^T t; 0],
  * the (alpha, beta) rule, and [x'; err'; d'] = [x; err; 0] + (beta d -
  * alpha g) into the other buffer. Every dot product sums LANES interleaved
  * partial sums and adds them in one fixed order, and no other reduction
@@ -23,6 +24,13 @@
 typedef double v8 __attribute__((vector_size(LANES * sizeof(double)), aligned(8), may_alias));
 #define V(p) (*(v8 *)(p))
 
+/* A CSR matrix: row i holds the entries ptr[i] .. ptr[i+1]-1, entry k being
+ * val[k] in column idx[k]; a CSC matrix is the CSR of its transpose */
+typedef struct {
+    const int64_t *ptr, *idx;
+    const double *val;
+} Csr;
+
 enum { NEED_KEYS, STOP_RSE, STOP_MAX_ITERS, STOP_CAP, STOP_DIVERGED, STOP_WINDOW,
        STOP_ZERO_DIVISION };
 enum { RESAMPLE, SKIP, PLAIN };        /* what a zero sketch does */
@@ -31,9 +39,10 @@ enum { POLYAK, ASHBM, FIXED };         /* the (alpha, beta) rule */
 /* Every field is 8 bytes, in the order of momsolve._native.Run. */
 typedef struct {
     /* the run: set once */
-    const double *P;         /* the scaled rows, n1 each: a partition's in block order */
+    const double *P;         /* the scaled rows, n1 each: a partition's in block order;
+                                0 for a CSR run, which reads them from S */
     const int64_t *offsets;  /* partition block b is rows offsets[b] .. offsets[b+1]-1;
-                                0 for uniform:<p>, whose key lists its rows of P */
+                                0 for uniform:<p>, whose key lists its rows */
     const double **B;        /* the rows of the current draw, one pointer each */
     const double *R;         /* residual factor (q x n1) for per-step norms, or 0 */
     double *W[2];            /* the two buffers [xa; err; d; g], 4 x n1 each */
@@ -42,13 +51,20 @@ typedef struct {
     double *rse, *alpha, *beta, *resnorm, *iterates;
     int64_t *wall;
     int8_t *moved;
-    /* the window's log, one entry per step since the last flush, filled to
-     * log_fill[0] steps and log_fill[1] sketch entries; a step's key is
-     * width int64s */
+    /* the dense window's log (or log_key = 0), one entry per step since the
+     * last flush, filled to log_fill[0] steps and log_fill[1] sketch
+     * entries; a step's key is width int64s */
     int64_t *log_key;
     double *log_t, *log_c, *log_e, *log_w;
     int64_t *log_fill;
-    int64_t n1, width, q, mode, rule, cap, max_iters, timing, window, keep;
+    /* a CSR run's scaled rows (or S = 0), and the rows of the current draw */
+    const Csr *S;
+    int64_t *J;
+    /* the carried r = A x - b of a tracked CSR run (or At = 0): A by columns,
+     * r, A d and the buffer u = A g, m each */
+    const Csr *At;
+    double *res, *Ad, *u;
+    int64_t n1, width, q, m, mode, rule, cap, max_iters, timing, window, keep;
     double threshold_sq, relax, fixed_alpha, fixed_beta, degeneracy, diverged, tol, err0_sq;
     /* run state, and what the last call did */
     int64_t k, cur, started, tries, t0, draws, fallbacks, records, used;
@@ -82,11 +98,12 @@ static double dot(const double *a, const double *b, int64_t n)
     return lanes_sum(&s, a, b, i, n);
 }
 
-/* t = B·xa for the rows B[0..rows), four rows at a time, each row summed as
- * in dot; returns ||t||^2 */
-static double sketch(const double *const *B, int64_t rows, int64_t n1, const double *xa,
-                     double *t)
+/* t = B·xa for the dense rows B[0..rows), four rows at a time, each row
+ * summed as in dot; returns ||t||^2 */
+static double dense_sketch(const Run *r, int64_t rows, const double *xa, double *t)
 {
+    const double **B = r->B;
+    const int64_t n1 = r->n1;
     int64_t j = 0;
     for (; j + 4 <= rows; j += 4) {
         const double *b0 = B[j], *b1 = B[j + 1], *b2 = B[j + 2], *b3 = B[j + 3];
@@ -110,12 +127,12 @@ static double sketch(const double *const *B, int64_t rows, int64_t n1, const dou
     return tn2;
 }
 
-/* g = [B^T t; 0], summed over the rows in order, two rows a pass; then
- * ||g||^2 and, for ashbm, ||d||^2 and d.g in gram[0..2] */
-static void pullback(const double *const *B, int64_t rows, int64_t n1, const double *t,
-                     double *g, const double *d, int with_d, double *gram)
+/* g = [B^T t; 0] for the dense rows B[0..rows), summed over the rows in
+ * order, two rows a pass */
+static void dense_pullback(const Run *r, int64_t rows, const double *t, double *g)
 {
-    int64_t n = n1 - 1, i, j = 1;
+    const double **B = r->B;
+    int64_t n = r->n1 - 1, i, j = 1;
     for (i = 0; i < n; i++) g[i] = B[0][i] * t[0];
     for (; j + 2 <= rows; j += 2) {
         const double *b0 = B[j], *b1 = B[j + 1];
@@ -129,6 +146,12 @@ static void pullback(const double *const *B, int64_t rows, int64_t n1, const dou
         for (i = 0; i < n; i++) g[i] += b0[i] * t[j];
     }
     g[n] = 0.0;
+}
+
+/* ||g||^2 and, for ashbm, ||d||^2 and d.g in gram[0..2] */
+static void grams(const double *g, const double *d, int64_t n1, int with_d, double *gram)
+{
+    int64_t i;
     v8 gg = {0}, dd = {0}, dg = {0};
     for (i = 0; i + LANES <= n1; i += LANES) {
         v8 gi = V(g + i), di = V(d + i);
@@ -141,6 +164,67 @@ static void pullback(const double *const *B, int64_t rows, int64_t n1, const dou
     gram[0] = lanes_sum(&gg, g, g, i, n1);
     gram[1] = lanes_sum(&dd, d, d, i, n1);
     gram[2] = lanes_sum(&dg, d, g, i, n1);
+}
+
+/* t = B·xa for the CSR rows J[0..rows) of S, each row's entries summed in
+ * order, as scipy's csr_matvec sums them; returns ||t||^2, summed as in
+ * dense_sketch */
+static double csr_sketch(const Run *r, int64_t rows, const double *xa, double *t)
+{
+    const int64_t *ptr = r->S->ptr, *idx = r->S->idx;
+    const double *val = r->S->val;
+    int64_t j;
+    double tn2 = 0.0;
+    for (j = 0; j < rows; j++) {
+        double s = 0.0;
+        for (int64_t k = ptr[r->J[j]]; k < ptr[r->J[j] + 1]; k++) s += val[k] * xa[idx[k]];
+        t[j] = s;
+    }
+    for (j = 0; j < rows; j++) tn2 += t[j] * t[j];
+    return tn2;
+}
+
+/* g = [B^T t; 0] for the CSR rows J[0..rows) of S: each entry added into
+ * g in row order, as scipy's csc_matvec of B^T adds them */
+static void csr_pullback(const Run *r, int64_t rows, const double *t, double *g)
+{
+    const int64_t *ptr = r->S->ptr, *idx = r->S->idx;
+    const double *val = r->S->val;
+    memset(g, 0, (size_t)r->n1 * sizeof(double));
+    for (int64_t j = 0; j < rows; j++) {
+        double tj = t[j];
+        for (int64_t k = ptr[r->J[j]]; k < ptr[r->J[j] + 1]; k++) g[idx[k]] += val[k] * tj;
+    }
+    g[r->n1 - 1] = 0.0;
+}
+
+/* The carried residual of a CSR run after a step d' = beta d - alpha g:
+ * u = A g over the columns of A at which g is nonzero, A d' = beta A d -
+ * alpha u and r' = r + A d'; returns ||r'|| */
+static double csr_carry(const Run *r, const double *g, double alpha, double beta)
+{
+    const int64_t *ptr = r->At->ptr, *idx = r->At->idx, n = r->n1 - 1, m = r->m;
+    const double *val = r->At->val;
+    double *u = r->u, *Ad = r->Ad, *res = r->res, minus_alpha = -alpha;
+    memset(u, 0, (size_t)m * sizeof(double));
+    for (int64_t c = 0; c < n; c++) {
+        double gc = g[c];
+        if (gc != 0.0)
+            for (int64_t k = ptr[c]; k < ptr[c + 1]; k++) u[idx[k]] += val[k] * gc;
+    }
+    v8 s = {0};
+    int64_t i = 0, tail;
+    for (; i + LANES <= m; i += LANES) {
+        v8 ad = beta * V(Ad + i) + minus_alpha * V(u + i), ri = V(res + i) + ad;
+        V(Ad + i) = ad;
+        V(res + i) = ri;
+        s += ri * ri;
+    }
+    for (tail = i; i < m; i++) {
+        Ad[i] = beta * Ad[i] + minus_alpha * u[i];
+        res[i] += Ad[i];
+    }
+    return sqrt(lanes_sum(&s, res, res, tail, m));
 }
 
 /* [x'; err'; d'] = [xa; err; 0] + s with s = beta d - alpha g, into the
@@ -167,11 +251,17 @@ static double update(const double *W, double *out, int64_t n1, double alpha, dou
     return lanes_sum(&s, ev, ev, tail, n1);
 }
 
-/* The rows of the block that key names into r->B; returns their number. */
+/* The rows of the block that key names into r->B, or their ids into r->J
+ * for a CSR run; returns their number. */
 static int64_t block_rows(const Run *r, const int64_t *key)
 {
     int64_t j, rows = r->width;
-    if (r->offsets) {
+    if (r->S && r->offsets) {
+        rows = r->offsets[*key + 1] - r->offsets[*key];
+        for (j = 0; j < rows; j++) r->J[j] = r->offsets[*key] + j;
+    } else if (r->S) {
+        memcpy(r->J, key, (size_t)rows * sizeof(int64_t));
+    } else if (r->offsets) {
         const double *first = r->P + r->offsets[*key] * r->n1;
         rows = r->offsets[*key + 1] - r->offsets[*key];
         for (j = 0; j < rows; j++) r->B[j] = first + j * r->n1;
@@ -183,13 +273,19 @@ static int64_t block_rows(const Run *r, const int64_t *key)
 
 /* Runs steps on the keys keys[0..nkeys·width) until the keys run out
  * (mid-step, if a rejection loop is under way), the run ends, or a window of
- * the carried residual is full. Returns the status; r->records rows were
- * written to the outputs and r->used keys were read. */
+ * the carried residual is full: the dense window's log, or the CSR carry,
+ * which Python then replaces with exact products. Returns the status;
+ * r->records rows were written to the outputs and r->used keys were read. */
 int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
 {
     const int64_t n1 = r->n1, n = n1 - 1, width = r->width;
-    const double *const *B = r->B;
     int64_t pos = 0, out = 0, status;
+    /* a dense block is read through the row pointers B, a CSR block through
+     * its row ids J */
+    double (*sketch_rows)(const Run *, int64_t, const double *, double *) =
+        r->S ? csr_sketch : dense_sketch;
+    void (*pull_rows)(const Run *, int64_t, const double *, double *) =
+        r->S ? csr_pullback : dense_pullback;
     for (;;) {
         double *W = r->W[r->cur], *xa = W, *err = W + n1, *d = W + 2 * n1, *g = W + 3 * n1;
         if (!r->started) {
@@ -206,7 +302,7 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
             key = keys + pos++ * width;
             r->draws++;
             rows = block_rows(r, key);
-            tn2 = sketch(B, rows, n1, xa, r->t);
+            tn2 = sketch_rows(r, rows, xa, r->t);
             if (tn2 > r->threshold_sq || r->mode != RESAMPLE) break;
             if (++r->tries == r->cap) { status = STOP_CAP; goto done; }
         }
@@ -216,7 +312,8 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
         int moved = !(r->mode == SKIP && tn2 <= r->threshold_sq);
         if (moved) {
             double gram[3];
-            pullback(B, rows, n1, r->t, g, d, r->rule == ASHBM && k > 1, gram);
+            pull_rows(r, rows, r->t, g);
+            grams(g, d, n1, r->rule == ASHBM && k > 1, gram);
             double gn2 = gram[0];
             if (r->rule == FIXED) {
                 alpha = r->fixed_alpha;
@@ -258,9 +355,12 @@ int64_t momsolve_heavy_ball(Run *r, const int64_t *keys, int64_t nkeys)
                 s += ri * ri;
             }
             r->resnorm[out] = sqrt(s);
+        } else if (r->At) {  /* an unmoved step leaves r where it is */
+            r->resnorm[out] = moved ? csr_carry(r, g, alpha, beta)
+                                    : sqrt(dot(r->res, r->res, r->m));
         }
         out++;
-        if (r->window) {  /* the step [[1, w c, w e], [0, c, e]] of _Window */
+        if (r->log_key) {  /* the step [[1, w c, w e], [0, c, e]] of _Window */
             int64_t i = r->log_fill[0]++;
             memcpy(r->log_key + i * width, key, (size_t)width * sizeof(int64_t));
             memcpy(r->log_t + r->log_fill[1], r->t, (size_t)rows * sizeof(double));

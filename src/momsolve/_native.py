@@ -37,12 +37,28 @@ class Run(ctypes.Structure):
 
     _fields_ = [(name, kind) for names, kind in (
         ("P offsets B R", _P), ("W", _P * 2), ("t rse alpha beta resnorm iterates wall moved "
-                                             "log_key log_t log_c log_e log_w log_fill", _P),
-        ("n1 width q mode rule cap max_iters timing window keep", _I),
+                                             "log_key log_t log_c log_e log_w log_fill "
+                                             "S J At res Ad u", _P),
+        ("n1 width q m mode rule cap max_iters timing window keep", _I),
         ("threshold_sq relax fixed_alpha fixed_beta degeneracy diverged tol err0_sq", _D),
         ("k cur started tries t0 draws fallbacks records used", _I),
         ("last_rse", _D),
     ) for name in names.split()]
+
+
+class Csr(ctypes.Structure):
+    """The kernel's ``Csr`` over a scipy CSR (or CSC) matrix's arrays, as
+    int64 indices and float64 values that it keeps alive."""
+
+    _fields_ = [("ptr", _P), ("idx", _P), ("val", _P)]
+
+    def __init__(self, M):
+        import numpy as np
+
+        self.arrays = (np.ascontiguousarray(M.indptr, dtype=np.int64),
+                       np.ascontiguousarray(M.indices, dtype=np.int64),
+                       np.ascontiguousarray(M.data, dtype=np.float64))
+        super().__init__(*(a.ctypes.data for a in self.arrays))
 
 
 def _cpu() -> str:

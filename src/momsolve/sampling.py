@@ -198,28 +198,32 @@ class BlockSampler:
     pair; ``draws(rng)`` is one run's stream of draws from it. A solver
     takes such a sampler, or a bare scheme that it binds for the run.
 
-    Each support element J is cached once as the scaled augmented block
-    ``[s·A_J | −s·b_J]``. With the augmented iterate ``xa = [x; 1]`` the
-    sketched residual is one product, ``S^T(Ax − b) = block·xa``, and
-    ``block^T·t`` is ``A^T S t`` in its first n entries (the caller zeroes
-    the last entry, ``−s b_J·t``).
+    Each support element J is the scaled augmented block ``[s·A_J |
+    −s·b_J]``, rows of one scaled copy of ``[A | −b]``. With the augmented
+    iterate ``xa = [x; 1]`` the sketched residual is one product,
+    ``S^T(Ax − b) = block·xa``, and ``block^T·t`` is ``A^T S t`` in its
+    first n entries (the caller zeroes the last entry, ``−s b_J·t``).
 
     A draw is ``(block, block^T, key)``: a partition's key is the index of
     its block, a ``uniform:<p>`` key the sorted rows J. The key finds the
     block's residual map in ``residual_maps``: K_J = R[:, :n]·(s·A_J)^T, R
     being the system's ``residual_factor``, gives ``R·[A^T S t; 0] = K_J·t``
-    without a product with R. ``can_carry`` says whether every block has
-    fewer rows than R, where ``K_J·t`` is the cheaper product.
+    without a product with R. ``can_carry`` says whether A is dense and
+    every block has fewer rows than R, where ``K_J·t`` is the cheaper
+    product; a tracked CSR run carries Ax − b in the compiled loop
+    instead.
 
     Both kinds draw their keys in chunks (``key_chunks``): a partition
     (``row`` and ``identity`` included) with one ``searchsorted`` per chunk,
     ``uniform:<p>`` with ``floyd_subsets``. ``rows`` holds what the compiled
-    loop reads in place: a dense partition's blocks in block order, cut at
-    ``offsets``, or the scaled ``[A | −b]`` whose rows a uniform key names
-    (``offsets`` None); a ``uniform:<p>`` draw of the NumPy loop gathers its
-    rows from it. Rejection gives up after ``len(attempts)`` draws: 100 per
-    support element, or one for a partition of one block, which a redraw
-    cannot change.
+    loop reads in place, an ndarray or CSR in A's storage: a partition's
+    blocks in block order, cut at ``offsets``, or the scaled ``[A | −b]``
+    whose rows a uniform key names (``offsets`` None); a ``uniform:<p>``
+    draw of the NumPy loop gathers its rows from it. ``blocks``, the draws
+    of a partition, is made from ``rows`` only when the NumPy loop first
+    asks for ``draws``. Rejection gives up after ``len(attempts)`` draws: 100
+    per support element, or one for a partition of one block, which a
+    redraw cannot change.
     """
 
     def __init__(self, scheme, system: LinearSystem):
@@ -232,18 +236,14 @@ class BlockSampler:
         if isinstance(scheme, UniformBlock):
             self.scale = np.sqrt(A.rows / scheme.p / A.fro_norm_sq)
             aug *= self.scale
-            self.rows, self.offsets, self.blocks = aug, None, None
+            self.rows, self.offsets = aug, None
             self.attempts = range(100 * UNIFORM_SUPPORT_CAP)
             return
         weights, inv_sq = scheme.norms_sq(A)
         self.scales = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in inv_sq]
-        P, self.offsets = self._scaled_rows(aug)
-        self.blocks = [(*_block_pair(P[a:b]), i)
-                       for i, (a, b) in enumerate(itertools.pairwise(self.offsets))]
-        # the compiled loop reads dense blocks from P, whose views they are;
-        # CSR blocks are copies, so a CSR P is not kept
-        self.rows = P if isinstance(P, np.ndarray) else None
-        self.attempts = range(1 if len(self.blocks) == 1 else 100 * len(self.blocks))
+        self.rows, self.offsets = self._scaled_rows(aug)
+        count = len(self.offsets) - 1
+        self.attempts = range(1 if count == 1 else 100 * count)
         self.cum = np.cumsum(weights / A.fro_norm_sq)
 
     @classmethod
@@ -256,6 +256,17 @@ class BlockSampler:
 
     def describe(self) -> str:
         return self.scheme.describe()
+
+    @functools.cached_property
+    def blocks(self):
+        """The draws ``(block, block^T, key)`` of every partition block, made
+        on first use (None for ``uniform:<p>``): views of a dense ``rows``,
+        or one scipy copy of a CSR block's rows and its transpose."""
+        if self.offsets is None:
+            return None
+        P = self.rows
+        return [(*_block_pair(P[a:b]), i)
+                for i, (a, b) in enumerate(itertools.pairwise(self.offsets))]
 
     @functools.cached_property
     def tau(self) -> float:
@@ -281,7 +292,7 @@ class BlockSampler:
         scaled once, whose rows a key selects."""
         A = self.system.A
         table = A.data.dot(self.system.residual_factor[:, :A.cols].T)
-        if self.blocks is None:
+        if self.offsets is None:
             table *= self.scale
             return table
         P, offsets = self._scaled_rows(table)
@@ -292,7 +303,7 @@ class BlockSampler:
         With ``reuse``, a dense ``uniform:<p>`` draw gathers its block into
         one buffer of the stream, which the next draw overwrites."""
         aug, chunks = self.rows, self.key_chunks(rng)
-        if self.blocks is not None:
+        if self.offsets is not None:
             blocks = self.blocks
             for keys in chunks:
                 for i in keys.tolist():
@@ -315,11 +326,11 @@ class BlockSampler:
         ``rng``, ``_DRAW_CHUNK`` keys an array: a partition's int64 block
         indices, or (``_DRAW_CHUNK``, p) int64 rows of a ``uniform:<p>``
         key each, from ``floyd_subsets``."""
-        if self.blocks is None:
+        if self.offsets is None:
             m, p = self.system.A.rows, self.scheme.p
             while True:
                 yield floyd_subsets(rng, m, p, _DRAW_CHUNK)
-        last = len(self.blocks) - 1
+        last = len(self.offsets) - 2
         while True:
             idx = np.searchsorted(self.cum, rng.random(_DRAW_CHUNK), side="right")
             # cum[-1] may round to just below 1

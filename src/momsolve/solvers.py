@@ -5,9 +5,10 @@ baseline.
 ``basic``, ``mbasic``, ``ashbm`` and ``mrabk`` are one stochastic heavy-ball
 update, x_{k+1} = x_k − alpha_k·grad f_S(x_k) + beta_k·(x_k − x_{k−1}), run
 by one loop; each method supplies only its (alpha, beta) rule and how it
-treats a zero sketch. On a dense A that loop runs in the compiled kernel
-``_heavy_ball.c`` (built by ``_native``), on CSR blocks in NumPy;
-``step_engine`` says which, and both read one stream of draws.
+treats a zero sketch. That loop runs in the compiled kernel
+``_heavy_ball.c`` (built by ``_native``) on dense and CSR blocks alike, and
+in NumPy where the kernel could not be built; ``step_engine`` says which,
+and both read one stream of draws.
 ``scg`` and ``cgne`` keep their own recursions: they are the references
 the momentum form is checked against. A sampled step of a NumPy loop sees
 its draw only through ``_Run.draw``: the key of the drawn block (see
@@ -21,6 +22,7 @@ RSE of x^k aligns with the k-th power of theoretical contraction factors.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from array import array
@@ -233,7 +235,7 @@ class _Window:
         self.maps = sampler.residual_maps
         # a window's sketches and products, block by block; or the
         # gathered rows of one uniform:<p> key
-        p, partition = sampler.scheme.p, sampler.blocks is not None
+        p, partition = sampler.scheme.p, sampler.offsets is not None
         self.U = np.empty((RESIDUAL_WINDOW, q)) if partition else None
         self.T = np.empty(RESIDUAL_WINDOW * p) if partition else None
         self.B = np.empty((_PASS, q)) if partition else None
@@ -330,13 +332,41 @@ class _Window:
             t.dot(self.maps.take(rows, axis=0, out=self.G, mode="clip"), out=ui)
 
 
+class _SparseResidual:
+    """The carried r = Ax − b of a tracked CSR run in the compiled loop,
+    which advances r and A·d on every step (see ``csr_carry`` in
+    ``_heavy_ball.c``); its norms go to the trace column ``col``.
+
+    Every RESIDUAL_WINDOW steps and at the run's end, ``flush`` replaces r
+    and A·d by exact products from ``state``, which bounds the drift of the
+    carried values, and the last norm by the exact one. Every buffer, A by
+    columns included, is made once per run."""
+
+    __slots__ = ("A", "b", "res", "Ad", "u", "columns", "col")
+
+    def __init__(self, system, col):
+        self.A, self.b = system.A.data, system.b
+        self.res, self.Ad = -system.b, np.zeros(len(system.b))  # at x0 = 0 and d0 = 0
+        self.u = np.empty_like(self.res)
+        self.columns = _native.Csr(self.A.tocsc())
+        self.col = col
+
+    def flush(self, state) -> None:
+        n = self.A.shape[1]
+        np.subtract(self.A @ state.xa[:n], self.b, out=self.res)
+        self.Ad[:] = self.A @ state.d[:n]
+        if self.col:
+            self.col[-1] = math.sqrt(self.res.dot(self.res))
+
+
 class _Run:
     """State shared by the solver loops: the run's draws, the two working
     buffers (see ``_State``), the step weights and the trace columns. The
     loops swap the buffers on every step, so the one not in use holds the
     previous iterate. A sampled run carries R·[x; 1] in a ``_Window``
     (``window``) whenever it tracks the residual and its sampler's blocks
-    allow it.
+    allow it; a tracked CSR run in the compiled loop carries Ax − b in a
+    ``_SparseResidual`` there.
     """
 
     def __init__(self, system: LinearSystem, scheme, config: SolverConfig,
@@ -502,14 +532,14 @@ def _heavy_ball(system: LinearSystem, scheme, config: SolverConfig,
     When the run carries its residual, each step logs its block's key, t,
     beta and −alpha to the run's window (see ``_Window``); W and its
     arithmetic are the same either way, so tracking never changes the
-    trajectory. Dense blocks run in the compiled kernel (see
-    ``_native_loop``), CSR blocks in this loop.
+    trajectory. The steps run in the compiled kernel (see ``_native_loop``)
+    unless it could not be built.
     """
     run = _Run(system, scheme, config, keep_iterates)
     if run.err0_sq == 0.0:
         return run.already_solved()
     fixed = fixed_step() if rule == "fixed" else (0.0, 0.0)
-    if _numpy_reason(system.A) is None:
+    if _KERNEL is not None:
         return _native_loop(run, draw_mode, rule, fixed)
     draw, resample = run.draw, draw_mode == "resample"
     # a sketch at or below this counts as zero and leaves x unmoved
@@ -582,22 +612,12 @@ _RULE_CODES = {"polyak": 0, "ashbm": 1, "fixed": 2}
  _STOP_ZERO_DIVISION) = range(7)
 
 
-def _numpy_reason(A) -> str | None:
-    """None when heavy-ball steps on A's blocks run in the compiled kernel,
-    else why NumPy runs them."""
-    if A.is_sparse:
-        return "CSR blocks"
-    return _KERNEL_FAILURE if _KERNEL is None else None
-
-
 def step_engine(solver: str, A) -> str:
-    """The engine that runs ``solver``'s steps on A, under any sketch
-    family: "native", or "numpy: " and why."""
+    """The engine that runs ``solver``'s steps on A, dense or CSR, under
+    any sketch family: "native", or "numpy: " and why."""
     if solver not in HEAVY_BALL_IDS:
-        reason = f"{solver} has no compiled loop"
-    else:
-        reason = _numpy_reason(A)
-    return "native" if reason is None else f"numpy: {reason}"
+        return f"numpy: {solver} has no compiled loop"
+    return "native" if _KERNEL is not None else f"numpy: {_KERNEL_FAILURE}"
 
 
 def _pointer(a) -> int:
@@ -605,11 +625,12 @@ def _pointer(a) -> int:
 
 
 def _native_loop(run, draw_mode, rule, fixed):
-    """``_heavy_ball`` on dense blocks, one call of the compiled kernel per
-    chunk of the sampler's keys: the same draws, rules, stops and trace
-    columns (see ``_heavy_ball.c``). The kernel reads a block's rows in
-    place, through one list of row pointers per run."""
+    """``_heavy_ball`` in the compiled kernel, one call per chunk of the
+    sampler's keys: the same draws, rules, stops and trace columns (see
+    ``_heavy_ball.c``). The kernel reads a block's rows in place, through
+    one list of row pointers (dense) or row ids (CSR) per run."""
     sampler, config, n = run.sampler, run.config, run.n
+    sparse = run.A.is_sparse
     # the kernel reads contiguous int64 keys, float64 rows and int64 offsets
     chunks = (np.ascontiguousarray(keys, dtype=np.int64) for keys in sampler.key_chunks(run.rng))
     keys, pos = next(chunks), 0
@@ -618,15 +639,29 @@ def _native_loop(run, draw_mode, rule, fixed):
     out = {name: np.empty(rows) for name in ("rse", "alpha", "beta")}
     out["wall"] = np.zeros(rows, dtype=np.int64)
     out["moved"] = np.empty(rows, dtype=np.int8)
-    if config.track_residual and run.window is None:  # a norm per step, from R
+    if (window := run.window) is not None:  # the kernel logs to the window's arrays
+        r.log_key, r.log_t, r.log_fill = map(_pointer, (window.keys, window.ts, window.fill))
+        r.log_c, r.log_e, r.log_w = map(_pointer, window.cew)
+        r.window = RESIDUAL_WINDOW
+    elif config.track_residual:  # a norm per step
         out["resnorm"] = np.empty(rows)
-        R = np.ascontiguousarray(run.system.residual_factor)
-        r.R, r.q = _pointer(R), R.shape[0]
+        if sparse:  # carried in the kernel, and flushed like a window
+            run.window = carry = _SparseResidual(run.system, run.resnorm_col)
+            r.At, r.m = ctypes.addressof(carry.columns), len(carry.res)
+            r.res, r.Ad, r.u = map(_pointer, (carry.res, carry.Ad, carry.u))
+            r.window = RESIDUAL_WINDOW
+        else:  # from R
+            R = np.ascontiguousarray(run.system.residual_factor)
+            r.R, r.q = _pointer(R), R.shape[0]
     iterates = np.empty((rows, n)) if run.iterates is not None else None
     # a block has at most p rows; a partition key is one int64, a uniform key p
     p = sampler.scheme.p
-    t, B = np.empty(p), np.empty(p, dtype=np.uintp)
-    P = np.ascontiguousarray(sampler.rows, dtype=np.float64)
+    t, P, B = np.empty(p), None, None
+    if sparse:  # a block's rows by their ids
+        S, J = _native.Csr(sampler.rows), np.empty(p, dtype=np.int64)
+        r.S, r.J = ctypes.addressof(S), _pointer(J)
+    else:  # by pointers to them
+        P, B = np.ascontiguousarray(sampler.rows, dtype=np.float64), np.empty(p, dtype=np.uintp)
     offsets = None
     if sampler.offsets is not None:
         offsets = np.ascontiguousarray(sampler.offsets, dtype=np.int64)
@@ -636,10 +671,6 @@ def _native_loop(run, draw_mode, rule, fixed):
     for name, a in out.items():
         setattr(r, name, _pointer(a))
     r.iterates, r.keep = _pointer(iterates), iterates is not None
-    if (window := run.window) is not None:  # the kernel logs to the window's arrays
-        r.log_key, r.log_t, r.log_fill = map(_pointer, (window.keys, window.ts, window.fill))
-        r.log_c, r.log_e, r.log_w = map(_pointer, window.cew)
-        r.window = RESIDUAL_WINDOW
     r.n1, r.mode, r.rule = n + 1, _MODES[draw_mode], _RULE_CODES[rule]
     r.cap, r.max_iters, r.timing = len(run.attempts), config.max_iters, config.record_timing
     r.threshold_sq, r.relax, r.tol, r.err0_sq = (run.threshold_sq, 2.0 - config.zeta,

@@ -1,6 +1,6 @@
 """The compiled heavy-ball kernel against the NumPy loop it replaces on
-dense blocks, partition and ``uniform:<p>``: the same draws, stops and
-counts, and iterates equal to rounding."""
+dense and CSR blocks, partition and ``uniform:<p>``: the same draws, stops
+and counts, and iterates equal to rounding."""
 
 import gc
 import json
@@ -10,6 +10,7 @@ import sysconfig
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import csr_rows, materialize
 from momsolve import _native, cli, solvers
@@ -45,6 +46,26 @@ _UNIFORM_SOLVERS = {name: _SOLVERS[name] for name in ("basic", "mbasic", "ashbm"
 def _csr_system(m, n):
     A = Matrix.from_scipy(csr_rows(m, n, 5, seed=4))
     return attach_min_norm(LinearSystem(A=A, b=A.matvec(np.ones(n))))
+
+
+def _csr_with_zero_row(M, row):
+    """The consistent system of the CSR M with its row ``row`` emptied."""
+    M = M.tolil()
+    M[row, :] = 0.0
+    A = Matrix.from_scipy(M.tocsr())
+    A.data.eliminate_zeros()
+    assert A.data.indptr[row] == A.data.indptr[row + 1]
+    return attach_min_norm(LinearSystem(A=A, b=A.matvec(np.linspace(-1.0, 2.0, A.cols))))
+
+
+# every CSR system has an empty row; the rank-deficient one has rank 20,
+# its last 20 columns repeating its first 20
+_CSR_SYSTEMS = {
+    "tall": lambda: _csr_with_zero_row(csr_rows(120, 40, 5, seed=1), 7),
+    "rank_deficient": lambda: _csr_with_zero_row(
+        sp.hstack([csr_rows(80, 20, 3, seed=2)] * 2, format="csr"), 11),
+    "wide": lambda: _csr_with_zero_row(csr_rows(30, 60, 5, seed=3), 2),
+}
 
 
 def _cfg(**kw):
@@ -155,6 +176,42 @@ class TestEqualsTheNumpyLoop:
             # ashbm on the identity is CG, whose rounding grows once its
             # directions lose conjugacy: from step 15 of 23 the two engines
             # part about as far as the NumPy loop parts from CGNE
+            rel = 2 * _numpy_distance_to_cgne(monkeypatch, system, sampler, config)
+        _assert_same_run(native, reference, system, config, keep, rel)
+
+
+def _csr_runs():
+    """(solver, spec) on CSR blocks: every heavy-ball solver under every
+    family it accepts (mrabk steps on partitions only)."""
+    return [pytest.param(solver, spec, id=f"{solver}-{spec}")
+            for spec in ("row", "partition:4", "partition:10", "identity", "uniform:4")
+            for solver in (_UNIFORM_SOLVERS if spec.startswith("uniform") else _SOLVERS)]
+
+
+class TestCsrEqualsTheNumpyLoop:
+    """The kernel reads a CSR block's rows in place from the sampler's
+    scaled CSR copy and carries a tracked run's Ax − b itself: the same
+    runs as the NumPy loop's scipy products, under every family."""
+
+    @pytest.mark.parametrize("track, timing, keep", [(False, False, False), (True, True, True),
+                                                     (True, False, False), (False, True, True)],
+                             ids=["bare", "tracked-timed-kept", "tracked", "timed-kept"])
+    @pytest.mark.parametrize("solver, spec", _csr_runs())
+    @pytest.mark.parametrize("kind", list(_CSR_SYSTEMS))
+    def test_grid(self, monkeypatch, kind, solver, spec, track, timing, keep):
+        system = _CSR_SYSTEMS[kind]()
+        sampler = BlockSampler(materialize(spec, system.A, 5), system)
+        assert step_engine(solver, system.A) == "native"
+        config = _cfg(track_residual=track, record_timing=timing)
+        calls, loop = [], solvers._native_loop
+        monkeypatch.setattr(solvers, "_native_loop", lambda *a: calls.append(a) or loop(*a))
+        native, reference = _both(monkeypatch, _SOLVERS[solver], system, sampler, config, keep)
+        assert len(calls) == 1  # the native run; the reference ran the NumPy loop
+        rel = 1e-12
+        if (kind, solver, spec) == ("wide", "ashbm", "identity"):
+            # CG again, as in TestEqualsTheNumpyLoop: over its 31 steps the
+            # NumPy loop parts from CGNE by 2e-6, and the engines may part
+            # twice as far
             rel = 2 * _numpy_distance_to_cgne(monkeypatch, system, sampler, config)
         _assert_same_run(native, reference, system, config, keep, rel)
 
@@ -300,12 +357,13 @@ class TestChunkEdges:
         assert _step_of(native) == _step_of(reference) == (DivergedError, str(step))
 
 
+@pytest.mark.parametrize("kind", ["dense", "csr"])
 @pytest.mark.parametrize("spec", ["partition:4", "uniform:4"])
 @pytest.mark.parametrize("engine", ["native", "numpy"])
-def test_tracked_run_leaves_no_cycles(monkeypatch, engine, spec):
+def test_tracked_run_leaves_no_cycles(monkeypatch, engine, spec, kind):
     # a run's window buffers are freed when it returns, not whenever the
     # cyclic collector next runs: a window in a cycle kept tens of MB alive
-    system = _SYSTEMS["tall"]()
+    system = (_SYSTEMS if kind == "dense" else _CSR_SYSTEMS)["tall"]()
     sampler = BlockSampler(materialize(spec, system.A), system)
     if engine == "numpy":
         _numpy_engine(monkeypatch)
@@ -338,21 +396,23 @@ class TestFallback:
         assert _close(state.x, native[0].x)
 
     @pytest.mark.parametrize("spec", ["partition:4", "uniform:4"])
-    def test_csr_keeps_numpy(self, spec):
+    def test_csr_runs_native(self, monkeypatch, spec):
+        # CSR heavy-ball steps run in the kernel, and a failed build runs
+        # them in NumPy: the same run to rounding
         system = _csr_system(90, 30)
-        assert step_engine("ashbm", system.A) == "numpy: CSR blocks"
+        assert step_engine("ashbm", system.A) == "native"
         assert step_engine("scg", system.A) == "numpy: scg has no compiled loop"
-        # the NumPy loop runs it, and its result does not depend on the kernel
+        calls, loop = [], solvers._native_loop
+        monkeypatch.setattr(solvers, "_native_loop", lambda *a: calls.append(a) or loop(*a))
         sampler = BlockSampler(materialize(spec, system.A), system)
-        config = _cfg(max_iters=300, rse_tolerance=0.0)
+        config = _cfg(max_iters=300, rse_tolerance=0.0, track_residual=True)
         native = solve_ashbm(system, sampler, config, keep_iterates=True)
-        with pytest.MonkeyPatch.context() as patch:
-            _numpy_engine(patch)
-            reference = solve_ashbm(system, sampler, config, keep_iterates=True)
-        for name in ("rse", "residual_norm", "alpha", "beta", "moved"):
-            assert getattr(native[1], name).tobytes() == getattr(reference[1], name).tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(native[1].iterates,
-                                                              reference[1].iterates))
+        assert len(calls) == 1
+        _numpy_engine(monkeypatch, "kernel build failed: no compiler")
+        assert step_engine("ashbm", system.A) == "numpy: kernel build failed: no compiler"
+        reference = solve_ashbm(system, sampler, config, keep_iterates=True)
+        assert len(calls) == 1
+        _assert_same_run(native, reference, system, config, True)
 
     @pytest.mark.parametrize("solver", ["basic", "mbasic", "ashbm", "scg"])
     def test_dense_uniform_runs_native(self, monkeypatch, tmp_path, solver):
@@ -369,9 +429,21 @@ class TestFallback:
                          "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "summary.json").read_text())["engine"] == engine
 
-    def test_csr_sampler_keeps_only_its_blocks(self):
-        scheme = PartitionBlock.from_permutation(90, 4, seed=1)
-        assert BlockSampler(scheme, _csr_system(90, 30)).rows is None
+    @pytest.mark.parametrize("spec", ["partition:4", "row"])
+    def test_csr_native_run_builds_no_block_pairs(self, spec):
+        # a CSR sampler keeps its row-permuted scaled rows, which the kernel
+        # reads; the per-block scipy pairs are made only for the NumPy
+        # loop, here scg's, which then runs on them
+        system = _csr_system(90, 30)
+        sampler = BlockSampler(materialize(spec, system.A, 1), system)
+        assert sp.issparse(sampler.rows) and sampler.rows.shape == (90, 31)
+        for track in (False, True):
+            solve_ashbm(system, sampler, _cfg(max_iters=200, track_residual=track))
+        assert "blocks" not in vars(sampler)
+        _, trace = solvers.solve_scg(system, sampler, _cfg(max_iters=300, rse_tolerance=0.0))
+        assert len(sampler.blocks) == len(sampler.offsets) - 1
+        assert all(sp.issparse(fwd.mat) for fwd, _, _ in sampler.blocks)
+        assert trace.iterations == 300 and trace.final_rse < 0.5 * trace.rse[0]
 
     @pytest.mark.parametrize("solver", sorted(SOLVER_IDS))
     def test_reported_engine_is_the_one_that_runs(self, monkeypatch, solver):

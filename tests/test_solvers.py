@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from conftest import (
     augmented_iterates,
+    csr_rows,
     dense_sketch,
     materialize,
     record_draws,
@@ -752,6 +753,84 @@ class TestResidualWindow:
                 tracemalloc.stop()
         window_bytes = RESIDUAL_WINDOW * sys_.residual_factor.shape[0] * 8
         assert peaks[True] - peaks[False] <= window_bytes
+
+
+def _slow_csr_system():
+    """A 400 x 100 CSR system, 4 entries a row, with its columns scaled from
+    1 down to 1/20, on which ``partition:8`` runs take thousands of steps."""
+    A = Matrix.from_scipy(csr_rows(400, 100, 4, seed=0) @ sp.diags(np.geomspace(1.0, 0.05, 100)))
+    b = A.matvec(np.random.default_rng(0).standard_normal(100))
+    return attach_min_norm(LinearSystem(A=A, b=b))
+
+
+class TestCsrResidual:
+    """A tracked CSR run in the compiled loop carries r = Ax − b and A·d
+    itself, refreshed exactly every RESIDUAL_WINDOW steps and at the end,
+    and never factors [A | −b]."""
+
+    @pytest.mark.parametrize("solve, spec", [(solve_ashbm, "partition:8"),
+                                             (solve_modified_basic, "row"),
+                                             (solve_ashbm, "uniform:8"),
+                                             (solve_basic, "split")],
+                             ids=["ashbm", "mbasic-row", "ashbm-uniform8", "basic-unmoved"])
+    def test_matches_direct_product_past_two_refreshes(self, monkeypatch, solve, spec):
+        ends, flush = [], solvers._SparseResidual.flush
+
+        def counting_flush(carry, state):
+            flush(carry, state)
+            ends.append(len(carry.col))
+
+        monkeypatch.setattr(solvers._SparseResidual, "flush", counting_flush)
+        if spec == "split":  # moved and unmoved steps mix in every window
+            dense, scheme = _split_system()
+            sys_ = attach_min_norm(LinearSystem(A=Matrix.from_scipy(sp.csr_matrix(
+                dense.A.toarray())), b=dense.b))
+        else:
+            sys_ = _slow_csr_system()
+            scheme = materialize(spec, sys_.A, 7)
+        assert solvers.step_engine("ashbm", sys_.A) == "native"
+        steps = 2 * RESIDUAL_WINDOW + 437
+        state, trace = solve(sys_, scheme, _cfg(max_iters=steps, rse_tolerance=0.0),
+                             keep_iterates=True)
+        assert len(trace) == steps and ends == [RESIDUAL_WINDOW, 2 * RESIDUAL_WINDOW, steps]
+        _assert_residuals_match(sys_, trace)
+        r = sys_.A.matvec(state.x) - sys_.b
+        assert trace.residual_norm[-1] == math.sqrt(r.dot(r))
+        if spec == "split":
+            assert 0 < trace.moved[:RESIDUAL_WINDOW].sum() < RESIDUAL_WINDOW
+
+    @pytest.mark.parametrize("spec", ["partition:8", "row", "uniform:8"])
+    def test_tracked_equals_untracked(self, monkeypatch, spec):
+        sys_ = _slow_csr_system()
+        scheme = materialize(spec, sys_.A, 7)
+        calls, loop = [], solvers._native_loop
+        monkeypatch.setattr(solvers, "_native_loop", lambda *a: calls.append(a) or loop(*a))
+        tracked, untracked = (solve_ashbm(sys_, scheme, _cfg(
+            max_iters=RESIDUAL_WINDOW + 300, rse_tolerance=0.0, track_residual=on))[1]
+            for on in (True, False))
+        assert len(calls) == 2
+        for column in ("k", "rse", "alpha", "beta", "moved"):
+            assert getattr(tracked, column).tobytes() == getattr(untracked, column).tobytes()
+        assert np.isfinite(tracked.residual_norm).all()
+        assert np.isnan(untracked.residual_norm).all()
+
+    @pytest.mark.parametrize("engine", ["native", "numpy"])
+    def test_never_factors(self, monkeypatch, engine):
+        calls, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        if engine == "numpy":
+            monkeypatch.setattr(solvers, "_KERNEL", None)
+        sys_ = _sparse_system(90, 30, seed=4)
+        for spec in ("partition:4", "uniform:4"):
+            scheme = materialize(spec, sys_.A, 1)
+            for name, solve in SOLVER_IDS.items():
+                for track in (False, True):
+                    config = _cfg(max_iters=300, track_residual=track)
+                    if name == "cgne":
+                        solve(sys_, config)
+                    elif name != "mrabk" or spec.startswith("partition"):
+                        solve(sys_, scheme, config)
+        assert calls == [] and "residual_factor" not in vars(sys_)
 
 
 class TestTrackingLeavesTheTrajectory:
